@@ -7,9 +7,10 @@ physics record (central charge, replica number, operator dimensions).
 
 Conventions.  A correlator on the physical slice (xbar = conj x) is
 
-    G(x, xbar) = |x|^(2 p0) |1-x|^(2 p1) sum_i X_i |I_i(x)|^2
+    G(x, xbar) = |x|^(2 p0) |1-x|^(2 p1) sum_ij X_ij conj(I_i(x)) I_j(x)
 
-with I_i the Frobenius basis of ``ode`` about 0 (and Y_j, J_j about 1).
+with I_i the Frobenius basis of ``ode`` about 0 (and Y_j, J_j about 1), and
+X diagonal except for cross terms on integer-spaced exponent pairs.
 When prefactor_exponents == (0, 0) the ODE annihilates G itself.
 """
 
@@ -21,6 +22,7 @@ import io
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -81,6 +83,11 @@ class CorrelatorModel:
         return self.ode.order
 
     def ode_at_1(self) -> fb.ThetaOde:
+        return self._ode_at_1
+
+    @cached_property
+    def _ode_at_1(self) -> fb.ThetaOde:
+        # recentred once per model, so its indicial roots are solved once too
         return fb.recenter_to_one(self.ode)
 
     def standard_coeffs(self):
@@ -552,7 +559,8 @@ def predict_on_circle(model: CorrelatorModel, fractions, M: int = 200,
     fit, coeffs, b0, _ = bootstrap(model, M)
     return mn.correlator_on_circle(model.standard_coeffs(), b0, coeffs.X,
                                    fractions, model.prefactor_exponents,
-                                   extra_one_minus_x_power=dressing_power)
+                                   extra_one_minus_x_power=dressing_power,
+                                   cross=coeffs.X_cross)
 
 
 # ---------------------------------------------------------------------------
@@ -781,10 +789,6 @@ def ward_taylor(m2, m3, m4, x, family: str, P: int):
 def _normalized_d_series(p2, p3, x, P):
     """Coefficients of (1-z)^p2 (1-z/x)^p3, exact when the inputs are exact."""
     return _conv(_binom_series(p2, -1, P), _binom_series(p3, _inv(-x), P), P)
-
-
-def _neg(x):
-    return -x
 
 
 def _inv(x):

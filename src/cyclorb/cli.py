@@ -2,7 +2,8 @@
 
 Subcommands emit deterministic CSV (header row, ``.`` decimal separator) or
 machine-readable PASS/FAIL reports.  Exit codes: 0 pass, 2 usage error,
-3 numerical degeneracy, 4 tolerance failure.
+3 numerical degeneracy, 4 tolerance failure.  A library error maps to one
+of these codes with a one-line message on stderr (see ``EXIT_CODES``).
 
 A plain-text config file with ``key=value`` lines can seed any flags;
 explicit flags win.
@@ -12,15 +13,26 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
 
-from . import catalog as cat, monodromy as mn, rsos
-from . import yanglee_chain as ylc
+from . import catalog as cat, frobenius as fb, monodromy as mn, rsos
+from . import specfun as sf, yanglee_chain as ylc
 
 EXIT_OK, EXIT_USAGE, EXIT_DEGENERATE, EXIT_TOLERANCE = 0, 2, 3, 4
+
+# library error -> exit code
+EXIT_CODES = {
+    ylc.SizeError: EXIT_USAGE,
+    sf.DomainError: EXIT_USAGE,
+    fb.LogarithmicCaseError: EXIT_DEGENERATE,
+    mn.DegeneracyError: EXIT_DEGENERATE,
+    rsos.DefectivePairError: EXIT_DEGENERATE,
+    ylc.ComplexGroundStateError: EXIT_DEGENERATE,
+    mn.FitError: EXIT_TOLERANCE,
+    fb.OutOfDiskError: EXIT_TOLERANCE,
+}
 
 
 def _parse_grid(spec: str):
@@ -55,13 +67,6 @@ def _write(args, text: str):
         sys.stdout.write(text)
 
 
-def _map(args, fn, items):
-    if getattr(args, "threads", 1) and args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
 def _report(lines) -> int:
     ok = True
     for name, passed, detail in lines:
@@ -85,7 +90,7 @@ def cmd_blocks(args) -> int:
     basis = model.basis0(args.terms)
     names = ",".join(f"I_{i+1}" for i in range(model.order))
     rows = [f"x,{names}"]
-    vals = _map(args, lambda x: [s.evaluate(x).real for s in basis.series], grid)
+    vals = basis.evaluate(grid).real
     for x, v in zip(grid, vals):
         rows.append(",".join([repr(float(x))] + [repr(float(u)) for u in v]))
     _write(args, "\n".join(rows) + "\n")
@@ -137,7 +142,7 @@ def cmd_correlator(args) -> int:
     grid = _parse_grid(args.grid)
     G = cat.correlator(model, M=args.terms)
     rows = ["x,G"]
-    vals = _map(args, G, grid)
+    vals = G(grid)
     for x, v in zip(grid, vals):
         rows.append(f"{float(x)!r},{float(v)!r}")
     _write(args, "\n".join(rows) + "\n")
@@ -243,7 +248,8 @@ def cmd_chain(args) -> int:
 def _add_common(p, grid=False):
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--selftest", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; grids are evaluated in one call")
     p.add_argument("--terms", type=int, default=200, help="series truncation order")
     if grid:
         p.add_argument("--grid", default="0.05:0.95:19", help="a:b:n grid on (0,1)")
@@ -358,9 +364,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    except mn.DegeneracyError as exc:
-        print(f"degeneracy: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
+    except tuple(EXIT_CODES) as exc:
+        print(f"error: {type(exc).__name__}: {' '.join(str(exc).split())}", file=sys.stderr)
+        return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

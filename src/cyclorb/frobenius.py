@@ -15,8 +15,9 @@ complex floats otherwise.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -38,8 +39,9 @@ class OutOfDiskError(ValueError):
 
 ZERO, ONE = "zero", "one"
 
-_RES_TOL = 1e-10          # relative tolerance for a vanishing resonance numerator
-_EARLY_STOP_RATIO = 1e-16  # term-ratio threshold for early truncation
+_RES_TOL = 1e-10   # relative tolerance for a vanishing resonance numerator
+_CHUNK = 256       # points per power matrix in array evaluation
+_SCALARS = (int, float, complex, np.number)
 
 
 def _is_rational(x) -> bool:
@@ -71,6 +73,11 @@ class ThetaOde:
 
     def indicial_poly(self):
         return list(self.polys[0])
+
+    @cached_property
+    def indicial_roots(self) -> tuple:
+        """Roots of P_0, solved once per ODE; see :func:`indicial_exponents`."""
+        return tuple(_poly_roots(self.indicial_poly()))
 
 
 @dataclass(frozen=True)
@@ -115,7 +122,7 @@ class FrobeniusSeries:
     def __post_init__(self):
         self.truncation_order = len(self.coeffs) - 1
 
-    def evaluate(self, x: complex) -> complex:
+    def evaluate(self, x):
         return evaluate(self, x)
 
     def tail_estimate_at(self, radius: float) -> float:
@@ -153,6 +160,9 @@ class FrobeniusBasis:
 
     center: str
     series: tuple
+    # exponents and coefficient matrix C[n, i] = a_n of series i, zero-padded
+    _alpha: np.ndarray = field(init=False, repr=False, compare=False)
+    _coeffs: np.ndarray = field(init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -162,13 +172,22 @@ class FrobeniusBasis:
     def exponents(self) -> tuple:
         return tuple(s.exponent for s in self.series)
 
+    def __post_init__(self):
+        n_max = max(len(s.coeffs) for s in self.series)
+        C = np.zeros((n_max, len(self.series)), dtype=complex)
+        for i, s in enumerate(self.series):
+            C[: len(s.coeffs), i] = s.coeffs
+        object.__setattr__(self, "_alpha", np.array([_exponent(s) for s in self.series]))
+        object.__setattr__(self, "_coeffs", C)
+
+    def evaluate(self, x) -> np.ndarray:
+        """Values of every series at x: shape (size,) for a scalar x, else
+        x.shape + (size,)."""
+        return _series_values(self._alpha, self._coeffs, self.center, x)
+
     def evaluate_matrix(self, points: Sequence[float]) -> np.ndarray:
         """Matrix V[p, i] = series_i evaluated at physical coordinate points[p]."""
-        out = np.empty((len(points), self.size), dtype=complex)
-        for p, x in enumerate(points):
-            for i, s in enumerate(self.series):
-                out[p, i] = evaluate(s, x)
-        return out
+        return self.evaluate(np.asarray(points, dtype=complex).reshape(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +311,7 @@ def indicial_exponents(ode: ThetaOde) -> list:
     Exact rational roots are found by the rational-root theorem; any
     non-rational remainder is resolved numerically.
     """
-    return _poly_roots(ode.indicial_poly())
+    return list(ode.indicial_roots)
 
 
 def _poly_roots(poly) -> list:
@@ -396,32 +415,38 @@ def _run_recursion_exact(ode: ThetaOde, alpha: Fraction, M: int):
 
 
 def _run_recursion_float(ode: ThetaOde, alpha, M: int):
-    polys = [[complex(c) for c in p] for p in ode.polys]
-    K = len(polys) - 1
+    K = len(ode.polys) - 1
     alpha = complex(alpha)
-    a = np.zeros(M + 1, dtype=complex)
-    a[0] = 1.0
-    resonant = []
+    # w[j][n] = P_j(alpha + n - j), by Horner over all n at once
+    shifts = alpha + np.arange(M + 1)
+    w = [np.polyval(np.array([complex(c) for c in reversed(p)]), shifts - j).tolist()
+         for j, p in enumerate(ode.polys)]
     # a resonance happens exactly when alpha + n is another indicial root
-    roots = np.array([complex(r) for r in _poly_roots(ode.indicial_poly())])
+    resonances = set()
+    for r in ode.indicial_roots:
+        d = complex(r) - alpha
+        n = round(d.real)
+        if n >= 1 and abs(d - n) < 1e-9:
+            resonances.add(n)
+    a = [1.0 + 0j]
+    resonant = []
     for n in range(1, M + 1):
         num = 0j
-        scale = 0.0
         for j in range(1, min(n, K) + 1):
-            w = pr.peval(polys[j], alpha + n - j)
-            num += w * a[n - j]
-            scale = max(scale, abs(w) * max(1.0, abs(a[n - j])))
-        den = pr.peval(polys[0], alpha + n)
-        if np.min(np.abs(roots - (alpha + n))) < 1e-9:
+            num += w[j][n] * a[n - j]
+        if n in resonances:
+            scale = max((abs(w[j][n]) * max(1.0, abs(a[n - j]))
+                         for j in range(1, min(n, K) + 1)), default=0.0)
             if abs(num) <= _RES_TOL * max(1.0, scale):
-                a[n] = 0.0
+                a.append(0j)
                 resonant.append(n)
                 continue
             raise LogarithmicCaseError(
                 f"resonance at n={n} (alpha={alpha}) with non-vanishing numerator"
             )
-        a[n] = -num / den
-    return a, resonant
+        # times the reciprocal, the rounding of numpy's complex division
+        a.append(-num * (1.0 / w[0][n]))
+    return np.array(a, dtype=complex), resonant
 
 
 def recursion_residual(ode: ThetaOde, series: FrobeniusSeries) -> float:
@@ -439,34 +464,67 @@ def recursion_residual(ode: ThetaOde, series: FrobeniusSeries) -> float:
     return worst
 
 
-def evaluate(series: FrobeniusSeries, x: complex) -> complex:
-    """Evaluate x^alpha * sum a_n x^n with compensated summation.
+def _exponent(series: FrobeniusSeries) -> complex:
+    e = series.exponent
+    return complex(float(e)) if _is_rational(e) else complex(e)
+
+
+def evaluate(series: FrobeniusSeries, x):
+    """Evaluate x^alpha * sum a_n x^n at a scalar or an array of points.
 
     ``x`` is the physical coordinate; for a series centered at one the
     expansion variable is u = 1 - x.  Principal branch for the power.
     """
-    u = complex(x) if series.center == ZERO else 1.0 - complex(x)
-    if abs(u) >= 1.0:
-        raise OutOfDiskError(f"|u| = {abs(u):.3f} >= 1 outside the convergence disk")
-    alpha = complex(float(series.exponent)) if _is_rational(series.exponent) \
-        else complex(series.exponent)
-    # Kahan-compensated sum of a_n u^n
-    s = 0j
-    comp = 0j
-    upow = 1.0 + 0j
-    for a in series.coeffs:
-        term = a * upow - comp
-        t = s + term
-        comp = (t - s) - term
-        s = t
-        upow *= u
-    if u == 0:
-        if alpha == 0:
-            return complex(s)
-        if alpha.real > 0:
-            return 0j
+    vals = _series_values(np.array([_exponent(series)]), series.coeffs[:, None],
+                          series.center, x)
+    return complex(vals[0]) if vals.ndim == 1 else vals[..., 0]
+
+
+def _series_values(alpha: np.ndarray, C: np.ndarray, center: str, x) -> np.ndarray:
+    """exp(alpha_i log u) * sum_n C[n, i] u^n for every column i of C.
+
+    The powers u^n are running products, and each block of points is summed
+    by one matrix product with C.  Arrays are taken ``_CHUNK`` points at a
+    time, so no (points x terms) matrix is held whole.  Raises
+    ``OutOfDiskError`` if any |u| >= 1, and at u = 0 for an exponent that is
+    neither zero nor of positive real part.
+    """
+    if isinstance(x, _SCALARS):
+        u = complex(x) if center == ZERO else 1.0 - complex(x)
+        if abs(u) >= 1.0:
+            raise OutOfDiskError(f"|u| = {abs(u):.3f} >= 1 outside the convergence disk")
+        pw = np.full(len(C), u)
+        pw[0] = 1.0
+        s = np.cumprod(pw, out=pw) @ C
+        if u == 0:
+            return _at_center(alpha, s)
+        return np.exp(alpha * cmath.log(u)) * s
+    x = np.asarray(x, dtype=complex)
+    u = (x if center == ZERO else 1.0 - x).reshape(-1)
+    r = np.abs(u)
+    if np.any(r >= 1.0):
+        raise OutOfDiskError(f"|u| = {r.max():.3f} >= 1 outside the convergence disk")
+    out = np.empty((len(u), C.shape[1]), dtype=complex)
+    pw = np.empty((min(len(u), _CHUNK), len(C)), dtype=complex)
+    for lo in range(0, len(u), _CHUNK):
+        blk = u[lo: lo + _CHUNK]
+        p = pw[: len(blk)]
+        p[:, 0] = 1.0
+        p[:, 1:] = blk[:, None]
+        out[lo: lo + len(blk)] = np.cumprod(p, axis=1, out=p) @ C
+    zero = u == 0
+    logu = np.log(np.where(zero, 1.0, u))
+    out *= np.exp(alpha * logu[:, None])
+    if np.any(zero):
+        out[zero] = _at_center(alpha, out[zero])
+    return out.reshape(x.shape + (C.shape[1],))
+
+
+def _at_center(alpha: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Series values at u = 0 from their sums s (the power factor taken as 1)."""
+    if np.any((alpha != 0) & (alpha.real <= 0)):
         raise OutOfDiskError("series is singular at its own center for Re(alpha) < 0")
-    return cmath.exp(alpha * cmath.log(u)) * s
+    return np.where(alpha == 0, s, 0j)
 
 
 def basis_for(ode: ThetaOde, exponents: Sequence, M: int = 200) -> FrobeniusBasis:
@@ -502,21 +560,3 @@ def ode_from_text(text: str) -> ThetaOde:
         raise ValueError("no polynomial lines found")
     return ThetaOde(order=pr.degree(polys[0]),
                     polys=tuple(tuple(pr.trim(p)) for p in polys))
-
-
-# ---------------------------------------------------------------------------
-# first-order system form, for numeric continuation off the real axis
-
-
-def ode_system(standard_coeffs):
-    """Return f(x, y) for y' = f(x, y), y = (g, g', ..., g^(K-1))."""
-    coeffs = [list(c) for c in standard_coeffs]
-    K = len(coeffs) - 1
-
-    def rhs(x, y):
-        top = pr.peval(coeffs[K], x)
-        dk = -sum(pr.peval(coeffs[k], x) * y[k] for k in range(K)) / top
-        out = list(y[1:]) + [dk]
-        return out
-
-    return rhs

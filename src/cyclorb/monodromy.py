@@ -9,7 +9,10 @@ then solve the single-valuedness constraints
 for the block coefficients X (x -> 0 channel) and Y (x -> 1 channel).  The
 physical correlator is assembled as
 
-    G(x, xbar) = |x|^(2 p0) |1-x|^(2 p1) sum_i X_i |I_i(x)|^2 .
+    G(x, xbar) = |x|^(2 p0) |1-x|^(2 p1) sum_ij X_ij conj(I_i(x)) I_j(x),
+
+with X diagonal except for cross terms on integer-spaced exponent pairs;
+``block_sum`` is that sum, on the real axis and on the circle alike.
 """
 
 from __future__ import annotations
@@ -171,27 +174,38 @@ def diagonal_invariants(fit: ConnectionFit, norm_channel: int = 0,
     )
 
 
+def block_sum(values: np.ndarray, X: Sequence[float], cross: Optional[dict] = None):
+    """sum_ij X_ij conj(I_i) I_j over the last axis of ``values`` (I_i = values[..., i]).
+
+    ``X`` holds the diagonal coefficients and ``cross`` the symmetric
+    off-diagonal amplitudes {(i, j): X_ij}, each counted for (i, j) and (j, i).
+    """
+    tot = np.sum(np.asarray(X, dtype=float) * np.abs(values) ** 2, axis=-1)
+    for (i, j), t in (cross or {}).items():
+        tot = tot + 2.0 * t * (np.conj(values[..., i]) * values[..., j]).real
+    return tot
+
+
 def assemble(prefactor_exponents: tuple, X: Sequence[float],
              basis: FrobeniusBasis, cross: Optional[dict] = None
-             ) -> Callable[[complex], float]:
+             ) -> Callable:
     """Return G(x) = |x|^(2 p0) |1-x|^(2 p1) sum_ij X_ij conj(I_i) I_j.
 
     ``X`` holds the diagonal coefficients; ``cross`` optional symmetric
     off-diagonal amplitudes for integer-spaced exponent pairs.  Valid on the
     physical slice xbar = conj(x); for the basis centered at 1 pass the Y
-    coefficients instead of X.
+    coefficients instead of X.  G takes a scalar (returning a float) or an
+    array of points (returning an array of the same shape).
     """
-    p0, p1 = prefactor_exponents
+    p0, p1 = (2 * float(p) for p in prefactor_exponents)
     X = np.asarray(X, dtype=float)
     cross = dict(cross or {})
 
-    def G(x) -> float:
-        vals = np.array([s.evaluate(x) for s in basis.series])
-        pref = abs(x) ** (2 * float(p0)) * abs(1 - x) ** (2 * float(p1))
-        tot = np.sum(X * np.abs(vals) ** 2)
-        for (i, j), t in cross.items():
-            tot += 2.0 * t * (np.conj(vals[i]) * vals[j]).real
-        return float(pref * tot)
+    def G(x):
+        tot = block_sum(basis.evaluate(x), X, cross)
+        if isinstance(x, (int, float, complex, np.number)):
+            return float(abs(x) ** p0 * abs(1 - x) ** p1 * tot)
+        return np.abs(x) ** p0 * np.abs(1 - x) ** p1 * tot
 
     return G
 
@@ -275,26 +289,23 @@ def continue_blocks(standard_coeffs, basis: FrobeniusBasis, targets: Sequence[co
 def correlator_on_circle(standard_coeffs, basis: FrobeniusBasis, X: Sequence[float],
                          fractions: Sequence[float],
                          prefactor_exponents: tuple = (0.0, 0.0),
-                         extra_one_minus_x_power: float = 0.0) -> np.ndarray:
+                         extra_one_minus_x_power: float = 0.0,
+                         cross: Optional[dict] = None) -> np.ndarray:
     """Evaluate G at x = exp(2 i pi s) for s in ``fractions`` (0 < s < 1).
 
     Uses xbar = conj(x) = 1/x on the unit circle and the reflection
     G(s) = G(1 - s), so only s <= 1/2 is continued numerically.
-    ``extra_one_minus_x_power`` adds a global |1-x|^(2w) dressing.
+    ``extra_one_minus_x_power`` adds a global |1-x|^(2w) dressing;
+    ``cross`` holds the off-diagonal amplitudes, as in :func:`assemble`.
     """
     fractions = np.asarray(fractions, dtype=float)
     if np.any((fractions <= 0) | (fractions >= 1)):
         raise ValueError("fractions must lie strictly inside (0, 1)")
-    X = np.asarray(X, dtype=float)
-    p0, p1 = prefactor_exponents
+    p1 = float(prefactor_exponents[1])
     s_eff = np.minimum(fractions, 1.0 - fractions)
-    uniq = sorted(set(float(s) for s in s_eff))
+    uniq, where = np.unique(s_eff, return_inverse=True)
     targets = [cmath.exp(2j * cmath.pi * s) for s in uniq]
     B = continue_blocks(standard_coeffs, basis, targets)
-    lookup = {}
-    for k, s in enumerate(uniq):
-        vals = B[k]
-        pref = abs(2.0 * np.sin(np.pi * s)) ** (2 * (float(p1) + extra_one_minus_x_power))
-        # |x| = 1 on the circle, so the p0 factor drops out
-        lookup[s] = float(pref * np.sum(X * np.abs(vals) ** 2))
-    return np.array([lookup[float(s)] for s in s_eff])
+    # |x| = 1 on the circle, so the p0 factor drops out
+    pref = np.abs(2.0 * np.sin(np.pi * uniq)) ** (2 * (p1 + extra_one_minus_x_power))
+    return (pref * block_sum(B, X, cross))[where]

@@ -166,11 +166,13 @@ class EigenPair:
     momentum_phase: complex = 1.0
 
     def check(self, H, tol=1e-10) -> bool:
+        """Bi-orthonormality, and each residual relative to its own vector."""
         r = abs(self.left @ self.right - 1.0) < 1e-12
         hr = np.linalg.norm(H @ self.right - self.energy * self.right)
         hl = np.linalg.norm(self.left @ H - self.energy * self.left)
-        scale = np.linalg.norm(self.right) * max(1.0, abs(self.energy))
-        return r and hr <= tol * scale and hl <= tol * scale
+        e = max(1.0, abs(self.energy))
+        return (r and hr <= tol * np.linalg.norm(self.right) * e
+                and hl <= tol * np.linalg.norm(self.left) * e)
 
 
 def eigensystem(H, n_states: int = 6, sector: Optional[str] = None,

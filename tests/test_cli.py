@@ -3,7 +3,11 @@
 import subprocess
 import sys
 
+import pytest
+
 from cyclorb import cli
+from cyclorb import frobenius as fb, monodromy as mn, rsos, specfun as sf
+from cyclorb import yanglee_chain as ylc
 
 
 def run_cli(args):
@@ -85,6 +89,39 @@ class TestReports:
         assert run_cli(["ward", "--x", "0.3", "--selftest"]) == 0
         out = capsys.readouterr().out
         assert "0,0.3" in out and "1,-1.3" in out and "2,1.0" in out
+
+
+class TestExitCodes:
+    def test_fit_error_is_tolerance_failure(self, capsys):
+        code = run_cli(["monodromy", "--model", "yl1int_gs", "--terms", "3"])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("error: FitError") and err.count("\n") == 1
+
+    def test_size_error_is_usage_error(self, capsys):
+        code = run_cli(["chain", "--L", "30"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: SizeError") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("exc, code", [
+        (ylc.SizeError("too big"), 2),
+        (sf.DomainError("outside\nthe disk"), 2),
+        (fb.LogarithmicCaseError("log"), 3),
+        (mn.DegeneracyError("two-dimensional"), 3),
+        (rsos.DefectivePairError("w r = 0"), 3),
+        (ylc.ComplexGroundStateError("complex"), 3),
+        (mn.FitError("residual"), 4),
+        (fb.OutOfDiskError("|u| >= 1"), 4),
+    ])
+    def test_library_errors_map_to_codes(self, monkeypatch, capsys, exc, code):
+        def fail(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_ward", fail)
+        assert run_cli(["ward"]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {type(exc).__name__}: ") and err.count("\n") == 1
 
 
 class TestLattice:

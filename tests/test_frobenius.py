@@ -201,6 +201,100 @@ class TestEvaluate:
         assert abs(v - cy.hyp2f1(cy.HypParams(0.7, 1.1, 1.4), 0.3)) < 1e-12
 
 
+def hyp_ode(a, b, c):
+    return cy.theta_form([[a * b], [-c, a + b + 1], [F(0), F(-1), F(1)]])
+
+
+class TestKernel:
+    """Whole-basis evaluation: scalar and array paths, disk and centre checks."""
+
+    def test_scalar_and_array_agree(self, gs_ode):
+        b0 = cy.basis_for(gs_ode, cy.indicial_exponents(gs_ode), 200)
+        ode1 = cy.recenter_to_one(gs_ode)
+        b1 = cy.basis_for(ode1, cy.indicial_exponents(ode1), 200)
+        us = np.array([0.05, 0.3, 0.5, 0.62, 0.8, 0.4 + 0.3j, 0.2 - 0.5j, -0.6])
+        for basis, xs in ((b0, us), (b1, 1 - us)):
+            V = basis.evaluate(xs)
+            assert V.shape == (len(xs), 3)
+            for p, x in enumerate(xs):
+                for i, s in enumerate(basis.series):
+                    ref = s.evaluate(complex(x))
+                    assert abs(V[p, i] - ref) <= 1e-13 * abs(ref)
+                    assert abs(basis.evaluate(complex(x))[i] - ref) <= 1e-13 * abs(ref)
+            assert np.array_equal(basis.evaluate_matrix(list(xs)), V)
+
+    def test_array_shape_and_series_arrays(self, gs_ode):
+        s = cy.frobenius_series(gs_ode, F(1, 2), 80, exact=False)
+        xs = np.array([[0.1, 0.2], [0.3, 0.4]])
+        vals = s.evaluate(xs)
+        assert vals.shape == (2, 2)
+        assert abs(vals[1, 0] - s.evaluate(0.3)) <= 1e-13 * abs(vals[1, 0])
+        assert s.evaluate(np.array([])).shape == (0,)
+
+    def test_one_out_of_disk_point_raises(self, gs_ode):
+        b0 = cy.basis_for(gs_ode, cy.indicial_exponents(gs_ode), 60)
+        with pytest.raises(cy.OutOfDiskError):
+            b0.evaluate(np.array([0.1, 0.5, 1.2, 0.3]))
+        with pytest.raises(cy.OutOfDiskError):
+            b0.series[0].evaluate(np.array([0.2, -1.0]))
+        ode1 = cy.recenter_to_one(gs_ode)
+        b1 = cy.basis_for(ode1, cy.indicial_exponents(ode1), 60)
+        with pytest.raises(cy.OutOfDiskError):
+            b1.evaluate(np.array([0.5, 0.0]))   # u = 1 - x = 1
+
+    def test_centre_special_cases(self):
+        # exponents 0 and 1 - c = -2/5: the first is a_0 = 1 at the centre,
+        # the second is singular there
+        a, b, c = F(7, 10), F(11, 10), F(7, 5)
+        ode = hyp_ode(a, b, c)
+        regular = cy.frobenius_series(ode, F(0), 40)
+        singular = cy.frobenius_series(ode, 1 - c, 40)
+        assert regular.evaluate(0.0) == 1.0
+        assert np.array_equal(regular.evaluate(np.array([0.0])), [1.0])
+        for x in (0.0, np.array([0.3, 0.0])):
+            with pytest.raises(cy.OutOfDiskError):
+                singular.evaluate(x)
+        with pytest.raises(cy.OutOfDiskError):
+            cy.basis_for(ode, (F(0), 1 - c), 40).evaluate(np.array([0.0, 0.5]))
+        # positive exponent: the value at the centre is zero
+        positive = cy.frobenius_series(hyp_ode(a, b, F(3, 5)), F(2, 5), 40)
+        assert positive.evaluate(0.0) == 0.0
+        assert positive.evaluate(np.array([0.0, 0.2]))[0] == 0.0
+
+    def test_hypergeometric_oracle_complex_u(self):
+        mp = pytest.importorskip("mpmath")
+        a, b, c = F(7, 10), F(11, 10), F(7, 5)
+        basis = cy.basis_for(hyp_ode(a, b, c), (F(0), 1 - c), 400)
+        us = [0.9 * np.exp(1j * t) for t in (0.3, 1.2, 2.0, 2.9, -0.7, -2.5)]
+        us += [0.5j, -0.85, 0.6 - 0.6j]
+        V = basis.evaluate(np.array(us))
+        af, bf, cf = float(a), float(b), float(c)
+        for p, u in enumerate(us):
+            i1 = complex(mp.hyp2f1(af, bf, cf, u))
+            i2 = complex(mp.power(u, 1 - cf) * mp.hyp2f1(af - cf + 1, bf - cf + 1, 2 - cf, u))
+            assert abs(V[p, 0] - i1) <= 1e-12 * abs(i1)
+            assert abs(V[p, 1] - i2) <= 1e-12 * abs(i2)
+
+    def test_indicial_roots_solved_once_per_basis(self, monkeypatch):
+        calls = []
+        real = pr.rational_roots
+
+        def counted(p):
+            calls.append(p)
+            return real(p)
+
+        monkeypatch.setattr(pr, "rational_roots", counted)
+        ode = hyp_ode(F(7, 10), F(11, 10), F(7, 5))
+        cy.basis_for(ode, (F(0), F(-2, 5)), 60)
+        assert len(calls) == 1
+        cy.basis_for(ode, (F(-2, 5), F(0)), 60)
+        assert len(calls) == 1
+        model = cy.get_model("mm_n3_phi21", F(11, 8))
+        calls.clear()
+        model.basis0(60), model.basis1(60), model.basis1(60)
+        assert len(calls) == 2   # one ODE about 0, one recentred ODE about 1
+
+
 class TestRecenterAndScheme:
     def test_ground_state_at_one(self, gs_ode):
         ode1 = cy.recenter_to_one(gs_ode)

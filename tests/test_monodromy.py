@@ -122,6 +122,17 @@ class TestAssemble:
             assert abs(G(x) - Gp(x)) < 1e-8 * abs(G(x))
 
 
+    def test_array_matches_scalar(self, gs_solution):
+        _, bc, b0, _ = gs_solution
+        G = mn.assemble((F(2, 5), F(4, 5)), bc.X, b0)
+        xs = np.linspace(0.05, 0.95, 41)
+        vals = G(xs)
+        assert vals.shape == xs.shape
+        ref = np.array([G(x) for x in xs])
+        assert isinstance(G(0.3), float)
+        assert np.max(np.abs(vals - ref) / np.abs(ref)) < 1e-13
+
+
 class TestContinuation:
     def test_circle_against_closed_form(self):
         mp = pytest.importorskip("mpmath")
@@ -141,3 +152,23 @@ class TestContinuation:
         s = np.array([0.25, 0.75])
         pred = cy.predict_on_circle(model, s, dressing_power=-1 / 20)
         assert abs(pred[0] - pred[1]) < 1e-12
+
+    def test_circle_keeps_cross_terms(self):
+        # mm_n3_phi21 needs cross terms on its integer-spaced pair; the circle
+        # values must combine the continued blocks with them
+        model = cy.get_model("mm_n3_phi21", F(11, 8))
+        _, bc, b0, _ = cy.bootstrap(model)
+        assert bc.X_cross
+        s = np.array([0.2, 0.3, 0.45, 0.7])
+        s_eff = np.minimum(s, 1 - s)
+        B = mn.continue_blocks(model.standard_coeffs(), b0, np.exp(2j * np.pi * s_eff))
+        diag = np.array([sum(bc.X[i] * abs(B[t, i]) ** 2 for i in range(b0.size))
+                         for t in range(len(s))])
+        cross = np.array([sum(2 * amp * (B[t, i].conjugate() * B[t, j]).real
+                              for (i, j), amp in bc.X_cross.items())
+                          for t in range(len(s))])
+        pref = np.abs(2 * np.sin(np.pi * s_eff)) ** (2 * float(model.prefactor_exponents[1]))
+        want = pref * (diag + cross)
+        got = cy.predict_on_circle(model, s)
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-9
+        assert np.min(np.abs(cross / diag)) > 1e-2   # the cross terms matter here

@@ -83,6 +83,15 @@ class TestEigensystem:
         for p in pairs:
             assert p.check(H)
 
+    def test_pairs_check_at_L12(self):
+        # after w r = 1 the covector is far longer than r; each residual is
+        # judged relative to its own vector
+        H, basis = rsos.build_rsos_hamiltonian(4, 3, 12)
+        for state in ("ground", "vacuum"):
+            pair = rsos.select_state(H, basis, state)
+            assert np.linalg.norm(pair.left) > 10 * np.linalg.norm(pair.right)
+            assert pair.check(H)
+
     def test_biorthonormality(self):
         H, basis = rsos.build_rsos_hamiltonian(4, 3, 8)
         pairs = rsos.eigensystem(H, n_states=6, basis=basis)
