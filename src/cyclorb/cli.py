@@ -24,7 +24,7 @@ EXIT_OK, EXIT_USAGE, EXIT_DEGENERATE, EXIT_TOLERANCE = 0, 2, 3, 4
 
 # library error -> exit code
 EXIT_CODES = {
-    ylc.SizeError: EXIT_USAGE,
+    rsos.SizeError: EXIT_USAGE,
     sf.DomainError: EXIT_USAGE,
     fb.LogarithmicCaseError: EXIT_DEGENERATE,
     mn.DegeneracyError: EXIT_DEGENERATE,
@@ -230,12 +230,11 @@ def cmd_compare(args) -> int:
 
 
 def cmd_chain(args) -> int:
-    hc = ylc.critical_field(args.lam, args.L)
     st = ylc.crossover_study(args.lam, args.L, [0.1, 0.99])
     d_lo = ylc.midpoint_second_difference(st["profiles"][0.1])
     d_hi = ylc.midpoint_second_difference(st["profiles"][0.99])
     lines = [
-        ("threshold found", True, f"h_c = {hc:.6f}"),
+        ("threshold found", True, f"h_c = {st['h_c']:.6f}"),
         ("concave to convex crossover", np.sign(d_lo) != np.sign(d_hi),
          f"second differences {d_lo:.4f} -> {d_hi:.4f}"),
     ]

@@ -18,11 +18,9 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import eig as dense_eig
 
-DENSE_LIMIT = 2_000
-ITERATIVE_LIMIT = 200_000
+SECTOR_LIMIT = 4_000    # largest matrix handed to the dense eigensolver
 
 
 class BasisError(ValueError):
@@ -31,6 +29,10 @@ class BasisError(ValueError):
 
 class SingularWeightError(ValueError):
     pass
+
+
+class SizeError(ValueError):
+    """Too large for the dense eigensolve (or the chain's dense build)."""
 
 
 class DefectivePairError(RuntimeError):
@@ -149,13 +151,30 @@ def build_rsos_hamiltonian(m: int, k: int, L: int, basis: Optional[HeightBasis] 
     return H.tocsr(), basis
 
 
+def _shift(basis: HeightBasis) -> np.ndarray:
+    """Row of each state translated by one site."""
+    return np.array([basis.index[row.tobytes()] for row in np.roll(basis.states, 1, axis=1)])
+
+
 def translation_operator(basis: HeightBasis) -> sp.csr_matrix:
-    rows = []
-    for s_idx in range(basis.dim):
-        t = np.roll(basis.states[s_idx], 1)
-        rows.append(basis.index[t.tobytes()])
     dim = basis.dim
-    return sp.csr_matrix((np.ones(dim), (rows, np.arange(dim))), shape=(dim, dim))
+    return sp.csr_matrix((np.ones(dim), (_shift(basis), np.arange(dim))), shape=(dim, dim))
+
+
+def zero_momentum_projector(shift: np.ndarray) -> sp.csr_matrix:
+    """Orthonormal basis P of the zero-momentum sector, one column per orbit.
+
+    ``shift[s]`` is the row of state s translated by one site.  Orbits are
+    labelled by their smallest row, and P[s, orbit(s)] = 1/sqrt(|orbit|).
+    """
+    rows = np.arange(len(shift))
+    label, image = rows.copy(), shift
+    while not np.array_equal(image, rows):
+        np.minimum(label, image, out=label)
+        image = shift[image]
+    _, orbit, size = np.unique(label, return_inverse=True, return_counts=True)
+    return sp.csr_matrix((1.0 / np.sqrt(size[orbit]), (rows, orbit)),
+                         shape=(len(rows), len(size)))
 
 
 @dataclass
@@ -179,51 +198,26 @@ def eigensystem(H, n_states: int = 6, sector: Optional[str] = None,
                 basis: Optional[HeightBasis] = None) -> list[EigenPair]:
     """Lowest-(real part) eigenpairs with bi-orthonormal left covectors.
 
-    Dense solve below DENSE_LIMIT, implicitly-restarted Arnoldi otherwise.
-    ``sector="zero_momentum"`` keeps translation-invariant states only
-    (requires ``basis``).
+    ``sector="zero_momentum"`` (needs ``basis``) solves the dense P^T H P of
+    ``zero_momentum_projector``, about L times smaller than H, and expands
+    r = P r0, w = P w0: H and H^T both commute with the translation.
+    ``sector=None`` solves the whole space and, given ``basis``, resolves
+    momentum (``momentum_phase``); it is the reference for the sector solve.
+    A solved dimension above SECTOR_LIMIT raises ``SizeError``.
     """
-    dim = H.shape[0]
-    if dim > ITERATIVE_LIMIT:
-        raise ValueError(f"dimension {dim} exceeds the iterative solver limit")
-    if dim <= DENSE_LIMIT:
-        Hd = H.toarray() if sp.issparse(H) else np.asarray(H)
-        evals, vl, vr = dense_eig(Hd, left=True, right=True)
-        order = np.argsort(evals.real)
-        sel = order[: max(4 * n_states, 16)]
-        energies = evals[sel]
-        rights = vr[:, sel]
-        lefts = vl[:, sel].conj()
-    else:
-        k = min(max(3 * n_states, 12), dim - 2)
-        evals_r, vr = spla.eigs(H, k=k, which="SR", tol=0)
-        evals_l, vl = spla.eigs(H.T, k=k, which="SR", tol=0)
-        order = np.argsort(evals_r.real)
-        energies, rights, lefts = [], [], []
-        used = set()
-        for idx in order:
-            e = evals_r[idx]
-            jbest, dbest = None, np.inf
-            for j in range(len(evals_l)):
-                if j in used:
-                    continue
-                d = abs(evals_l[j] - e)
-                if d < dbest:
-                    jbest, dbest = j, d
-            if jbest is None or dbest > 1e-6 * max(1.0, abs(e)):
-                continue
-            used.add(jbest)
-            energies.append(e)
-            rights.append(vr[:, idx])
-            lefts.append(vl[:, jbest])
-        energies = np.array(energies)
-        rights = np.column_stack(rights)
-        lefts = np.column_stack(lefts)
+    P = zero_momentum_projector(_shift(basis)) if sector == "zero_momentum" else None
+    H_solved = H if P is None else P.T @ H @ P
+    if H_solved.shape[0] > SECTOR_LIMIT:
+        raise SizeError(f"solved dimension {H_solved.shape[0]} exceeds {SECTOR_LIMIT}")
+    Hd = H_solved.toarray() if sp.issparse(H_solved) else np.asarray(H_solved)
+    evals, vl, vr = dense_eig(Hd, left=True, right=True)
+    sel = np.argsort(evals.real)[: max(4 * n_states, 16)]
+    energies, rights, lefts = evals[sel], vr[:, sel], vl[:, sel].conj()
 
-    # bi-orthonormalize in clusters of (near-)degenerate eigenvalues, and
-    # resolve each cluster into translation eigenstates (degeneracies mix
-    # momentum sectors otherwise)
-    T = translation_operator(basis) if basis is not None else None
+    # bi-orthonormalize in clusters of (near-)degenerate eigenvalues; in the
+    # full space, resolve each cluster into translation eigenstates
+    # (degeneracies mix momentum sectors otherwise)
+    T = translation_operator(basis) if basis is not None and P is None else None
     ncomp = len(energies)
     pairs = []
     done = np.zeros(ncomp, dtype=bool)
@@ -231,8 +225,7 @@ def eigensystem(H, n_states: int = 6, sector: Optional[str] = None,
         if done[j]:
             continue
         cluster = [i for i in range(ncomp) if abs(energies[i] - energies[j]) < 1e-8]
-        for i in cluster:
-            done[i] = True
+        done[cluster] = True
         R = rights[:, cluster]
         W = lefts[:, cluster].T          # rows are covectors
         G = W @ R
@@ -241,38 +234,33 @@ def eigensystem(H, n_states: int = 6, sector: Optional[str] = None,
                 f"cluster at E = {energies[j]:.6g} has a singular overlap (Jordan block?)"
             )
         W = np.linalg.solve(G, W)        # now W @ R = identity
-        if T is not None and len(cluster) > 1:
-            Tsub = W @ (T @ R)
-            tvals, tvec = np.linalg.eig(Tsub)
-            tvec_left = np.linalg.inv(tvec)
+        phases = np.ones(len(cluster), dtype=complex)
+        if T is not None:
+            phases, tvec = np.linalg.eig(W @ (T @ R))
             R = R @ tvec
-            W = tvec_left @ W
-            phases = tvals
-        elif T is not None:
-            phases = np.array([complex((W @ (T @ R))[0, 0])])
-        else:
-            phases = np.ones(len(cluster), dtype=complex)
+            W = np.linalg.inv(tvec) @ W
+        if P is not None:
+            R, W = P @ R, (P @ W.T).T
         for t in range(len(cluster)):
-            r = R[:, t].copy()
-            w = W[t, :].copy()
+            r, w = R[:, t], W[t, :]
             big = np.argmax(np.abs(r))
             ph = r[big] / abs(r[big])
             r, w = r / ph, w * ph
-            w = w / (w @ r)
             e = complex(energies[cluster[t]])
             if abs(e.imag) < 1e-9 and np.max(np.abs(r.imag)) < 1e-9 * max(np.max(np.abs(r.real)), 1e-300):
                 r, w = r.real.astype(complex), w.real.astype(complex)
-                w = w / (w @ r)
+            # last, on the expanded r: w r cancels 1e4-fold, and a plain dot
+            # left |w r - 1| = 1.1e-12 at (4,3), L = 16; np.sum is pairwise
+            w = w / np.sum(w * r)
             pairs.append(EigenPair(energy=e, right=r, left=w,
                                    momentum_phase=complex(phases[t])))
-    if sector == "zero_momentum":
-        pairs = [p for p in pairs if abs(p.momentum_phase - 1.0) < 1e-6]
     pairs.sort(key=lambda p: p.energy.real)
     return pairs[:n_states]
 
 
 def select_state(H, basis: HeightBasis, which: str) -> EigenPair:
-    """"ground": lowest energy; "vacuum": next zero-momentum real state."""
+    """"ground": lowest energy; "vacuum": next real level.  Both are
+    translation invariant, so only the zero-momentum sector is solved."""
     pairs = eigensystem(H, n_states=12, sector="zero_momentum", basis=basis)
     real_pairs = [p for p in pairs if abs(p.energy.imag) < 1e-8]
     if which == "ground":

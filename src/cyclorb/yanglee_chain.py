@@ -19,11 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eig as dense_eig, eigvals as dense_eigvals
 
+from .rsos import SizeError, zero_momentum_projector
+
 MAX_SITES = 20
-
-
-class SizeError(ValueError):
-    pass
 
 
 class ComplexGroundStateError(RuntimeError):
@@ -36,18 +34,15 @@ def ising_imaginary_chain(lam: float, h: float, L: int) -> np.ndarray:
         raise ValueError("require 0 < lambda < 1")
     if L > MAX_SITES:
         raise SizeError(f"L = {L} > {MAX_SITES}")
-    dim = 1 << L
-    H = np.zeros((dim, dim), dtype=complex)
-    for s in range(dim):
-        # sz_j = +1 for bit 0; popcount counts down-spins
-        z = L - 2 * bin(s).count("1")
-        H[s, s] += -0.5 * z
-        for j in range(L):
-            jp = (j + 1) % L
-            t = s ^ (1 << j) ^ (1 << jp)
-            H[t, s] += -0.5 * lam
-            f = s ^ (1 << j)
-            H[f, s] += -0.5j * h
+    s = np.arange(1 << L)
+    H = np.zeros((len(s), len(s)), dtype=complex)
+    # sz_j = +1 for bit 0, so sum_j sz_j = L - 2 (number of down-spins)
+    H[s, s] += -0.5 * (L - 2 * _down_spins(L))
+    for j in range(L):
+        jp = (j + 1) % L
+        # no index repeats within a call; L = 2's coinciding bonds add up
+        H[s ^ (1 << j) ^ (1 << jp), s] += -0.5 * lam
+        H[s ^ (1 << j), s] += -0.5j * h
     P = parity_diagonal(L)
     residual = np.max(np.abs((P[:, None] * H * P[None, :]) - H.conj().T))
     if residual > 1e-12:
@@ -55,19 +50,33 @@ def ising_imaginary_chain(lam: float, h: float, L: int) -> np.ndarray:
     return H
 
 
+def _down_spins(L: int) -> np.ndarray:
+    """Number of set bits of each basis state 0 .. 2^L - 1."""
+    return ((np.arange(1 << L)[:, None] >> np.arange(L)) & 1).sum(axis=1)
+
+
 def parity_diagonal(L: int) -> np.ndarray:
     """Diagonal of P = prod_j sz_j in the computational basis."""
-    dim = 1 << L
-    return np.array([1.0 if bin(s).count("1") % 2 == 0 else -1.0 for s in range(dim)])
+    return 1.0 - 2.0 * (_down_spins(L) % 2)
+
+
+def _zero_momentum(H: np.ndarray):
+    """(P, P^T H P) for the translation, a cyclic rotation of the site bits."""
+    L = H.shape[0].bit_length() - 1
+    s = np.arange(1 << L)
+    P = zero_momentum_projector((s >> 1) | ((s & 1) << (L - 1)))
+    return P, (P.T @ H) @ P
 
 
 def lowest_levels(H: np.ndarray, n: int = 4) -> np.ndarray:
-    ev = dense_eigvals(H)
+    """The n zero-momentum levels of lowest real part: the two levels that
+    merge at h_c are both translation invariant."""
+    ev = dense_eigvals(_zero_momentum(H)[1])
     return ev[np.argsort(ev.real)][:n]
 
 
 def levels_merged(lam: float, h: float, L: int, tol: float = 1e-9) -> bool:
-    """True when the two lowest levels form a complex pair."""
+    """True when the two lowest zero-momentum levels form a complex pair."""
     ev = lowest_levels(ising_imaginary_chain(lam, h, L), 2)
     return bool(np.abs(ev[0].imag) > tol)
 
@@ -97,16 +106,18 @@ class GroundPair:
 
 
 def ground_pair(H: np.ndarray) -> GroundPair:
-    """Bi-orthogonal ground pair; for complex-symmetric H the left vector is
-    the transpose of the right one (dual-basis covector, not the conjugate)."""
+    """Bi-orthogonal ground pair r = P r0, r0 lowest in P^T H P (the ground state
+    is translation invariant).  P is real, so for complex-symmetric H the left
+    vector is the transpose of the right one (a covector, not the conjugate)."""
     if np.max(np.abs(H - H.T)) > 1e-12:
         raise ValueError("expected a complex-symmetric Hamiltonian")
-    evals, vr = dense_eig(H)
+    P, Hs = _zero_momentum(H)
+    evals, vr = dense_eig(Hs)
     idx = np.argsort(evals.real)[0]
     e0 = evals[idx]
     if abs(e0.imag) > 1e-9:
         raise ComplexGroundStateError(f"lowest level is complex: {e0}")
-    r = vr[:, idx]
+    r = P @ vr[:, idx]
     w = r.copy()
     ov = w @ r
     defect = abs(ov) / (np.linalg.norm(w) * np.linalg.norm(r))

@@ -138,6 +138,38 @@ class TestEigensystem:
             assert np.min(np.abs(ev - e.conjugate())) < 1e-8
 
 
+class TestSectorSolve:
+    """The zero-momentum solve against the full dense solve (sector=None)."""
+
+    def test_projector_orbits(self):
+        H, basis = rsos.build_rsos_hamiltonian(4, 3, 8)
+        shift = [basis.index[np.roll(s, 1).tobytes()] for s in basis.states]
+        P = rsos.zero_momentum_projector(np.array(shift))
+        T = rsos.translation_operator(basis)
+        orbits = {min(tuple(np.roll(s, t)) for t in range(8)) for s in basis.states}
+        assert P.shape == (basis.dim, len(orbits))
+        assert abs(P.T @ P - np.eye(len(orbits))).max() < 1e-15
+        assert abs(T @ P - P).max() == 0.0
+
+    @pytest.mark.parametrize("L", [8, 10, 12])
+    def test_matches_full_solve(self, L):
+        H, basis = rsos.build_rsos_hamiltonian(4, 3, L)
+        full = [p for p in rsos.eigensystem(H, n_states=48, basis=basis)
+                if abs(p.momentum_phase - 1) < 1e-6 and abs(p.energy.imag) < 1e-8]
+        for which, ref in zip(("ground", "vacuum"), full):
+            pair = rsos.select_state(H, basis, which)
+            assert abs(pair.energy - ref.energy) < 1e-10
+            for N, insertion in ((2, 3), (3, "bare")):
+                got, want = (rsos.entropy_curve(4, 3, L, N, which, insertion, 0.0,
+                                                pair=p, basis=basis)["trace"]
+                             for p in (pair, ref))
+                assert np.max(np.abs(got - want) / np.abs(want)) < 1e-8
+
+    def test_pairs_check_at_L16(self, yl_chain_16):
+        for state in ("ground", "vacuum"):
+            assert yl_chain_16[state].check(yl_chain_16["H"])
+
+
 @pytest.fixture(scope="module")
 def chain_10():
     H, basis = rsos.build_rsos_hamiltonian(4, 3, 10)

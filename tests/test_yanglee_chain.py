@@ -2,8 +2,25 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import eigvals
 
 from cyclorb import yanglee_chain as ylc
+
+
+def loop_chain(lam, h, L):
+    """The chain Hamiltonian built one basis state and one site at a time."""
+    dim = 1 << L
+    H = np.zeros((dim, dim), dtype=complex)
+    for s in range(dim):
+        z = L - 2 * bin(s).count("1")
+        H[s, s] += -0.5 * z
+        for j in range(L):
+            jp = (j + 1) % L
+            t = s ^ (1 << j) ^ (1 << jp)
+            H[t, s] += -0.5 * lam
+            f = s ^ (1 << j)
+            H[f, s] += -0.5j * h
+    return H
 
 
 class TestHamiltonian:
@@ -19,6 +36,13 @@ class TestHamiltonian:
         H = ylc.ising_imaginary_chain(0.8, 0.05, 8)
         P = ylc.parity_diagonal(8)
         assert np.max(np.abs(P[:, None] * H * P[None, :] - H.conj().T)) < 1e-12
+
+    @pytest.mark.parametrize("L", [2, 3, 6])
+    def test_matches_loop_reference(self, L):
+        H = ylc.ising_imaginary_chain(0.8, 0.07, L)
+        assert H.tobytes() == loop_chain(0.8, 0.07, L).tobytes()
+        parity = [1.0 if bin(s).count("1") % 2 == 0 else -1.0 for s in range(1 << L)]
+        assert ylc.parity_diagonal(L).tolist() == parity
 
     def test_size_rejected(self):
         with pytest.raises(ylc.SizeError):
@@ -42,6 +66,20 @@ class TestThreshold:
         assert 0 < hc < 1
         assert not ylc.levels_merged(0.8, 0.95 * hc, L)
         assert ylc.levels_merged(0.8, 1.05 * hc, L)
+
+    @pytest.mark.parametrize("L", [4, 6, 8])
+    def test_matches_full_spectrum_bisection(self, L):
+        def merged(h):
+            ev = eigvals(ylc.ising_imaginary_chain(0.8, h, L))
+            return abs(ev[np.argmin(ev.real)].imag) > 1e-9
+
+        lo, hi = 0.0, 0.25
+        while not merged(hi):
+            lo, hi = hi, 2 * hi
+        while hi - lo > 1e-8:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if merged(mid) else (mid, hi)
+        assert abs(ylc.critical_field(0.8, L) - 0.5 * (lo + hi)) < 1e-12
 
     def test_threshold_decreases_with_size(self):
         h6 = ylc.critical_field(0.8, 6)
