@@ -5,16 +5,18 @@ Basis states are height strings (a_1 ... a_L), a_i in 1..m, with
 Temperley-Lieb generators whose weights involve sin(pi k a / (m+1)).
 
 Reduced density matrices are formed from bi-orthonormal eigenpairs
-rho = r w (non-Hermitian chains have distinct left/right vectors), and the
-replica traces Tr(D rho_A^N) carry diagonal twist insertions on the two
-boundary heights of the subsystem.
+rho = r w (non-Hermitian chains have distinct left/right vectors) and kept
+as per-block factors, one block per pair of boundary heights of the
+subsystem; the replica traces Tr(D rho_A^N) carry diagonal twist insertions
+on those two heights, so they are sums of per-block traces.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -101,6 +103,36 @@ def _weights(m: int, k: int) -> np.ndarray:
     return w
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque key per row of int8 heights; keys order like the rows do
+    (lexicographically), so ``np.searchsorted`` finds a row in a sorted set."""
+    rows = np.ascontiguousarray(rows, dtype=np.int8)
+    return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+
+
+def _tl_entries(basis: HeightBasis, k: int, i: int):
+    """(rows, cols, vals) of the nonzero elements of e_i."""
+    m, L = basis.m, basis.L
+    w = _weights(m, k)
+    symmetric = np.all(w[1 : m + 1] > 0) or np.all(w[1 : m + 1] < 0)
+    states = basis.states
+    b = states[:, (i - 1) % L].astype(np.int64)
+    src = np.flatnonzero(b == states[:, (i + 1) % L])
+    b, a = b[src], states[src, i].astype(np.int64)
+    keys = _row_keys(states)
+    rows, cols, vals = [], [], []
+    for step in (-1, 1):
+        ap = b + step
+        ok = (ap >= 1) & (ap <= m)
+        t = states[src[ok]]
+        t[:, i] = ap[ok]
+        rows.append(np.searchsorted(keys, _row_keys(t)))
+        cols.append(src[ok])
+        num = np.sqrt(w[ap[ok]] * w[a[ok]]) if symmetric else w[ap[ok]]
+        vals.append(num / w[b[ok]])
+    return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+
+
 def temperley_lieb_generator(basis: HeightBasis, k: int, i: int) -> sp.csr_matrix:
     """e_i acting on height i (0-based site), periodic indexing.
 
@@ -112,30 +144,7 @@ def temperley_lieb_generator(basis: HeightBasis, k: int, i: int) -> sp.csr_matri
     sign (symmetric gauge, k = 1), else f = sin(lambda a') (real gauge).
     Both choices represent the same algebra; traces are gauge invariant.
     """
-    m, L = basis.m, basis.L
-    w = _weights(m, k)
-    symmetric = np.all(w[1 : m + 1] > 0) or np.all(w[1 : m + 1] < 0)
-    rows, cols, vals = [], [], []
-    im1, ip1 = (i - 1) % L, (i + 1) % L
-    for s_idx in range(basis.dim):
-        s = basis.states[s_idx]
-        b = s[im1]
-        if s[ip1] != b:
-            continue
-        a = int(s[i])
-        for ap in (b - 1, b + 1):
-            if not 1 <= ap <= m:
-                continue
-            t = s.copy()
-            t[i] = ap
-            t_idx = basis.index[t.tobytes()]
-            if symmetric:
-                val = math.sqrt(w[ap] * w[a]) / w[b]
-            else:
-                val = w[ap] / w[b]
-            rows.append(t_idx)
-            cols.append(s_idx)
-            vals.append(val)
+    rows, cols, vals = _tl_entries(basis, k, i)
     return sp.csr_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim))
 
 
@@ -145,15 +154,15 @@ def build_rsos_hamiltonian(m: int, k: int, L: int, basis: Optional[HeightBasis] 
         raise ValueError("require 1 <= k <= m")
     if basis is None:
         basis = enumerate_heights(m, L)
-    H = sp.csr_matrix((basis.dim, basis.dim))
-    for i in range(L):
-        H = H - temperley_lieb_generator(basis, k, i)
-    return H.tocsr(), basis
+    rows, cols, vals = (np.concatenate(parts)
+                        for parts in zip(*(_tl_entries(basis, k, i) for i in range(L))))
+    return sp.csr_matrix((-vals, (rows, cols)), shape=(basis.dim, basis.dim)), basis
 
 
 def _shift(basis: HeightBasis) -> np.ndarray:
     """Row of each state translated by one site."""
-    return np.array([basis.index[row.tobytes()] for row in np.roll(basis.states, 1, axis=1)])
+    return np.searchsorted(_row_keys(basis.states),
+                           _row_keys(np.roll(basis.states, 1, axis=1)))
 
 
 def translation_operator(basis: HeightBasis) -> sp.csr_matrix:
@@ -274,12 +283,30 @@ def select_state(H, basis: HeightBasis, which: str) -> EigenPair:
 # reduced density matrices and twisted replica traces
 
 
+class DensityBlock(NamedTuple):
+    """One boundary-height block of rho_A, stored by its factors:
+    rho_b = right @ left.T, rows and columns indexed by ``rows``."""
+    label: tuple                 # (a_i, a_j)
+    rows: np.ndarray             # indices into ReducedDensity.sub_states
+    right: np.ndarray            # R_b: r over (subsystem path, environment path)
+    left: np.ndarray             # W_b: w over the same pairs
+
+
 @dataclass
 class ReducedDensity:
     sites: tuple                 # (i, j) inclusive, branch heights at i and j
     sub_states: np.ndarray       # (nsub, j-i+1) int8
-    matrix: np.ndarray           # dense, trace 1
     block_labels: np.ndarray     # (nsub, 2): boundary heights (a_i, a_j)
+    blocks: list                 # DensityBlock per (a_i, a_j) that occurs
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Dense rho_A (trace 1), assembled from the blocks on first use."""
+        n = len(self.sub_states)
+        rho = np.zeros((n, n), dtype=complex)
+        for blk in self.blocks:
+            rho[np.ix_(blk.rows, blk.rows)] = blk.right @ blk.left.T
+        return rho
 
 
 def _open_paths(m: int, n_sites: int) -> np.ndarray:
@@ -307,39 +334,34 @@ def reduced_density(basis: HeightBasis, pair: EigenPair, i: int, j: int) -> Redu
     differing boundary heights are identically zero; the projection is
     enforced here (it also makes the sweep exactly symmetric under
     exchanging the interval with its complement).
+
+    Each state is a (subsystem path, environment path) pair, so within a
+    block rho_b = R_b W_b^T, where R_b and W_b hold r and w on those pairs.
+    Only the factors are stored; ``ReducedDensity.matrix`` assembles rho_A.
     """
     L = basis.L
     n_sites = (j - i) % L + 1
-    if not 1 <= n_sites <= L:
-        raise ValueError("bad interval")
     sub = _open_paths(basis.m, n_sites)
-    sub_index = {sub[t].tobytes(): t for t in range(len(sub))}
-    cols = [(i + t) % L for t in range(n_sites)]
-    env_cols = [c for c in range(L) if c not in cols]
-
-    sub_of = np.empty(basis.dim, dtype=np.int64)
-    env_key = np.empty(basis.dim, dtype=object)
-    for s_idx in range(basis.dim):
-        s = basis.states[s_idx]
-        sub_of[s_idx] = sub_index[s[cols].tobytes()]
-        env_key[s_idx] = s[env_cols].tobytes()
-
-    groups = {}
-    for s_idx in range(basis.dim):
-        groups.setdefault(env_key[s_idx], []).append(s_idx)
-
-    nsub = len(sub)
-    rho = np.zeros((nsub, nsub), dtype=complex)
-    r, w = pair.right, pair.left
-    for idxs in groups.values():
-        idxs = np.asarray(idxs)
-        subs = sub_of[idxs]
-        rho[np.ix_(subs, subs)] += np.outer(r[idxs], w[idxs])
+    states = basis.states
+    sub_of = np.searchsorted(_row_keys(sub),
+                             _row_keys(states[:, (i + np.arange(n_sites)) % L]))
+    _, env_of = np.unique(states[:, (j + 1 + np.arange(L - n_sites)) % L],
+                          axis=0, return_inverse=True)
     labels = np.column_stack([sub[:, 0], sub[:, -1]])
-    same_block = ((labels[:, None, 0] == labels[None, :, 0])
-                  & (labels[:, None, 1] == labels[None, :, 1]))
-    rho[~same_block] = 0.0
-    return ReducedDensity(sites=(i, j), sub_states=sub, matrix=rho, block_labels=labels)
+    block_ids, block_of = np.unique(labels[sub_of], axis=0, return_inverse=True)
+
+    blocks = []
+    for b, label in enumerate(block_ids):
+        idx = np.flatnonzero(block_of == b)
+        rows, row_of = np.unique(sub_of[idx], return_inverse=True)
+        envs, col_of = np.unique(env_of[idx], return_inverse=True)
+        shape = (len(rows), len(envs))
+        R = np.zeros(shape, dtype=pair.right.dtype)
+        W = np.zeros(shape, dtype=pair.left.dtype)
+        R[row_of, col_of] = pair.right[idx]
+        W[row_of, col_of] = pair.left[idx]
+        blocks.append(DensityBlock(tuple(int(a) for a in label), rows, R, W))
+    return ReducedDensity(sites=(i, j), sub_states=sub, block_labels=labels, blocks=blocks)
 
 
 def twist_weights(m: int, k: int, q: int, n: int) -> np.ndarray:
@@ -379,9 +401,7 @@ def renyi_twisted(rd: ReducedDensity, N: int, m: int, k: int,
     """
     if N < 2:
         raise ValueError("N >= 2 required")
-    rhoN = np.linalg.matrix_power(rd.matrix, N)
-    ai = rd.block_labels[:, 0].astype(int)
-    aj = rd.block_labels[:, 1].astype(int)
+    ai, aj = np.array([blk.label for blk in rd.blocks]).T
     if insertion == "bare":
         # the bare branch point carries unit weight: sum_q x_q w_q(a) = 1
         d = np.ones(len(ai))
@@ -392,9 +412,17 @@ def renyi_twisted(rd: ReducedDensity, N: int, m: int, k: int,
         q = int(insertion)
         wq = twist_weights(m, k, q, N)
         d = wq[ai] * wq[aj]
-    value = complex(np.sum(d * np.diag(rhoN)))
+    value = complex(np.sum(d * np.array([_block_power_trace(blk, N) for blk in rd.blocks])))
     entropy = np.log(value + 0j) / (1 - N)
     return value, entropy
+
+
+def _block_power_trace(blk: DensityBlock, N: int) -> complex:
+    """Tr((R W^T)^N) = Tr((W^T R)^N), on the smaller of the two Gram matrices;
+    the last product is only traced: Tr(M^(N-1) M) = sum(M^(N-1) * M^T)."""
+    R, W = blk.right, blk.left
+    M = W.T @ R if R.shape[1] < R.shape[0] else R @ W.T
+    return np.sum(np.linalg.matrix_power(M, N - 1) * M.T)
 
 
 def entropy_curve(m: int, k: int, L: int, N: int, state: str, insertion,

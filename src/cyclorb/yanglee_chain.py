@@ -21,7 +21,7 @@ from scipy.linalg import eig as dense_eig, eigvals as dense_eigvals
 
 from .rsos import SizeError, zero_momentum_projector
 
-MAX_SITES = 20
+MAX_SITES = 12    # the dense build makes several 2^L x 2^L complex arrays, 256 MiB each at L = 12
 
 
 class ComplexGroundStateError(RuntimeError):

@@ -287,7 +287,7 @@ def test_criterion_8_lattice_algebra():
 # -- 9 ----------------------------------------------------------------------
 
 
-def test_criterion_9_vacuum_entropy_scaling(yl_vacuum_curves_16):
+def test_criterion_9_vacuum_entropy_scaling(yl_chain_16, yl_vacuum_curves_16):
     """Fitted twist dimensions from the log-sine regression at L = 16.
 
     The dressed q = 3 twist is fitted directly.  The bare twist is the exact
@@ -304,13 +304,18 @@ def test_criterion_9_vacuum_entropy_scaling(yl_vacuum_curves_16):
     h_n3 = rsos.fit_twist_dimension(curves[(3, "3")])
     assert abs(h_n3 - (-22 / 45)) / (22 / 45) < 0.05
 
-    # exact decomposition of the bare insertion over the dressed family
+    # exact decomposition of the bare insertion over the dressed family:
+    # bare = sum_{q1, q2 in (1, 3)} x_q1 x_q2 t_(q1, q2) at every ell
+    rds = [rsos.reduced_density(yl_chain_16["basis"], yl_chain_16["vacuum"], 0, ell)
+           for ell in curves[(2, "bare")]["ell"]]
     for N in (2, 3):
         bare = curves[(N, "bare")]["trace"]
-        x1 = rsos.bare_weights(4, 3, N)[1]
-        x3 = rsos.bare_weights(4, 3, N)[3]
-        assert abs(rsos.bare_weights(4, 3, N)[2]) < 1e-12
-        assert abs(rsos.bare_weights(4, 3, N)[4]) < 1e-12
+        x = rsos.bare_weights(4, 3, N)
+        assert abs(x[2]) < 1e-12
+        assert abs(x[4]) < 1e-12
+        mixed = np.array([sum(x[q1] * x[q2] * rsos.renyi_twisted(rd, N, 4, 3, (q1, q2))[0]
+                              for q1 in (1, 3) for q2 in (1, 3)) for rd in rds])
+        assert np.max(np.abs(bare - mixed) / np.abs(bare)) < 1e-10
 
     hb = rsos.fit_twist_dimension(curves[(2, "1")])
     assert abs(hb - (-3 / 8)) / (3 / 8) < 0.03

@@ -104,6 +104,12 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: SizeError") and err.count("\n") == 1
 
+    def test_chain_above_dense_cap_is_usage_error(self, capsys):
+        code = run_cli(["chain", "--L", "13"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: SizeError") and err.count("\n") == 1
+
     def test_sector_limit_is_usage_error(self, monkeypatch, capsys):
         monkeypatch.setattr(rsos, "SECTOR_LIMIT", 10)
         code = run_cli(["lattice", "--m", "4", "--k", "3", "--L", "8"])

@@ -2,6 +2,7 @@
 twisted replica traces."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -42,7 +43,38 @@ class TestBasis:
         assert all(len(ln) == 4 and ln.isdigit() for ln in lines)
 
 
+def loop_hamiltonian(m, k, L):
+    """H = -sum_i e_i built one site, one state and one new height at a time."""
+    basis = rsos.enumerate_heights(m, L)
+    lam = math.pi * k / (m + 1)
+    w = [math.sin(lam * a) for a in range(m + 2)]
+    symmetric = all(x > 0 for x in w[1:m + 1]) or all(x < 0 for x in w[1:m + 1])
+    H = np.zeros((basis.dim, basis.dim))
+    for i in range(L):
+        for s_idx, s in enumerate(basis.states):
+            b = int(s[i - 1])
+            if s[(i + 1) % L] != b:
+                continue
+            a = int(s[i])
+            for ap in (b - 1, b + 1):
+                if 1 <= ap <= m:
+                    t = s.copy()
+                    t[i] = ap
+                    val = math.sqrt(w[ap] * w[a]) / w[b] if symmetric else w[ap] / w[b]
+                    H[basis.index[t.tobytes()], s_idx] -= val
+    return H
+
+
 class TestTemperleyLieb:
+    @pytest.mark.parametrize("m,k", [(4, 3), (4, 1), (6, 5)])
+    @pytest.mark.parametrize("L", [6, 8, 10])
+    def test_matches_loop_reference(self, m, k, L):
+        H = rsos.build_rsos_hamiltonian(m, k, L)[0].toarray()
+        ref = loop_hamiltonian(m, k, L)
+        off = ~np.eye(len(H), dtype=bool)
+        assert H[off].tobytes() == ref[off].tobytes()
+        assert np.all(np.abs(np.diag(H) - np.diag(ref)) <= 1e-15 * np.abs(np.diag(ref)))
+
     @pytest.mark.parametrize("m,k", [(4, 3), (4, 1), (5, 1), (6, 5)])
     def test_relations(self, m, k):
         L = 6
@@ -215,6 +247,80 @@ class TestReducedDensity:
         ev = np.linalg.eigvals(rd.matrix)
         t3 = np.trace(np.linalg.matrix_power(rd.matrix, 3))
         assert abs(t3 - np.sum(ev**3)) < 1e-10
+
+
+def dense_reduced_density(basis, pair, sub, i, j):
+    """Reference rho_A: accumulated one environment path at a time, then
+    projected onto equal boundary heights."""
+    L = basis.L
+    cols = [(i + t) % L for t in range(len(sub[0]))]
+    env_cols = [c for c in range(L) if c not in cols]
+    sub_index = {row.tobytes(): t for t, row in enumerate(sub)}
+    groups = {}
+    for s_idx, s in enumerate(basis.states):
+        groups.setdefault(s[env_cols].tobytes(), []).append(
+            (sub_index[s[cols].tobytes()], s_idx))
+    rho = np.zeros((len(sub), len(sub)), dtype=complex)
+    for members in groups.values():
+        subs, idxs = (np.array(v) for v in zip(*members))
+        rho[np.ix_(subs, subs)] += np.outer(pair.right[idxs], pair.left[idxs])
+    labels = np.column_stack([sub[:, 0], sub[:, -1]])
+    rho[~(labels[:, None, :] == labels[None, :, :]).all(axis=2)] = 0.0
+    return rho, labels
+
+
+def dense_trace(rho, labels, N, insertion):
+    """Tr(D rho^N) from the N-th matrix power."""
+    if insertion == "bare":
+        d = np.ones(len(labels))
+    else:
+        wq = rsos.twist_weights(4, 3, insertion, N)
+        d = wq[labels[:, 0]] * wq[labels[:, 1]]
+    return np.sum(d * np.diag(np.linalg.matrix_power(rho, N)))
+
+
+@pytest.fixture(scope="module")
+def chain_8():
+    H, basis = rsos.build_rsos_hamiltonian(4, 3, 8)
+    return basis, {w: rsos.select_state(H, basis, w) for w in ("ground", "vacuum")}
+
+
+class TestBlockFactors:
+    """Block-factored rho_A against the dense construction, on intervals the
+    curve sweep (i = 0) does not reach: wrap-around, i != 0, the whole chain."""
+
+    @pytest.mark.parametrize("which", ["ground", "vacuum"])
+    @pytest.mark.parametrize("i,j", [(5, 2), (3, 3), (2, 5), (0, 7), (7, 6)])
+    def test_matches_dense_loop(self, chain_8, which, i, j):
+        basis, pairs = chain_8
+        rd = rsos.reduced_density(basis, pairs[which], i, j)
+        rho, labels = dense_reduced_density(basis, pairs[which], rd.sub_states, i, j)
+        assert np.array_equal(rd.block_labels, labels)
+        assert np.max(np.abs(rd.matrix - rho)) < 1e-13 * np.max(np.abs(rho))
+        assert abs(np.trace(rd.matrix) - 1.0) < 1e-12
+        for N in (2, 3):
+            for insertion in (1, 3, "bare"):
+                got, _ = rsos.renyi_twisted(rd, N, 4, 3, insertion)
+                want = dense_trace(rho, labels, N, insertion)
+                assert abs(got - want) < 1e-10 * abs(want)
+
+    def test_whole_chain_is_exact_block_sum(self):
+        # at ell = L - 1 each block's Gram matrix is the scalar
+        # c_B = sum_{s in B} w_s r_s, B = (a_0, a_{L-1}); w r cancels about
+        # 1e4-fold, so a product of whole blocks loses digits here
+        L = 14
+        H, basis = rsos.build_rsos_hamiltonian(4, 3, L)
+        v = rsos.select_state(H, basis, "vacuum")
+        assert not v.right.imag.any() and not v.left.imag.any()
+        c = {}
+        for s, r, w in zip(basis.states, v.right.real, v.left.real):
+            key = (s[0], s[-1])
+            c[key] = c.get(key, 0) + Fraction(float(w)) * Fraction(float(r))
+        exact = float(sum(cb ** 3 for cb in c.values()))
+        tr = rsos.entropy_curve(4, 3, L, 3, "vacuum", "bare", 0.0,
+                                pair=v, basis=basis)["trace"]
+        assert abs(tr[-1] - exact) < 1e-12 * abs(exact)
+        assert np.max(np.abs(tr.real - tr.real[::-1])) < 1e-12 * np.max(np.abs(tr.real))
 
 
 class TestTwistWeights:

@@ -1,5 +1,7 @@
 """Imaginary-field Ising chain: adjointness, level merging, crossover."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import eigvals
@@ -47,6 +49,18 @@ class TestHamiltonian:
     def test_size_rejected(self):
         with pytest.raises(ylc.SizeError):
             ylc.ising_imaginary_chain(0.8, 0.1, 21)
+
+    def test_size_cap_before_allocating(self):
+        # one 2^13 x 2^13 complex matrix would take 1 GiB
+        assert ylc.MAX_SITES == 12
+        tracemalloc.start()
+        try:
+            with pytest.raises(ylc.SizeError):
+                ylc.ising_imaginary_chain(0.8, 0.1, ylc.MAX_SITES + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_coupling_range(self):
         with pytest.raises(ValueError):
