@@ -90,6 +90,11 @@ class CorrelatorModel:
         # recentred once per model, so its indicial roots are solved once too
         return fb.recenter_to_one(self.ode)
 
+    @cached_property
+    def _bootstraps(self) -> dict:
+        # bootstrap() results with the default sample points, keyed by M
+        return {}
+
     def standard_coeffs(self):
         return fb.to_standard_coeffs(self.ode)
 
@@ -487,8 +492,12 @@ def bootstrap(model: CorrelatorModel, M: int = 200, points=None):
 
     A strictly diagonal invariance ansatz is tried first; if it admits no
     one-dimensional solution, the minimal relaxation with symmetric cross
-    terms on integer-spaced exponent pairs is used.
+    terms on integer-spaced exponent pairs is used.  With the default sample
+    points the result is kept on the model, one per M, so ``correlator`` and
+    ``predict_on_circle`` on one model fit and solve once.
     """
+    if points is None and M in model._bootstraps:
+        return model._bootstraps[M]
     b0 = model.basis0(M)
     b1 = model.basis1(M)
     fit = mn.fit_connection(b0, b1, points)
@@ -499,13 +508,35 @@ def bootstrap(model: CorrelatorModel, M: int = 200, points=None):
         p1 = integer_spaced_pairs(model.block_exponents_1)
         coeffs = mn.diagonal_invariants(fit, norm_channel=model.norm_channel,
                                         pairs0=p0, pairs1=p1)
+    if points is None:
+        model._bootstraps[M] = fit, coeffs, b0, b1
     return fit, coeffs, b0, b1
 
 
 def correlator(model: CorrelatorModel, M: int = 200):
-    """Assembled G(x) on (0, 1) from the zero-channel decomposition."""
-    fit, coeffs, b0, _ = bootstrap(model, M)
-    return mn.assemble(model.prefactor_exponents, coeffs.X, b0, coeffs.X_cross)
+    """Assembled G(x) on (0, 1), in the channel whose series converges faster.
+
+    Points with Re x <= 1/2 use the x = 0 decomposition (X with the basis
+    about 0), the others the x = 1 decomposition (Y with the basis about 1),
+    so no series is summed beyond |u| = 1/2 on the real segment.  G takes a
+    scalar (returning a float) or an array of points (returning an array of
+    the same shape).
+    """
+    fit, coeffs, b0, b1 = bootstrap(model, M)
+    G0 = mn.assemble(model.prefactor_exponents, coeffs.X, b0, coeffs.X_cross)
+    G1 = mn.assemble(model.prefactor_exponents, coeffs.Y, b1, coeffs.Y_cross)
+
+    def G(x):
+        if isinstance(x, (int, float, complex, np.number)):
+            return G1(x) if x.real > 0.5 else G0(x)
+        x = np.asarray(x)
+        far = x.real > 0.5
+        out = np.empty(x.shape)
+        out[~far] = G0(x[~far])
+        out[far] = G1(x[far])
+        return out
+
+    return G
 
 
 def closed_form_eval(model_id: str, x: float, g=None) -> float:

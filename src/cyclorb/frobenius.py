@@ -115,7 +115,6 @@ class FrobeniusSeries:
     coeffs: np.ndarray                     # complex, length M+1
     center: str = ZERO
     truncation_order: int = 0
-    tail_estimate: float = 0.0             # last-term bound at |u| = 0.7
     resonant_orders: tuple = ()
     exact_coeffs: Optional[list] = None    # Fractions when available
 
@@ -308,8 +307,9 @@ def recenter_to_one(ode: ThetaOde) -> ThetaOde:
 def indicial_exponents(ode: ThetaOde) -> list:
     """Roots of P_0 with multiplicity, sorted ascending.
 
-    Exact rational roots are found by the rational-root theorem; any
-    non-rational remainder is resolved numerically.
+    Exact rational roots come from ``polyring.rational_roots`` (numerical
+    candidates confirmed exactly, then the rational-root theorem on what is
+    left); any non-rational remainder is resolved numerically.
     """
     return list(ode.indicial_roots)
 
@@ -379,12 +379,10 @@ def frobenius_series(ode: ThetaOde, alpha, M: int, exact: Optional[bool] = None)
         coeffs, resonant = _run_recursion_float(ode, alpha, M)
         exact_list = None
 
-    tail = abs(coeffs[-1]) * 0.7 ** (len(coeffs) - 1)
     return FrobeniusSeries(
         exponent=Fraction(alpha) if rational else alpha,
         coeffs=coeffs,
         center=ode.variable_center,
-        tail_estimate=float(tail),
         resonant_orders=tuple(resonant),
         exact_coeffs=exact_list,
     )

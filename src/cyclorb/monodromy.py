@@ -180,7 +180,7 @@ def block_sum(values: np.ndarray, X: Sequence[float], cross: Optional[dict] = No
     ``X`` holds the diagonal coefficients and ``cross`` the symmetric
     off-diagonal amplitudes {(i, j): X_ij}, each counted for (i, j) and (j, i).
     """
-    tot = np.sum(np.asarray(X, dtype=float) * np.abs(values) ** 2, axis=-1)
+    tot = np.abs(values) ** 2 @ np.asarray(X, dtype=float)
     for (i, j), t in (cross or {}).items():
         tot = tot + 2.0 * t * (np.conj(values[..., i]) * values[..., j]).real
     return tot
@@ -226,21 +226,22 @@ def continue_blocks(standard_coeffs, basis: FrobeniusBasis, targets: Sequence[co
     """
     order = len(standard_coeffs) - 1
     n = basis.size
-    coeffs = [np.array([complex(c) for c in p]) for p in standard_coeffs]
-
-    def companion(x):
-        top = np.polyval(coeffs[order][::-1], x)
-        M = np.zeros((order, order), dtype=complex)
-        for k in range(order - 1):
-            M[k, k + 1] = 1.0
-        for k in range(order):
-            M[order - 1, k] = -np.polyval(coeffs[k][::-1], x) / top
-        return M
+    # P[k, j] = coefficient of x^j in c_k, so c(x) = P @ x^(0..deg-1)
+    deg = max(len(p) for p in standard_coeffs)
+    P = np.zeros((order + 1, deg), dtype=complex)
+    for k, p in enumerate(standard_coeffs):
+        P[k, : len(p)] = [complex(c) for c in p]
+    powers = np.arange(deg)
 
     def rhs_real(t, yre, x0, dx):
+        # Y holds (f, f', ..., f^(order-1)) of every block; the state is split
+        # into real and imaginary parts for the real-valued integrator
         Y = (yre[: order * n] + 1j * yre[order * n:]).reshape(order, n)
-        dY = companion(x0 + t * dx) @ Y * dx
-        flat = dY.reshape(-1)
+        c = P @ (x0 + t * dx) ** powers
+        dY = np.empty_like(Y)
+        dY[:-1] = Y[1:]
+        dY[-1] = -(c[:order] / c[order]) @ Y
+        flat = (dY * dx).reshape(-1)
         return np.concatenate([flat.real, flat.imag])
 
     targets = [complex(t) for t in targets]

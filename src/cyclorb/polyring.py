@@ -8,7 +8,12 @@ operations are duck-typed: they work equally well with ``fractions.Fraction``
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+
+import numpy as np
+
+_REAL_TOL = 1e-6   # |Im z| / max(1, |z|) below which a numerical root is real
 
 
 def trim(p):
@@ -103,9 +108,15 @@ def divide_out_root(p, r):
 def rational_roots(p):
     """All rational roots of a Fraction-coefficient polynomial, with multiplicity.
 
-    Uses the rational-root theorem on the integer-cleared polynomial, so the
-    result is exact and complete for rational roots.  Returns (roots, deflated)
-    where ``deflated`` is the remaining polynomial with no rational roots.
+    Candidates come from the floating-point roots of the integer-cleared
+    polynomial: each real one contributes the continued-fraction convergents
+    whose numerator divides the constant and whose denominator divides the
+    leading coefficient.  Every candidate is confirmed by exact evaluation
+    and divided out.  Whatever is left of degree >= 1 (roots the floats
+    missed, such as close or multiple ones) gets the rational-root theorem's
+    divisor search, so the result is exact and complete for rational roots.
+    Returns (roots, deflated) where ``deflated`` is the remaining polynomial
+    with no rational roots.
     """
     p = trim([Fraction(c) for c in p])
     roots = []
@@ -115,6 +126,33 @@ def rational_roots(p):
         p = p[1:]
     if degree(p) < 1:
         return roots, p
+    ip = _primitive_integer(p)
+    real = [z.real for z in np.roots(np.array(ip[::-1], dtype=float))
+            if abs(z.imag) <= _REAL_TOL * max(1.0, abs(z))]
+    p = _divide_out([Fraction(c) for c in ip], roots,
+                    (r for x in real for r in _convergents(x, ip[0], ip[-1])))
+    if degree(p) >= 1:
+        ip = _primitive_integer(p)
+        p = _divide_out(p, roots, sorted({Fraction(sign * num, den)
+                                          for num in _divisors(abs(ip[0]))
+                                          for den in _divisors(abs(ip[-1]))
+                                          for sign in (1, -1)}))
+    return sorted(roots), trim(p)
+
+
+def _divide_out(p, roots, candidates):
+    """Divide every candidate that is an exact root out of p, as often as it
+    divides, appending it to ``roots``; returns the quotient."""
+    for r in candidates:
+        while degree(p) >= 1 and peval(p, r) == 0:
+            roots.append(r)
+            p, _ = divide_out_root(p, r)
+    return p
+
+
+def _primitive_integer(p):
+    """Integer coefficients of the Fraction polynomial p, cleared of
+    denominators and divided by their common factor."""
     den_lcm = 1
     for c in p:
         den_lcm = den_lcm * c.denominator // _gcd(den_lcm, c.denominator)
@@ -122,19 +160,26 @@ def rational_roots(p):
     g = 0
     for c in ip:
         g = _gcd(g, abs(c))
-    if g > 1:
-        ip = [c // g for c in ip]
-    candidates = set()
-    for num in _divisors(abs(ip[0])):
-        for den in _divisors(abs(ip[-1])):
-            candidates.add(Fraction(num, den))
-            candidates.add(Fraction(-num, den))
-    p = [Fraction(c) for c in ip]
-    for r in sorted(candidates):
-        while degree(p) >= 1 and peval(p, r) == 0:
-            roots.append(r)
-            p, _ = divide_out_root(p, r)
-    return sorted(roots), trim(p)
+    return [c // g for c in ip] if g > 1 else ip
+
+
+def _convergents(x: float, const: int, lead: int):
+    """Continued-fraction convergents h/k of x with h | const and k | lead,
+    up to denominators of |lead|."""
+    h0, h1, k0, k1 = 0, 1, 1, 0
+    while True:   # ends: the denominators k grow at least like Fibonacci numbers
+        if not math.isfinite(x):
+            return
+        a = math.floor(x)
+        h0, h1 = h1, a * h1 + h0
+        k0, k1 = k1, a * k1 + k0
+        if k1 > abs(lead):
+            return
+        if lead % k1 == 0 and h1 and const % h1 == 0:
+            yield Fraction(h1, k1)
+        if x == a:
+            return
+        x = 1.0 / (x - a)
 
 
 def _gcd(a, b):

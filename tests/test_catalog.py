@@ -11,6 +11,7 @@ import pytest
 
 import cyclorb as cy
 from cyclorb import catalog as cat
+from cyclorb import monodromy as mn
 
 
 ALL_MODELS = [("yl2int_vac", None), ("yl1int_vac", None), ("yl1int_gs", None),
@@ -110,6 +111,67 @@ class TestClosedForms:
     def test_domain_rejected(self):
         with pytest.raises(ValueError):
             cy.closed_form_eval("yl2int_vac", 1.5)
+
+
+class TestCorrelatorChannels:
+    """x <= 1/2 is assembled about 0 and x > 1/2 about 1."""
+
+    @pytest.mark.parametrize("mid,g", [("yl2int_vac", None), ("yl1int_vac", None),
+                                       ("ising2int_vac", None), ("mm_n2_phi21", F(7, 5))])
+    def test_closed_forms_near_one(self, mid, g):
+        model = cy.get_model(mid, g)
+        xs = np.linspace(0.9, 0.999, 12)
+        got = cy.correlator(model)(xs)
+        want = np.array([model.closed_form(float(x)) for x in xs])
+        assert np.max(np.abs(got - want) / np.abs(want)) < 1e-12
+
+    @pytest.mark.parametrize("mid,g", ALL_MODELS)
+    def test_channels_agree_at_half(self, mid, g):
+        model = cy.get_model(mid, g)
+        _, bc, b0, b1 = cy.bootstrap(model)
+        G0 = cy.assemble(model.prefactor_exponents, bc.X, b0, bc.X_cross)
+        G1 = cy.assemble(model.prefactor_exponents, bc.Y, b1, bc.Y_cross)
+        assert abs(G0(0.5) - G1(0.5)) < 1e-11 * abs(G0(0.5))
+        G = cy.correlator(model)
+        assert G(0.5) == G0(0.5) and G(0.6) == G1(0.6)
+
+    @pytest.mark.parametrize("mid,g", [("yl1int_vac", None), ("mm_n3_phi21", F(11, 8))])
+    def test_scalar_matches_array(self, mid, g):
+        G = cy.correlator(cy.get_model(mid, g))
+        xs = np.r_[np.linspace(0.05, 0.999, 41), 0.5].reshape(2, 21)
+        vals = G(xs)
+        assert vals.shape == xs.shape
+        ref = np.array([[G(x) for x in row] for row in xs])
+        assert isinstance(G(0.7), float)
+        assert np.max(np.abs(vals - ref) / np.abs(ref)) < 1e-13
+
+    def test_replica3_near_one_against_long_series(self):
+        # no closed form: the x = 0 series summed to M = 3000 is the oracle
+        model = cy.get_model("mm_n3_phi21", F(13, 12))
+        _, bc, _, _ = cy.bootstrap(model)
+        long = cy.assemble(model.prefactor_exponents, bc.X, model.basis0(3000), bc.X_cross)
+        xs = np.array([0.9, 0.95])
+        want = long(xs)
+        assert np.max(np.abs(cy.correlator(model)(xs) - want) / np.abs(want)) < 1e-10
+
+    def test_bootstrap_once_per_model(self, monkeypatch):
+        calls = []
+        real = mn.fit_connection
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(mn, "fit_connection", counted)
+        model = cy.get_model("yl2int_vac")
+        cy.correlator(model)
+        cy.predict_on_circle(model, [0.25, 0.5])
+        assert len(calls) == 1
+        cy.correlator(model, M=150)
+        cy.predict_on_circle(model, [0.25], M=150)
+        assert len(calls) == 2
+        cy.bootstrap(model, points=mn.chebyshev_points(5))
+        assert len(calls) == 3
 
 
 class TestIsingBlocks:

@@ -1,5 +1,7 @@
 """Series solutions, indicial analysis, and recentering."""
 
+import math
+import random
 from fractions import Fraction as F
 
 import numpy as np
@@ -18,6 +20,44 @@ def mul(*ps):
     for p in ps:
         out = pr.pmul(out, p)
     return out
+
+
+def divisor_search_roots(p):
+    """Reference rational roots: every +-(divisor of a_0)/(divisor of a_n) of
+    the integer-cleared polynomial, tested by exact evaluation."""
+    p = pr.trim([F(c) for c in p])
+    roots = []
+    while len(p) > 1 and p[0] == 0:
+        roots.append(F(0))
+        p = p[1:]
+    if pr.degree(p) < 1:
+        return roots, p
+    den_lcm = 1
+    for c in p:
+        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
+    ip = [int(c * den_lcm) for c in p]
+    g = 0
+    for c in ip:
+        g = math.gcd(g, abs(c))
+    ip = [c // g for c in ip]
+
+    def divisors(n):
+        out = set()
+        for d in range(1, math.isqrt(n) + 1):
+            if n % d == 0:
+                out |= {d, n // d}
+        return sorted(out)
+
+    candidates = set()
+    for num in divisors(abs(ip[0])):
+        for den in divisors(abs(ip[-1])):
+            candidates |= {F(num, den), F(-num, den)}
+    p = [F(c) for c in ip]
+    for r in sorted(candidates):
+        while pr.degree(p) >= 1 and pr.peval(p, r) == 0:
+            roots.append(r)
+            p, _ = pr.divide_out_root(p, r)
+    return sorted(roots), pr.trim(p)
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +147,40 @@ class TestIndicial:
         p0 = [float(c) for c in model.ode.indicial_poly()]
         num = sorted(np.roots(p0[::-1]).real)
         assert np.allclose(num, [float(r) for r in roots], atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_rational_roots_match_divisor_search(self, seed):
+        # (q x - p)^m factors with q up to 4096, a zero root and an
+        # irreducible quadratic; |constant|, |leading| <= 1e10 keep the
+        # reference's divisor enumeration cheap
+        rng = random.Random(seed)
+        while True:
+            p = [F(0), F(1)]
+            want = [F(0)]
+            for _ in range(rng.randint(1, 3)):
+                q, num, m = rng.randint(1, 4096), rng.randint(-4096, 4096) or 1, rng.randint(1, 3)
+                for _ in range(m):
+                    p = pr.pmul(p, [F(-num), F(q)])
+                want += [F(num, q)] * m
+            a, b, c = rng.randint(1, 9), rng.randint(-9, 9), rng.randint(1, 9)
+            if b * b - 4 * a * c in (k * k for k in range(10)):
+                continue
+            p = pr.pmul(p, [F(c), F(b), F(a)])
+            if max(abs(p[1]), abs(p[-1])) <= 10 ** 10:
+                break
+        got = pr.rational_roots(p)
+        assert got == divisor_search_roots(p)
+        assert got[0] == sorted(want)
+        assert pr.degree(got[1]) == 2
+
+    def test_rational_roots_edge_cases(self):
+        assert pr.rational_roots([F(2), F(0), F(1)]) == ([], [F(2), F(0), F(1)])
+        assert pr.rational_roots([F(0), F(0), F(-3)]) == ([F(0), F(0)], [F(-3)])
+        # a triple root that np.roots splits by 1e-5, too far for its
+        # convergents: the divisor search on the remainder must find it
+        p = mul(poly(4091, 4093), poly(4091, 4093), poly(4091, 4093), poly(1, 0, 1))
+        assert pr.rational_roots(p) == divisor_search_roots(p)
+        assert pr.rational_roots(p)[0] == [F(-4091, 4093)] * 3
 
 
 class TestSeries:

@@ -172,3 +172,24 @@ class TestContinuation:
         got = cy.predict_on_circle(model, s)
         assert np.max(np.abs(got - want) / np.abs(want)) < 1e-9
         assert np.min(np.abs(cross / diag)) > 1e-2   # the cross terms matter here
+
+    @pytest.mark.parametrize("g", [F(11, 8), F(13, 12)])
+    def test_continuation_against_tight_tolerance(self, g):
+        model = cy.get_model("mm_n3_phi21", g)
+        b0 = model.basis0()
+        x = np.exp(2j * np.pi * np.arange(1, 9) / 16)
+        B = mn.continue_blocks(model.standard_coeffs(), b0, x)
+        ref = mn.continue_blocks(model.standard_coeffs(), b0, x, rtol=1e-13, atol=1e-15)
+        assert np.max(np.abs(B - ref) / np.abs(ref)) < 1e-9
+
+    def test_block_sum_matches_loop(self):
+        rng = np.random.default_rng(3)
+        V = rng.normal(size=(7, 4)) + 1j * rng.normal(size=(7, 4))
+        X = rng.normal(size=4)
+        cross = {(0, 2): 0.3, (1, 3): -1.7}
+        want = [sum(X[i] * abs(v[i]) ** 2 for i in range(4))
+                + sum(2 * t * (v[i].conjugate() * v[j]).real for (i, j), t in cross.items())
+                for v in V]
+        tol = 1e-14 * np.max(np.abs(want))
+        assert np.allclose(mn.block_sum(V, X, cross), want, rtol=0, atol=tol)
+        assert abs(mn.block_sum(V[2], X, cross) - want[2]) <= tol
