@@ -4,6 +4,9 @@ Basis states are height strings (a_1 ... a_L), a_i in 1..m, with
 |a_i - a_{i+1}| = 1 cyclically.  The Hamiltonian H = -sum_i e_i is built from
 Temperley-Lieb generators whose weights involve sin(pi k a / (m+1)).
 
+``eigensystem``, shared with ``yanglee_chain``, solves the zero-momentum
+P^T H P once for right vectors R; covectors are the rows of R^-1.
+
 Reduced density matrices are formed from bi-orthonormal eigenpairs
 rho = r w (non-Hermitian chains have distinct left/right vectors) and kept
 as per-block factors, one block per pair of boundary heights of the
@@ -20,7 +23,6 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eig as dense_eig
 
 SECTOR_LIMIT = 4_000    # largest matrix handed to the dense eigensolver
 
@@ -46,7 +48,6 @@ class HeightBasis:
     m: int
     L: int
     states: np.ndarray          # (dim, L) int8, lexicographic
-    index: dict                 # state bytes -> row
 
     @property
     def dim(self) -> int:
@@ -77,22 +78,25 @@ def enumerate_heights(m: int, L: int) -> HeightBasis:
         raise BasisError(
             f"odd L = {L}: the height constraint is bipartite, the cyclic basis is empty"
         )
-    states = []
+    paths = _open_paths(m, L)
+    return HeightBasis(m=m, L=L, states=paths[np.abs(paths[:, -1] - paths[:, 0]) == 1])
+
+
+def _open_paths(m: int, n_sites: int) -> np.ndarray:
+    """All height strings of n_sites heights with |a_i - a_{i+1}| = 1 (no
+    wrap-around), lexicographically ordered."""
+    paths = []
     stack = [(a,) for a in range(m, 0, -1)]
     while stack:
-        path = stack.pop()
-        if len(path) == L:
-            if abs(path[-1] - path[0]) == 1:
-                states.append(path)
+        p = stack.pop()
+        if len(p) == n_sites:
+            paths.append(p)
             continue
-        a = path[-1]
-        for b in (a + 1, a - 1):
+        for b in (p[-1] + 1, p[-1] - 1):
             if 1 <= b <= m:
-                stack.append(path + (b,))
-    states.sort()
-    arr = np.array(states, dtype=np.int8)
-    index = {arr[i].tobytes(): i for i in range(len(states))}
-    return HeightBasis(m=m, L=L, states=arr, index=index)
+                stack.append(p + (b,))
+    paths.sort()
+    return np.array(paths, dtype=np.int8)
 
 
 def _weights(m: int, k: int) -> np.ndarray:
@@ -191,7 +195,6 @@ class EigenPair:
     energy: complex
     right: np.ndarray
     left: np.ndarray            # covector: left @ right == 1
-    momentum_phase: complex = 1.0
 
     def check(self, H, tol=1e-10) -> bool:
         """Bi-orthonormality, and each residual relative to its own vector."""
@@ -203,74 +206,58 @@ class EigenPair:
                 and hl <= tol * np.linalg.norm(self.left) * e)
 
 
-def eigensystem(H, n_states: int = 6, sector: Optional[str] = None,
-                basis: Optional[HeightBasis] = None) -> list[EigenPair]:
-    """Lowest-(real part) eigenpairs with bi-orthonormal left covectors.
+def eigensystem(H, shift: np.ndarray, n_states: int = 6) -> list[EigenPair]:
+    """Lowest-(real part) zero-momentum eigenpairs with bi-orthonormal covectors.
 
-    ``sector="zero_momentum"`` (needs ``basis``) solves the dense P^T H P of
-    ``zero_momentum_projector``, about L times smaller than H, and expands
-    r = P r0, w = P w0: H and H^T both commute with the translation.
-    ``sector=None`` solves the whole space and, given ``basis``, resolves
-    momentum (``momentum_phase``); it is the reference for the sector solve.
-    A solved dimension above SECTOR_LIMIT raises ``SizeError``.
+    ``shift[s]`` is the row of state s translated by one site.  The dense
+    P^T H P of ``zero_momentum_projector(shift)`` is solved once for right
+    vectors R; the covectors are the rows of W = R^-1, so W R = I also inside
+    degenerate and complex-conjugate clusters.  Each returned pair is checked
+    before it is expanded to r = P R[:, i], w = P W[i]: |w| |r| / |w r| > 1e10
+    or a residual > 1e-10 |v| max(1, |E|) raises ``DefectivePairError``; a
+    sector above SECTOR_LIMIT raises ``SizeError``.
     """
-    P = zero_momentum_projector(_shift(basis)) if sector == "zero_momentum" else None
-    H_solved = H if P is None else P.T @ H @ P
-    if H_solved.shape[0] > SECTOR_LIMIT:
-        raise SizeError(f"solved dimension {H_solved.shape[0]} exceeds {SECTOR_LIMIT}")
-    Hd = H_solved.toarray() if sp.issparse(H_solved) else np.asarray(H_solved)
-    evals, vl, vr = dense_eig(Hd, left=True, right=True)
-    sel = np.argsort(evals.real)[: max(4 * n_states, 16)]
-    energies, rights, lefts = evals[sel], vr[:, sel], vl[:, sel].conj()
+    P = zero_momentum_projector(shift)
+    if P.shape[1] > SECTOR_LIMIT:
+        raise SizeError(f"solved dimension {P.shape[1]} exceeds {SECTOR_LIMIT}")
+    Hs = (P.T @ H) @ P
+    evals, R = np.linalg.eig(Hs.toarray() if sp.issparse(Hs) else Hs)
+    try:
+        W = np.linalg.inv(R)
+    except np.linalg.LinAlgError as exc:
+        raise DefectivePairError("singular eigenvector matrix (Jordan block?)") from exc
+    sel = np.argsort(evals.real)[:n_states]
+    energies, R, W = evals[sel], R[:, sel], W[sel]
+    tol = 1e-10 * np.maximum(1.0, np.abs(energies))
+    kappa = (np.linalg.norm(W, axis=1) * np.linalg.norm(R, axis=0)
+             / np.abs(np.sum(W * R.T, axis=1)))
+    res_r = np.linalg.norm(Hs @ R - R * energies, axis=0) / np.linalg.norm(R, axis=0)
+    res_l = np.linalg.norm(W @ Hs - energies[:, None] * W, axis=1) / np.linalg.norm(W, axis=1)
+    bad = np.flatnonzero(~((kappa <= 1e10) & (res_r <= tol) & (res_l <= tol)))
+    if bad.size:
+        i = bad[0]
+        raise DefectivePairError(
+            f"pair at E = {energies[i]:.6g}: condition {kappa[i]:.3g}, residuals "
+            f"{res_r[i]:.1e} (right), {res_l[i]:.1e} (left); Jordan block?")
 
-    # bi-orthonormalize in clusters of (near-)degenerate eigenvalues; in the
-    # full space, resolve each cluster into translation eigenstates
-    # (degeneracies mix momentum sectors otherwise)
-    T = translation_operator(basis) if basis is not None and P is None else None
-    ncomp = len(energies)
     pairs = []
-    done = np.zeros(ncomp, dtype=bool)
-    for j in range(ncomp):
-        if done[j]:
-            continue
-        cluster = [i for i in range(ncomp) if abs(energies[i] - energies[j]) < 1e-8]
-        done[cluster] = True
-        R = rights[:, cluster]
-        W = lefts[:, cluster].T          # rows are covectors
-        G = W @ R
-        if np.linalg.cond(G) > 1e10:
-            raise DefectivePairError(
-                f"cluster at E = {energies[j]:.6g} has a singular overlap (Jordan block?)"
-            )
-        W = np.linalg.solve(G, W)        # now W @ R = identity
-        phases = np.ones(len(cluster), dtype=complex)
-        if T is not None:
-            phases, tvec = np.linalg.eig(W @ (T @ R))
-            R = R @ tvec
-            W = np.linalg.inv(tvec) @ W
-        if P is not None:
-            R, W = P @ R, (P @ W.T).T
-        for t in range(len(cluster)):
-            r, w = R[:, t], W[t, :]
-            big = np.argmax(np.abs(r))
-            ph = r[big] / abs(r[big])
-            r, w = r / ph, w * ph
-            e = complex(energies[cluster[t]])
-            if abs(e.imag) < 1e-9 and np.max(np.abs(r.imag)) < 1e-9 * max(np.max(np.abs(r.real)), 1e-300):
-                r, w = r.real.astype(complex), w.real.astype(complex)
-            # last, on the expanded r: w r cancels 1e4-fold, and a plain dot
-            # left |w r - 1| = 1.1e-12 at (4,3), L = 16; np.sum is pairwise
-            w = w / np.sum(w * r)
-            pairs.append(EigenPair(energy=e, right=r, left=w,
-                                   momentum_phase=complex(phases[t])))
-    pairs.sort(key=lambda p: p.energy.real)
-    return pairs[:n_states]
+    for e, r, w in zip(energies, (P @ R).T, (P @ W.T).T):
+        big = np.argmax(np.abs(r))
+        ph = r[big] / abs(r[big])
+        r, w = r / ph, w * ph
+        e = complex(e)
+        if abs(e.imag) < 1e-9 and np.max(np.abs(r.imag)) < 1e-9 * max(np.max(np.abs(r.real)), 1e-300):
+            r, w = r.real.astype(complex), w.real.astype(complex)
+        # last, on the expanded r: w r cancels 1e4-fold, and a plain dot
+        # left |w r - 1| = 1.1e-12 at (4,3), L = 16; np.sum is pairwise
+        pairs.append(EigenPair(energy=e, right=r, left=w / np.sum(w * r)))
+    return pairs
 
 
 def select_state(H, basis: HeightBasis, which: str) -> EigenPair:
     """"ground": lowest energy; "vacuum": next real level.  Both are
     translation invariant, so only the zero-momentum sector is solved."""
-    pairs = eigensystem(H, n_states=12, sector="zero_momentum", basis=basis)
+    pairs = eigensystem(H, _shift(basis), n_states=12)
     real_pairs = [p for p in pairs if abs(p.energy.imag) < 1e-8]
     if which == "ground":
         return real_pairs[0]
@@ -307,23 +294,6 @@ class ReducedDensity:
         for blk in self.blocks:
             rho[np.ix_(blk.rows, blk.rows)] = blk.right @ blk.left.T
         return rho
-
-
-def _open_paths(m: int, n_sites: int) -> np.ndarray:
-    paths = []
-    stack = [(a,) for a in range(m, 0, -1)]
-    if n_sites == 1:
-        return np.array([[a] for a in range(1, m + 1)], dtype=np.int8)
-    while stack:
-        p = stack.pop()
-        if len(p) == n_sites:
-            paths.append(p)
-            continue
-        for b in (p[-1] + 1, p[-1] - 1):
-            if 1 <= b <= m:
-                stack.append(p + (b,))
-    paths.sort()
-    return np.array(paths, dtype=np.int8)
 
 
 def reduced_density(basis: HeightBasis, pair: EigenPair, i: int, j: int) -> ReducedDensity:

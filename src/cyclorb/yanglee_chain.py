@@ -8,18 +8,15 @@ size-dependent threshold h_c the two lowest levels are real; at h_c they
 merge into a complex-conjugate pair (the finite-size shadow of the edge
 singularity).
 
-The density matrix is the bi-orthogonal one, rho = r0 w0 with w0 r0 = 1;
-for a complex-symmetric matrix w0 is just the transpose of r0.
+The density matrix is the bi-orthogonal one, rho = r0 w0 with w0 r0 = 1,
+from ``rsos.eigensystem`` in the zero-momentum sector.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.linalg import eig as dense_eig, eigvals as dense_eigvals
 
-from .rsos import SizeError, zero_momentum_projector
+from .rsos import EigenPair, SizeError, eigensystem, zero_momentum_projector
 
 MAX_SITES = 12    # the dense build makes several 2^L x 2^L complex arrays, 256 MiB each at L = 12
 
@@ -60,18 +57,18 @@ def parity_diagonal(L: int) -> np.ndarray:
     return 1.0 - 2.0 * (_down_spins(L) % 2)
 
 
-def _zero_momentum(H: np.ndarray):
-    """(P, P^T H P) for the translation, a cyclic rotation of the site bits."""
+def _rotation(H: np.ndarray) -> np.ndarray:
+    """The translation by one site: a cyclic rotation of the site bits."""
     L = H.shape[0].bit_length() - 1
     s = np.arange(1 << L)
-    P = zero_momentum_projector((s >> 1) | ((s & 1) << (L - 1)))
-    return P, (P.T @ H) @ P
+    return (s >> 1) | ((s & 1) << (L - 1))
 
 
 def lowest_levels(H: np.ndarray, n: int = 4) -> np.ndarray:
     """The n zero-momentum levels of lowest real part: the two levels that
     merge at h_c are both translation invariant."""
-    ev = dense_eigvals(_zero_momentum(H)[1])
+    P = zero_momentum_projector(_rotation(H))
+    ev = np.linalg.eigvals((P.T @ H) @ P)
     return ev[np.argsort(ev.real)][:n]
 
 
@@ -97,33 +94,16 @@ def critical_field(lam: float, L: int, tol: float = 1e-8) -> float:
     return 0.5 * (lo + hi)
 
 
-@dataclass
-class GroundPair:
-    energy: complex
-    right: np.ndarray
-    left: np.ndarray        # covector, left @ right = 1
-    overlap_defect: float   # |w.r| / (|w||r|) before normalization
-
-
-def ground_pair(H: np.ndarray) -> GroundPair:
-    """Bi-orthogonal ground pair r = P r0, r0 lowest in P^T H P (the ground state
-    is translation invariant).  P is real, so for complex-symmetric H the left
-    vector is the transpose of the right one (a covector, not the conjugate)."""
+def ground_pair(H: np.ndarray) -> EigenPair:
+    """Bi-orthonormal ground pair from ``rsos.eigensystem`` in the
+    zero-momentum sector; a defective pair (at h_c) raises
+    ``DefectivePairError``."""
     if np.max(np.abs(H - H.T)) > 1e-12:
         raise ValueError("expected a complex-symmetric Hamiltonian")
-    P, Hs = _zero_momentum(H)
-    evals, vr = dense_eig(Hs)
-    idx = np.argsort(evals.real)[0]
-    e0 = evals[idx]
-    if abs(e0.imag) > 1e-9:
-        raise ComplexGroundStateError(f"lowest level is complex: {e0}")
-    r = P @ vr[:, idx]
-    w = r.copy()
-    ov = w @ r
-    defect = abs(ov) / (np.linalg.norm(w) * np.linalg.norm(r))
-    if defect < 1e-10:
-        raise RuntimeError("defective ground pair (Jordan block at threshold?)")
-    return GroundPair(energy=complex(e0), right=r, left=w / ov, overlap_defect=float(defect))
+    pair = eigensystem(H, _rotation(H), n_states=1)[0]
+    if abs(pair.energy.imag) > 1e-9:
+        raise ComplexGroundStateError(f"lowest level is complex: {pair.energy}")
+    return pair
 
 
 def renyi2_profile(H: np.ndarray, L: int) -> np.ndarray:

@@ -46,6 +46,7 @@ class TestBasis:
 def loop_hamiltonian(m, k, L):
     """H = -sum_i e_i built one site, one state and one new height at a time."""
     basis = rsos.enumerate_heights(m, L)
+    keys = rsos._row_keys(basis.states)
     lam = math.pi * k / (m + 1)
     w = [math.sin(lam * a) for a in range(m + 2)]
     symmetric = all(x > 0 for x in w[1:m + 1]) or all(x < 0 for x in w[1:m + 1])
@@ -61,7 +62,7 @@ def loop_hamiltonian(m, k, L):
                     t = s.copy()
                     t[i] = ap
                     val = math.sqrt(w[ap] * w[a]) / w[b] if symmetric else w[ap] / w[b]
-                    H[basis.index[t.tobytes()], s_idx] -= val
+                    H[np.searchsorted(keys, rsos._row_keys(t[None]))[0], s_idx] -= val
     return H
 
 
@@ -103,6 +104,36 @@ class TestTemperleyLieb:
             rsos.build_rsos_hamiltonian(5, 2, 4)  # gcd(k, m+1) > 1: sin vanishes
 
 
+def full_eigensystem(H, basis, n_states):
+    """Reference: the whole space solved densely, covectors as the rows of
+    R^-1, each cluster of (near-)degenerate levels resolved into translation
+    eigenstates.  Returns (pair, translation eigenvalue) by ascending Re E."""
+    evals, R = np.linalg.eig(H.toarray())
+    W = np.linalg.inv(R)
+    T = rsos.translation_operator(basis)
+    sel = np.argsort(evals.real)[: max(4 * n_states, 16)]
+    out, done = [], set()
+    for j in sel:
+        if j in done:
+            continue
+        cluster = [i for i in sel if abs(evals[i] - evals[j]) < 1e-8]
+        done.update(cluster)
+        phases, tvec = np.linalg.eig(W[cluster] @ (T @ R[:, cluster]))
+        Rc, Wc = R[:, cluster] @ tvec, np.linalg.inv(tvec) @ W[cluster]
+        for t, i in enumerate(cluster):
+            r, w = Rc[:, t], Wc[t]
+            big = np.argmax(np.abs(r))
+            ph = r[big] / abs(r[big])
+            r, w = r / ph, w * ph
+            e = complex(evals[i])
+            if abs(e.imag) < 1e-9 and np.max(np.abs(r.imag)) < 1e-9 * np.max(np.abs(r.real)):
+                r, w = r.real.astype(complex), w.real.astype(complex)
+            out.append((rsos.EigenPair(energy=e, right=r, left=w / np.sum(w * r)),
+                        complex(phases[t])))
+    out.sort(key=lambda pp: pp[0].energy.real)
+    return out[:n_states]
+
+
 class TestEigensystem:
     def test_translation_commutes(self):
         H, basis = rsos.build_rsos_hamiltonian(4, 3, 8)
@@ -111,8 +142,7 @@ class TestEigensystem:
 
     def test_pairs_check(self):
         H, basis = rsos.build_rsos_hamiltonian(4, 3, 8)
-        pairs = rsos.eigensystem(H, n_states=4, basis=basis)
-        for p in pairs:
+        for p, _ in full_eigensystem(H, basis, 4):
             assert p.check(H)
 
     def test_pairs_check_at_L12(self):
@@ -126,7 +156,7 @@ class TestEigensystem:
 
     def test_biorthonormality(self):
         H, basis = rsos.build_rsos_hamiltonian(4, 3, 8)
-        pairs = rsos.eigensystem(H, n_states=6, basis=basis)
+        pairs = [p for p, _ in full_eigensystem(H, basis, 6)]
         for i, pi in enumerate(pairs):
             for j, pj in enumerate(pairs):
                 if abs(pi.energy - pj.energy) > 1e-8:
@@ -134,8 +164,7 @@ class TestEigensystem:
 
     def test_unitary_left_equals_right(self):
         H, basis = rsos.build_rsos_hamiltonian(4, 1, 8)
-        pairs = rsos.eigensystem(H, n_states=3, basis=basis)
-        p = pairs[0]
+        p = full_eigensystem(H, basis, 3)[0][0]
         r = p.right / np.linalg.norm(p.right)
         w = p.left / np.linalg.norm(p.left)
         assert min(np.max(np.abs(w - r)), np.max(np.abs(w + r))) < 1e-8
@@ -145,18 +174,18 @@ class TestEigensystem:
         g = rsos.select_state(H, basis, "ground")
         v = rsos.select_state(H, basis, "vacuum")
         assert g.energy.real < v.energy.real
-        assert abs(g.momentum_phase - 1) < 1e-8
-        assert abs(v.momentum_phase - 1) < 1e-8
+        T = rsos.translation_operator(basis)
+        for p in (g, v):
+            assert np.max(np.abs(T @ p.right - p.right)) < 1e-8 * np.max(np.abs(p.right))
         # conformal gap ratio (x_1 - x_phi)/(x_dphi - x_phi) -> (2/5)/1
-        pairs = rsos.eigensystem(H, n_states=8, basis=basis)
-        e_dphi = min(p.energy.real for p in pairs
-                     if abs(p.momentum_phase - np.exp(2j * np.pi / 10)) < 1e-6)
+        e_dphi = min(p.energy.real for p, phase in full_eigensystem(H, basis, 8)
+                     if abs(phase - np.exp(2j * np.pi / 10)) < 1e-6)
         ratio = (v.energy.real - g.energy.real) / (e_dphi - g.energy.real)
         assert abs(ratio - 0.4) < 0.05
 
     def test_dense_vs_iterative(self):
         H, basis = rsos.build_rsos_hamiltonian(4, 3, 10)  # dim 246: dense path
-        dense = rsos.eigensystem(H, n_states=4, basis=basis)
+        dense = [p for p, _ in full_eigensystem(H, basis, 4)]
         import scipy.sparse.linalg as spla
         ev = np.sort_complex(spla.eigs(H, k=8, which="SR", tol=0)[0])
         lowest = sorted(set(np.round(e.real, 9) for e in ev))[:2]
@@ -171,11 +200,13 @@ class TestEigensystem:
 
 
 class TestSectorSolve:
-    """The zero-momentum solve against the full dense solve (sector=None)."""
+    """The zero-momentum solve against the full dense solve."""
 
     def test_projector_orbits(self):
         H, basis = rsos.build_rsos_hamiltonian(4, 3, 8)
-        shift = [basis.index[np.roll(s, 1).tobytes()] for s in basis.states]
+        keys = rsos._row_keys(basis.states)
+        shift = [np.searchsorted(keys, rsos._row_keys(np.roll(s, 1)[None]))[0]
+                 for s in basis.states]
         P = rsos.zero_momentum_projector(np.array(shift))
         T = rsos.translation_operator(basis)
         orbits = {min(tuple(np.roll(s, t)) for t in range(8)) for s in basis.states}
@@ -186,8 +217,8 @@ class TestSectorSolve:
     @pytest.mark.parametrize("L", [8, 10, 12])
     def test_matches_full_solve(self, L):
         H, basis = rsos.build_rsos_hamiltonian(4, 3, L)
-        full = [p for p in rsos.eigensystem(H, n_states=48, basis=basis)
-                if abs(p.momentum_phase - 1) < 1e-6 and abs(p.energy.imag) < 1e-8]
+        full = [p for p, phase in full_eigensystem(H, basis, 48)
+                if abs(phase - 1) < 1e-6 and abs(p.energy.imag) < 1e-8]
         for which, ref in zip(("ground", "vacuum"), full):
             pair = rsos.select_state(H, basis, which)
             assert abs(pair.energy - ref.energy) < 1e-10
@@ -200,6 +231,36 @@ class TestSectorSolve:
     def test_pairs_check_at_L16(self, yl_chain_16):
         for state in ("ground", "vacuum"):
             assert yl_chain_16[state].check(yl_chain_16["H"])
+
+    @pytest.mark.parametrize("m,k", [(4, 3), (4, 1)])
+    @pytest.mark.parametrize("L", [8, 10])
+    def test_covectors_biorthonormal(self, m, k, L):
+        # W = R^-1 makes [w_i r_j] the identity across all returned pairs,
+        # degenerate partners included (the sector of (4,3) has no complex
+        # levels at these sizes; the chain test covers conjugate pairs)
+        H, basis = rsos.build_rsos_hamiltonian(m, k, L)
+        pairs = rsos.eigensystem(H, rsos._shift(basis), n_states=12)
+        assert len(pairs) == 12
+        if k == 3:
+            assert np.min(np.abs(np.diff([p.energy for p in pairs]))) < 1e-8
+        G = np.array([[pi.left @ pj.right for pj in pairs] for pi in pairs])
+        assert np.max(np.abs(G - np.eye(12))) < 1e-10
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_jordan_block_rejected(self, n):
+        # n = 2: R^-1 exists but is huge; n = 3: eig returns a singular R
+        with pytest.raises(rsos.DefectivePairError):
+            rsos.eigensystem(np.eye(n, k=1), np.arange(n), n_states=n)
+
+    def test_corrupted_covector_rejected(self, monkeypatch):
+        # scaling the columns of R^-1 unevenly keeps every w r finite but
+        # makes each row a poor left eigenvector
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv",
+                            lambda a: inv(a) * (1 + 1e-6 * np.arange(len(a))))
+        H, basis = rsos.build_rsos_hamiltonian(4, 3, 8)
+        with pytest.raises(rsos.DefectivePairError):
+            rsos.eigensystem(H, rsos._shift(basis), n_states=4)
 
 
 @pytest.fixture(scope="module")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigvals
 
-from cyclorb import yanglee_chain as ylc
+from cyclorb import rsos, yanglee_chain as ylc
 
 
 def loop_chain(lam, h, L):
@@ -124,6 +124,40 @@ class TestGroundPair:
         H = ylc.ising_imaginary_chain(0.8, 0.02, 6)
         gp = ylc.ground_pair(H)
         assert abs(gp.left @ gp.right - 1.0) < 1e-12
+
+    # h = fraction * h_c(0.8, L), and the ground energy and S_2 profile
+    # there, as the chain's former transpose-covector solve gave them
+    @pytest.mark.parametrize("L,h,energy,profile", [
+        (6, 0.1 * 0.06023486331105232, -3.523737864079212,
+         [0.21278620710961, 0.25243493124421, 0.26202844214433,
+          0.25243493124421, 0.21278620710961]),
+        (6, 0.99 * 0.06023486331105232, -3.4136471696326725,
+         [-2.25819994155646, -2.48264417727647, -2.53447714240229,
+          -2.48264417727647, -2.25819994155646]),
+        (8, 0.1 * 0.0458749420940876, -4.681975596052059,
+         [0.20333882885998, 0.24176224132373, 0.25601752033183, 0.25993396757916,
+          0.25601752033183, 0.24176224132373, 0.20333882885998]),
+        (8, 0.99 * 0.0458749420940876, -4.579307023536444,
+         [-2.04636230755863, -2.29607263949697, -2.38829678677065, -2.41396795960879,
+          -2.38829678677065, -2.29607263949697, -2.04636230755864]),
+    ])
+    def test_matches_pinned_values(self, L, h, energy, profile):
+        H = ylc.ising_imaginary_chain(0.8, h, L)
+        gp = ylc.ground_pair(H)
+        assert isinstance(gp, rsos.EigenPair)
+        assert abs(gp.energy - energy) < 1e-10
+        assert np.max(np.abs(ylc.renyi2_profile(H, L) - profile)) < 1e-10
+
+    @pytest.mark.parametrize("L", [6, 8])
+    def test_conjugate_pair_biorthonormal(self, L):
+        # above h_c the two lowest levels are a complex-conjugate pair; the
+        # covectors (rows of R^-1) stay bi-orthonormal across it
+        H = ylc.ising_imaginary_chain(0.8, 1.2 * ylc.critical_field(0.8, L), L)
+        pairs = rsos.eigensystem(H, ylc._rotation(H), n_states=6)
+        assert abs(pairs[0].energy - pairs[1].energy.conjugate()) < 1e-10
+        assert abs(pairs[0].energy.imag) > 1e-3
+        G = np.array([[pi.left @ pj.right for pj in pairs] for pi in pairs])
+        assert np.max(np.abs(G - np.eye(6))) < 1e-10
 
 
 class TestCrossover:
