@@ -90,7 +90,14 @@ def cmd_blocks(args) -> int:
     basis = model.basis0(args.terms)
     names = ",".join(f"I_{i+1}" for i in range(model.order))
     rows = [f"x,{names}"]
-    vals = basis.evaluate(grid).real
+    # past x = 1/2, I = A J from the x = 1 basis, whose series converges faster there
+    far = grid > 0.5
+    vals = np.empty((len(grid), model.order))
+    vals[~far] = basis.evaluate(grid[~far]).real
+    if np.any(far):
+        basis1 = model.basis1(args.terms)
+        A = mn.fit_connection(basis, basis1).A
+        vals[far] = (basis1.evaluate(grid[far]) @ A.T).real
     for x, v in zip(grid, vals):
         rows.append(",".join([repr(float(x))] + [repr(float(u)) for u in v]))
     _write(args, "\n".join(rows) + "\n")

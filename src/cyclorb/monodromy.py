@@ -13,16 +13,18 @@ physical correlator is assembled as
 
 with X diagonal except for cross terms on integer-spaced exponent pairs;
 ``block_sum`` is that sum, on the real axis and on the circle alike.
+``continue_blocks`` carries the blocks off the real axis by Taylor steps at
+regular points of the ODE.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .frobenius import FrobeniusBasis
 
@@ -199,12 +201,19 @@ def assemble(prefactor_exponents: tuple, X: Sequence[float],
     """
     p0, p1 = (2 * float(p) for p in prefactor_exponents)
     X = np.asarray(X, dtype=float)
+    Xs = X.tolist()
     cross = dict(cross or {})
 
     def G(x):
-        tot = block_sum(basis.evaluate(x), X, cross)
         if isinstance(x, (int, float, complex, np.number)):
-            return float(abs(x) ** p0 * abs(1 - x) ** p1 * tot)
+            # the block sum of a few values, in Python scalars
+            v = basis.evaluate(x).tolist()
+            tot = sum(c * abs(vi) ** 2 for c, vi in zip(Xs, v))
+            for (i, j), t in cross.items():
+                tot += 2.0 * t * (v[i].conjugate() * v[j]).real
+            z = complex(x)
+            return float(abs(z) ** p0 * abs(1 - z) ** p1 * tot)
+        tot = block_sum(basis.evaluate(x), X, cross)
         return np.abs(x) ** p0 * np.abs(1 - x) ** p1 * tot
 
     return G
@@ -213,77 +222,145 @@ def assemble(prefactor_exponents: tuple, X: Sequence[float],
 # ---------------------------------------------------------------------------
 # analytic continuation of the holomorphic blocks off the overlap interval
 
+_TAYLOR_TERMS = 72   # Taylor coefficients per continuation step
+_TAIL_TOL = 1e-15    # largest ratio of a step's last terms to its first terms
+
 
 def continue_blocks(standard_coeffs, basis: FrobeniusBasis, targets: Sequence[complex],
-                    x_start: float = 0.5, rtol: float = 1e-11,
-                    atol: float = 1e-12) -> np.ndarray:
+                    x_start: float = 0.5) -> np.ndarray:
     """Continue all basis solutions from x_start to complex targets.
 
-    Targets in the closed upper half plane are reached along a polyline
-    that stays away from the singular points {0, 1}; all blocks are carried
-    in one matrix-valued integration, visiting the targets in sequence.
+    Targets in the closed upper half plane are reached along straight
+    segments through the upper half plane, visited counterclockwise (by
+    argument about 0).  Each segment is cut into Taylor steps of at most
+    half the distance to {0, 1}; every step's truncation is checked
+    (``FitError`` when its tail exceeds 1e-15).  Each step is a transition
+    matrix of the values (f, f', ..., f^(order-1)), and the blocks, seeded
+    by their series at x_start, are carried through them all at once.
     Returns an array B[t, i] = I_i(targets[t]).
     """
-    order = len(standard_coeffs) - 1
-    n = basis.size
-    # P[k, j] = coefficient of x^j in c_k, so c(x) = P @ x^(0..deg-1)
-    deg = max(len(p) for p in standard_coeffs)
-    P = np.zeros((order + 1, deg), dtype=complex)
-    for k, p in enumerate(standard_coeffs):
-        P[k, : len(p)] = [complex(c) for c in p]
-    powers = np.arange(deg)
-
-    def rhs_real(t, yre, x0, dx):
-        # Y holds (f, f', ..., f^(order-1)) of every block; the state is split
-        # into real and imaginary parts for the real-valued integrator
-        Y = (yre[: order * n] + 1j * yre[order * n:]).reshape(order, n)
-        c = P @ (x0 + t * dx) ** powers
-        dY = np.empty_like(Y)
-        dY[:-1] = Y[1:]
-        dY[-1] = -(c[:order] / c[order]) @ Y
-        flat = (dY * dx).reshape(-1)
-        return np.concatenate([flat.real, flat.imag])
-
     targets = [complex(t) for t in targets]
     if any(t.imag < -1e-12 for t in targets):
         raise ValueError("targets must lie in the closed upper half plane")
+    if any(min(abs(t), abs(t - 1)) < 1e-12 for t in targets):
+        raise ValueError("targets must avoid the singular points 0 and 1")
+    order = len(standard_coeffs) - 1
+    x0, h, reached = _route(complex(x_start), targets)
+    T = _transitions(standard_coeffs, x0, h) if len(x0) else []
+    Y = np.array([s.derivative_values(x_start, order - 1) for s in basis.series]).T
+    states = [Y]
+    for Ts in T:
+        states.append(Ts @ states[-1])
+    return np.array([states[k][0] for k in reached]).reshape(len(targets), basis.size)
 
-    # initial condition matrix from the series at x_start
-    Y0 = np.empty((order, n), dtype=complex)
-    for i, series in enumerate(basis.series):
-        Y0[:, i] = series.derivative_values(x_start, order - 1)
 
-    # route: enter the unit circle at a small angle, then walk counterclockwise
-    # through the targets in angular order, inserting filler nodes so chord
-    # segments stay well away from the singular points 0 and 1
-    order_idx = sorted(range(len(targets)), key=lambda i: np.angle(targets[i]) % (2 * np.pi))
-    nodes = []  # (point, target_index or None)
-    prev_angle = min(float(np.angle(targets[order_idx[0]]) % (2 * np.pi)), np.pi / 6)
-    nodes.append((cmath.exp(1j * prev_angle), None))
-    for idx in order_idx:
-        ang = float(np.angle(targets[idx]) % (2 * np.pi))
-        gap = ang - prev_angle
-        n_fill = int(gap // (np.pi / 4))
-        for f in range(1, n_fill + 1):
-            nodes.append((cmath.exp(1j * (prev_angle + gap * f / (n_fill + 1))), None))
-        nodes.append((targets[idx], idx))
-        prev_angle = ang
+def _route(start: complex, targets: list):
+    """Taylor steps (x0, h) from ``start`` through the targets in order of
+    argument, and the number of steps taken when each target is reached.
 
-    out = np.empty((len(targets), n), dtype=complex)
-    cur = complex(x_start)
-    Y = Y0.copy()
-    for xt, idx in nodes:
-        if abs(xt - cur) > 1e-14:
-            yre = np.concatenate([Y.reshape(-1).real, Y.reshape(-1).imag])
-            sol = solve_ivp(rhs_real, (0.0, 1.0), yre, args=(cur, xt - cur),
-                            method="DOP853", rtol=rtol, atol=atol)
-            if not sol.success:
-                raise FitError(f"continuation to {xt} failed: {sol.message}")
-            yf = sol.y[:, -1]
-            Y = (yf[: order * n] + 1j * yf[order * n:]).reshape(order, n)
-            cur = xt
-        if idx is not None:
-            out[idx] = Y[0]
+    Consecutive points are joined by a straight segment, which stays in the
+    closed upper half plane; a segment passing closer to 0 or 1 than a
+    quarter of its ends' distance goes over the point by the apex
+    (a + b)/2 + i|b - a|/2.  Each step is at most half the distance of its
+    start to {0, 1}, inside the convergence disk of the local expansion.
+    """
+    def rho(x):
+        return min(abs(x), abs(x - 1.0))
+
+    def crowded(a, b):
+        d = b - a
+        for p in (0.0, 1.0):
+            t = min(max(((p - a) * d.conjugate()).real / abs(d) ** 2, 0.0), 1.0)
+            if abs(a + t * d - p) < 0.25 * min(abs(a - p), abs(b - p)):
+                return True
+        return False
+
+    x0, h = [], []
+    reached = [0] * len(targets)
+    cur = start
+    for i in sorted(range(len(targets)),
+                    key=lambda i: (cmath.phase(complex(targets[i].real, max(targets[i].imag, 0.0))),
+                                   abs(targets[i]))):
+        b = targets[i]
+        nodes = [b]
+        if b != cur and crowded(cur, b):
+            nodes.insert(0, 0.5 * (cur + b) + 0.5j * abs(b - cur))
+        for node in nodes:
+            while cur != node:
+                step = node - cur
+                if abs(step) > 0.5 * rho(cur):
+                    step *= 0.5 * rho(cur) / abs(step)
+                x0.append(cur)
+                h.append(step)
+                cur = node if step == node - cur else cur + step
+        reached[i] = len(x0)
+    return np.array(x0, dtype=complex), np.array(h, dtype=complex), reached
+
+
+def _transitions(standard_coeffs, x0: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Transition matrices T[s] taking (f, ..., f^(r-1)) at x0[s] to x0[s] + h[s].
+
+    In t = (x - x0)/h the ODE sum_k c_k(x) f^(k) = 0 reads
+    sum_k h^(r-k) c_k(x0 + h t) g^(k)(t) = 0 for g(t) = f(x0 + h t), so the
+    Taylor coefficients b_n of g obey, for m >= 0,
+
+        sum_{k,j} q_kj (m-j+1)...(m-j+k) b_(m-j+k) = 0,
+
+    with q_kj the coefficient of t^j in h^(r-k) c_k(x0 + h t).  The weight of
+    b_(m+s) is a polynomial in m, tabulated once for all steps, and one loop
+    of ``_TAYLOR_TERMS`` - r rows runs every step at once, each with the r
+    unit seeds (f^(k)(x0) = 1, so b_k = h^k / k!) as its columns.
+    """
+    r = len(standard_coeffs) - 1
+    N = _TAYLOR_TERMS
+    D = max(len(c) for c in standard_coeffs) - 1
+    P = np.zeros((r + 1, D + 1), dtype=complex)
+    for k, c in enumerate(standard_coeffs):
+        P[k, : len(c)] = [complex(v) for v in c]
+
+    # q[s, k, j]: c_k(x0 + h t) = sum_i P[k, i] sum_j C(i, j) x0^(i-j) h^j t^j
+    i = np.arange(D + 1)
+    binom = np.array([[math.comb(a, b) for b in i] for a in i], dtype=float)
+    shift = (binom * x0[:, None, None] ** np.maximum(i[:, None] - i, 0)
+             * h[:, None, None] ** i)
+    q = (P @ shift) * h[:, None, None] ** (r - np.arange(r + 1))[:, None]
+
+    # window of b_(m+s), s = lo .. r-1, where lo = min_k (k - deg c_k)
+    lo = min(k + 1 - len(c) for k, c in enumerate(standard_coeffs))
+    s = np.arange(lo, r)
+    k = np.arange(r + 1)
+    j = k[:, None] - s                                      # (r+1, w)
+    ok = (j >= 0) & (j <= D)
+    qs = np.where(ok, q[:, k[:, None], np.clip(j, 0, D)], 0.0)  # (S, r+1, w)
+    m = np.arange(N - r)
+    ff = _falling(m[:, None] + s, r)                        # (N-r, w, r+1)
+    W = np.einsum("aks,msk->ams", qs, ff)
+    W /= -(q[:, r, 0, None] * _falling(m + r, r)[:, r])[..., None]
+
+    d, w = -lo, len(s)
+    b = np.zeros((len(x0), d + N, r), dtype=complex)
+    fact = np.cumprod(np.r_[1.0, np.arange(1, r)])
+    b[:, d + k[:r], k[:r]] = h[:, None] ** k[:r] / fact
+    for mm in m:
+        b[:, d + mm + r] = (W[:, mm, None, :] @ b[:, mm: mm + w])[:, 0]
+    b = b[:, d:]
+
+    first = np.max(np.abs(b[:, :r]), axis=1)
+    last = np.max(np.abs(b[:, N - r:]), axis=1)
+    tail = float(np.max(last / first))
+    if tail > _TAIL_TOL:
+        raise FitError(f"continuation step truncated: tail ratio {tail:.2e} > {_TAIL_TOL:.0e} "
+                       f"after {N} Taylor terms")
+    # g^(k)(1) = sum_n n!/(n-k)! b_n and f^(k)(x0 + h) = h^-k g^(k)(1)
+    return np.einsum("nk,anc->akc", _falling(np.arange(N), r - 1), b) \
+        * h[:, None, None] ** -k[:r, None]
+
+
+def _falling(p: np.ndarray, r: int) -> np.ndarray:
+    """p (p-1) ... (p-k+1) for k = 0..r, along a new last axis."""
+    out = np.ones(np.shape(p) + (r + 1,))
+    for k in range(1, r + 1):
+        out[..., k] = out[..., k - 1] * (p - (k - 1))
     return out
 
 
@@ -310,3 +387,16 @@ def correlator_on_circle(standard_coeffs, basis: FrobeniusBasis, X: Sequence[flo
     # |x| = 1 on the circle, so the p0 factor drops out
     pref = np.abs(2.0 * np.sin(np.pi * uniq)) ** (2 * (p1 + extra_one_minus_x_power))
     return (pref * block_sum(B, X, cross))[where]
+
+
+def __getattr__(name):
+    """Resolve ``solve_ivp`` from scipy.integrate on first access (PEP 562).
+
+    This exists only for perfbench's tracer, which wraps
+    ``monodromy.solve_ivp`` to count right-hand-side evaluations.  Nothing in
+    cyclorb calls it, so importing cyclorb does not load scipy.integrate.
+    """
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

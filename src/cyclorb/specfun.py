@@ -15,7 +15,6 @@ from fractions import Fraction
 from math import gcd
 
 import numpy as np
-from scipy.optimize import brentq
 
 
 class PoleError(ValueError):
@@ -332,12 +331,18 @@ def x_from_nome(q: float) -> float:
 
 
 def nome_from_x(x: float) -> float:
-    """Inverse of :func:`x_from_nome` by bracketing bisection; 1e-12 accurate."""
+    """Inverse of :func:`x_from_nome`: q = exp(-2 pi AGM(1, sqrt(1-x)) / AGM(1, sqrt(x))).
+
+    With k^2 = x and k'^2 = 1 - x, K = pi / (2 AGM(1, k')) and K' = pi / (2 AGM(1, k))
+    (DLMF 19.8.5); q is the square of Jacobi's nome exp(-pi K'/K) (DLMF 22.2).
+    """
     if not 0.0 < x < 1.0:
         raise DomainError("x must lie in (0, 1)")
-    lo, hi = 1e-30, 0.5
-    while x_from_nome(hi) < x:
-        hi = (1.0 + hi) / 2.0
-        if hi > 1 - 1e-12:
-            break
-    return brentq(lambda q: x_from_nome(q) - x, lo, hi, xtol=1e-16, rtol=8.9e-16)
+    return math.exp(-2.0 * math.pi * _agm(1.0, math.sqrt(1.0 - x)) / _agm(1.0, math.sqrt(x)))
+
+
+def _agm(a: float, b: float) -> float:
+    """Arithmetic-geometric mean of two positive numbers."""
+    while abs(a - b) > 1e-15 * a:
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+    return 0.5 * (a + b)

@@ -3,6 +3,7 @@
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from cyclorb import cli
@@ -49,6 +50,31 @@ class TestBlocks:
         model = cy.get_model("yl1int_gs")
         ref = model.basis0(200).series[0].evaluate(0.5).real
         assert abs(val - ref) < 1e-12
+
+    def test_past_half_matches_2f1(self, tmp_path):
+        # yl2int_vac: I_1 = 2F1(7/10, 11/10; 7/5; x), I_2 = x^(-2/5) 2F1(3/10, 7/10; 3/5; x)
+        mp = pytest.importorskip("mpmath")
+        out = tmp_path / "b.csv"
+        assert run_cli(["blocks", "--model", "yl2int_vac", "--grid", "0.5:0.999:25",
+                        "--out", str(out)]) == 0
+        for line in out.read_text().splitlines()[1:]:
+            x, i1, i2 = (float(v) for v in line.split(","))
+            want = (float(mp.hyp2f1(0.7, 1.1, 1.4, x)),
+                    float(x ** -0.4 * mp.hyp2f1(0.3, 0.7, 0.6, x)))
+            assert abs(i1 - want[0]) < 1e-12 * abs(want[0])
+            assert abs(i2 - want[1]) < 1e-12 * abs(want[1])
+
+    def test_rows_up_to_half_are_the_zero_series(self, tmp_path):
+        import cyclorb as cy
+        out = tmp_path / "b.csv"
+        run_cli(["blocks", "--model", "yl1int_gs", "--grid", "0.1:0.9:17", "--out", str(out)])
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        xs = np.array([float(r[0]) for r in rows])
+        vals = cy.get_model("yl1int_gs").basis0(200).evaluate(xs).real
+        near = [r for r in rows if float(r[0]) <= 0.5]
+        assert len(near) == 9
+        assert near == [[r[0]] + [repr(float(v)) for v in row]
+                        for r, row in zip(near, vals)]
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

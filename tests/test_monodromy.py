@@ -1,6 +1,10 @@
 """Connection fits, invariance solves, assembly, continuation."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,8 +183,60 @@ class TestContinuation:
         b0 = model.basis0()
         x = np.exp(2j * np.pi * np.arange(1, 9) / 16)
         B = mn.continue_blocks(model.standard_coeffs(), b0, x)
-        ref = mn.continue_blocks(model.standard_coeffs(), b0, x, rtol=1e-13, atol=1e-15)
+        ref = _dop853_blocks(model.standard_coeffs(), b0, x)
         assert np.max(np.abs(B - ref) / np.abs(ref)) < 1e-9
+
+    @pytest.mark.parametrize("model_id,g", [("yl2int_vac", None), ("yl1int_vac", None),
+                                            ("mm_n2_phi21", F(7, 5)),
+                                            ("mm_n2_phi21", F(13, 12))])
+    def test_hypergeometric_blocks_against_mpmath(self, model_id, g):
+        # I_1 = 2F1(a, b; c; x) and I_2 = x^(1-c) 2F1(a-c+1, b-c+1; 2-c; x)
+        mp = pytest.importorskip("mpmath")
+        model = cy.get_model(model_id, g)
+        a, b, c = model.hyp.a, model.hyp.b, model.hyp.c
+        e0, e1 = model.block_exponents_0
+        assert e0 == 0 and abs(float(e1) - (1 - c)) < 1e-12
+        s = np.arange(1, 9) / 16
+        B = mn.continue_blocks(model.standard_coeffs(), model.basis0(),
+                               np.exp(2j * np.pi * s))
+        with mp.workdps(30):
+            xs = [mp.expjpi(2 * mp.mpf(l) / 16) for l in range(1, 9)]
+            ref = np.array([[complex(mp.hyp2f1(a, b, c, x)),
+                             complex(x ** (1 - c) * mp.hyp2f1(a - c + 1, b - c + 1, 2 - c, x))]
+                            for x in xs])
+        assert _max_rel(B, ref) < 1e-12
+
+    @pytest.mark.parametrize("g", [F(11, 8), F(7, 6), F(13, 12)])
+    def test_order4_against_30_digit_continuation(self, g):
+        # the same route and the same double-precision seeds, continued at
+        # 30 digits; the difference is the error of the continuation alone
+        pytest.importorskip("mpmath")
+        model = cy.get_model("mm_n3_phi21", g)
+        b0 = model.basis0()
+        x = np.exp(2j * np.pi * np.arange(1, 9) / 16)
+        seeds = np.array([s.derivative_values(0.5, model.order - 1) for s in b0.series]).T
+        ref = _mp_continue(model.standard_coeffs(), seeds, 0.5, x)
+        B = mn.continue_blocks(model.standard_coeffs(), b0, x)
+        assert _max_rel(B, ref) < 1e-11
+
+    def test_truncated_step_raises(self, monkeypatch):
+        monkeypatch.setattr(mn, "_TAYLOR_TERMS", 8)
+        model = cy.get_model("yl2int_vac")
+        with pytest.raises(mn.FitError, match="truncated"):
+            mn.continue_blocks(model.standard_coeffs(), model.basis0(), [1j])
+
+    def test_real_targets_off_the_segment(self):
+        # real targets past 1 or below 0 are reached through the upper half plane
+        mp = pytest.importorskip("mpmath")
+        model = cy.get_model("yl2int_vac")
+        x = [0.3, 0.7, 2.0, -1.0]
+        B = mn.continue_blocks(model.standard_coeffs(), model.basis0(), x)
+        ref = np.array([[complex(mp.hyp2f1(0.7, 1.1, 1.4, mp.mpc(t, 1e-30))),
+                         complex(mp.mpc(t, 1e-30) ** -0.4
+                                 * mp.hyp2f1(0.3, 0.7, 0.6, mp.mpc(t, 1e-30)))] for t in x])
+        assert _max_rel(B, ref) < 1e-12
+        with pytest.raises(ValueError):
+            mn.continue_blocks(model.standard_coeffs(), model.basis0(), [1.0])
 
     def test_block_sum_matches_loop(self):
         rng = np.random.default_rng(3)
@@ -193,3 +249,127 @@ class TestContinuation:
         tol = 1e-14 * np.max(np.abs(want))
         assert np.allclose(mn.block_sum(V, X, cross), want, rtol=0, atol=tol)
         assert abs(mn.block_sum(V[2], X, cross) - want[2]) <= tol
+
+
+def test_import_leaves_scipy_integrate_and_optimize_unloaded():
+    src = str(Path(cy.__file__).resolve().parents[1])
+    code = ("import sys, cyclorb; "
+            "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# independent continuation references
+
+
+def _max_rel(B, ref):
+    """Largest error relative to the largest block at each target."""
+    return float(np.max(np.abs(B - ref) / np.max(np.abs(ref), axis=1, keepdims=True)))
+
+
+def _dop853_blocks(standard_coeffs, basis, targets):
+    """Blocks at ``targets`` by scipy's DOP853 (rtol 1e-13, atol 1e-15) on the
+    companion system, along chords from x = 1/2 through the targets in turn."""
+    from scipy.integrate import solve_ivp
+
+    polys = [np.array([float(c) for c in reversed(p)]) for p in standard_coeffs]
+    r = len(polys) - 1
+
+    def rhs(t, y, a, d):
+        x = a + t * d
+        Y = y.reshape(r, -1)
+        top = -sum(np.polyval(polys[k], x) * Y[k] for k in range(r)) / np.polyval(polys[r], x)
+        return d * np.concatenate([Y[1:], top[None]]).ravel()
+
+    Y = np.array([s.derivative_values(0.5, r - 1) for s in basis.series]).T
+    out, cur = [], 0.5
+    for x in targets:
+        sol = solve_ivp(rhs, (0.0, 1.0), Y.ravel(), args=(cur, x - cur),
+                        method="DOP853", rtol=1e-13, atol=1e-15)
+        assert sol.success
+        Y, cur = sol.y[:, -1].reshape(r, -1), x
+        out.append(Y[0])
+    return np.array(out)
+
+
+def _mp_continue(standard_coeffs, seeds, x_start, targets, dps=30):
+    """Blocks at ``targets`` from seeds[k][i] = I_i^(k)(x_start), by Taylor
+    steps at ``dps`` digits in mpmath.
+
+    Straight segments run from x_start through the targets in turn; each step
+    is at most half the distance to {0, 1}, and each expansion is summed until
+    r successive terms fall below 10^-(dps-10) of its largest term.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        r = len(standard_coeffs) - 1
+        coeffs = [[mp.mpf(F(c).numerator) / F(c).denominator for c in p]
+                  for p in standard_coeffs]
+        eps = mp.mpf(10) ** -(dps - 10)
+        Y = [[mp.mpc(complex(v)) for v in row] for row in seeds]
+        cur = mp.mpc(x_start)
+        out = []
+        for x in targets:
+            x = mp.mpc(complex(x))
+            while cur != x:
+                rho = min(abs(cur), abs(cur - 1))
+                h = x - cur
+                if abs(h) > rho / 2:
+                    h = h * (rho / 2) / abs(h)
+                Y = _mp_step(coeffs, cur, h, Y, eps)
+                cur = x if abs(x - cur - h) < eps else cur + h
+            out.append([complex(v) for v in Y[0]])
+        return np.array(out)
+
+
+def _falling(p, k):
+    out = 1
+    for i in range(k):
+        out *= p - i
+    return out
+
+
+def _mp_step(coeffs, x0, h, Y, eps):
+    """One Taylor step x0 -> x0 + h of sum_k c_k f^(k) = 0, applied to every
+    block; Y[k][i] is the k-th derivative of block i."""
+    import mpmath as mp
+
+    r = len(coeffs) - 1
+    # q[k][j]: coefficient of t^j in h^(r-k) c_k(x0 + h t), by Taylor shift
+    q = []
+    for k, c in enumerate(coeffs):
+        a = list(c)
+        for i in range(len(a)):
+            for j in range(len(a) - 2, i - 1, -1):
+                a[j] += x0 * a[j + 1]
+        q.append([a[j] * h ** (j + r - k) for j in range(len(a))])
+    # b_(m+r) from sum_{k,j} q_kj (m-j+1)...(m-j+k) b_(m-j+k) = 0, grouped by s = k - j
+    by_s = {}
+    for k in range(r + 1):
+        for j, qkj in enumerate(q[k]):
+            if (k, j) != (r, 0):
+                by_s.setdefault(k - j, []).append((k, qkj))
+    cols = [[h ** k * Y[k][i] / mp.factorial(k) for k in range(r)] for i in range(len(Y[0]))]
+    big = [max(abs(v) for v in b) for b in cols]
+    quiet = [0] * len(cols)
+    m = 0
+    while min(quiet) < r:
+        idx, wts = [], []
+        for s, terms in by_s.items():
+            if m + s >= 0:
+                idx.append(m + s)
+                wts.append(mp.fdot([(qkj, _falling(m + s, k)) for k, qkj in terms]))
+        lead = -1 / (q[r][0] * _falling(m + r, r))
+        for i, b in enumerate(cols):
+            v = mp.fdot(wts, [b[p] for p in idx]) * lead
+            b.append(v)
+            big[i] = max(big[i], abs(v))
+            quiet[i] = quiet[i] + 1 if abs(v) < eps * big[i] else 0
+        m += 1
+        assert m < 2000, "mpmath Taylor step does not converge"
+    return [[h ** -k * mp.fsum(_falling(n, k) * b[n] for n in range(k, len(b))) for b in cols]
+            for k in range(r)]

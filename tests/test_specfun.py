@@ -209,6 +209,14 @@ class TestNomeMap:
             q = cy.nome_from_x(x)
             assert abs(cy.x_from_nome(q) - x) < 1e-12
 
+    def test_agm_nome_against_mpmath(self):
+        # mpmath's qfrom is Jacobi's nome; this repository's q is its square
+        for x in (1e-4, 0.01, 0.3, 0.5, 0.9, 0.97, 0.999):
+            q = cy.nome_from_x(x)
+            want = float(mp.qfrom(m=x) ** 2)
+            assert abs(q - want) <= 3e-14 * want
+            assert abs(cy.x_from_nome(q) - x) <= 1e-14 * x
+
     def test_against_theta_quotient(self):
         # independent modular-lambda oracle via Jacobi theta functions
         q = cy.nome_from_x(0.3)
