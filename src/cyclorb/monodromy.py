@@ -222,8 +222,8 @@ def assemble(prefactor_exponents: tuple, X: Sequence[float],
 # ---------------------------------------------------------------------------
 # analytic continuation of the holomorphic blocks off the overlap interval
 
-_TAYLOR_TERMS = 72   # Taylor coefficients per continuation step
-_TAIL_TOL = 1e-15    # largest ratio of a step's last terms to its first terms
+_TAYLOR_TERMS = 80   # Taylor coefficients per continuation step
+_TAIL_TOL = 1e-15    # largest ratio of a step's weighted last terms to its first terms
 
 
 def continue_blocks(standard_coeffs, basis: FrobeniusBasis, targets: Sequence[complex],
@@ -234,7 +234,8 @@ def continue_blocks(standard_coeffs, basis: FrobeniusBasis, targets: Sequence[co
     segments through the upper half plane, visited counterclockwise (by
     argument about 0).  Each segment is cut into Taylor steps of at most
     half the distance to {0, 1}; every step's truncation is checked
-    (``FitError`` when its tail exceeds 1e-15).  Each step is a transition
+    (``FitError`` when its tail, weighted as in the derivative read-out,
+    exceeds 1e-15).  Each step is a transition
     matrix of the values (f, f', ..., f^(order-1)), and the blocks, seeded
     by their series at x_start, are carried through them all at once.
     Returns an array B[t, i] = I_i(targets[t]).
@@ -345,15 +346,16 @@ def _transitions(standard_coeffs, x0: np.ndarray, h: np.ndarray) -> np.ndarray:
         b[:, d + mm + r] = (W[:, mm, None, :] @ b[:, mm: mm + w])[:, 0]
     b = b[:, d:]
 
+    # g^(k)(1) = sum_n n!/(n-k)! b_n and f^(k)(x0 + h) = h^-k g^(k)(1); the
+    # tail is weighted like its largest term in that read-out, k = r - 1
+    ff = _falling(np.arange(N), r - 1)
     first = np.max(np.abs(b[:, :r]), axis=1)
-    last = np.max(np.abs(b[:, N - r:]), axis=1)
+    last = np.max(np.abs(b[:, N - r:]) * ff[N - r:, r - 1, None], axis=1)
     tail = float(np.max(last / first))
     if tail > _TAIL_TOL:
         raise FitError(f"continuation step truncated: tail ratio {tail:.2e} > {_TAIL_TOL:.0e} "
                        f"after {N} Taylor terms")
-    # g^(k)(1) = sum_n n!/(n-k)! b_n and f^(k)(x0 + h) = h^-k g^(k)(1)
-    return np.einsum("nk,anc->akc", _falling(np.arange(N), r - 1), b) \
-        * h[:, None, None] ** -k[:r, None]
+    return np.einsum("nk,anc->akc", ff, b) * h[:, None, None] ** -k[:r, None]
 
 
 def _falling(p: np.ndarray, r: int) -> np.ndarray:

@@ -7,11 +7,17 @@ Temperley-Lieb generators whose weights involve sin(pi k a / (m+1)).
 ``eigensystem``, shared with ``yanglee_chain``, solves the zero-momentum
 P^T H P once for right vectors R; covectors are the rows of R^-1.
 
+A run of heights (a_0 ... a_{n-1}) is identified by its path code
+a_0 2^(n-1) + sum_t [a_{t+1} > a_t] 2^(n-2-t); codes order like the rows
+do lexicographically, so rows are looked up by ``np.searchsorted`` on codes.
+
 Reduced density matrices are formed from bi-orthonormal eigenpairs
 rho = r w (non-Hermitian chains have distinct left/right vectors) and kept
 as per-block factors, one block per pair of boundary heights of the
-subsystem; the replica traces Tr(D rho_A^N) carry diagonal twist insertions
-on those two heights, so they are sums of per-block traces.
+subsystem; each block pairs every subsystem path with every environment
+path, so one integer sort of the states lays its factors out as reshapes.
+The replica traces Tr(D rho_A^N) carry diagonal twist insertions on those
+two heights, so they are sums of per-block traces.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 
 SECTOR_LIMIT = 4_000    # largest matrix handed to the dense eigensolver
+MAX_SITES = 31          # 2 L step bits of a state fit one int64
 
 
 class BasisError(ValueError):
@@ -57,6 +64,21 @@ class HeightBasis:
         """One state per line, heights as digits."""
         return "\n".join("".join(str(int(a)) for a in row) for row in self.states) + "\n"
 
+    @cached_property
+    def _steps(self) -> np.ndarray:
+        """Up-step bits, step t (a_t -> a_{t+1 mod L}) at bits 2L-1-t and L-1-t."""
+        up = (np.roll(self.states, -1, axis=1) > self.states).astype(np.int64)
+        word = up @ (1 << np.arange(self.L - 1, -1, -1, dtype=np.int64))
+        return (word << self.L) | word
+
+    def window_codes(self, start: int, n: int) -> np.ndarray:
+        """Path code of the n heights from site ``start`` on, in every state
+        (0 for the empty window); ``window_codes(0, L)`` is sorted."""
+        if n == 0:
+            return np.zeros(self.dim, dtype=np.int64)
+        bits = (self._steps >> (2 * self.L + 1 - start - n)) & ((1 << (n - 1)) - 1)
+        return (self.states[:, start].astype(np.int64) << (n - 1)) | bits
+
 
 def adjacency_matrix(m: int) -> np.ndarray:
     A = np.zeros((m, m), dtype=np.int64)
@@ -78,25 +100,26 @@ def enumerate_heights(m: int, L: int) -> HeightBasis:
         raise BasisError(
             f"odd L = {L}: the height constraint is bipartite, the cyclic basis is empty"
         )
+    if L > MAX_SITES:
+        raise BasisError(f"L = {L}: height codes hold at most {MAX_SITES} sites")
     paths = _open_paths(m, L)
     return HeightBasis(m=m, L=L, states=paths[np.abs(paths[:, -1] - paths[:, 0]) == 1])
 
 
 def _open_paths(m: int, n_sites: int) -> np.ndarray:
     """All height strings of n_sites heights with |a_i - a_{i+1}| = 1 (no
-    wrap-around), lexicographically ordered."""
-    paths = []
-    stack = [(a,) for a in range(m, 0, -1)]
-    while stack:
-        p = stack.pop()
-        if len(p) == n_sites:
-            paths.append(p)
-            continue
-        for b in (p[-1] + 1, p[-1] - 1):
-            if 1 <= b <= m:
-                stack.append(p + (b,))
-    paths.sort()
-    return np.array(paths, dtype=np.int8)
+    wrap-around), lexicographically ordered: their codes are built one site
+    at a time, each path followed by its down-step, then its up-step child."""
+    if n_sites == 0:
+        return np.zeros((1, 0), dtype=np.int8)
+    codes = last = np.arange(1, m + 1, dtype=np.int64)
+    for _ in range(n_sites - 1):
+        codes = (2 * codes[:, None] + (0, 1)).ravel()
+        last = (last[:, None] + (-1, 1)).ravel()
+        keep = (last >= 1) & (last <= m)
+        codes, last = codes[keep], last[keep]
+    steps = 2 * ((codes[:, None] >> np.arange(n_sites - 2, -1, -1)) & 1) - 1
+    return np.cumsum(np.column_stack([codes >> (n_sites - 1), steps]), axis=1).astype(np.int8)
 
 
 def _weights(m: int, k: int) -> np.ndarray:
@@ -107,30 +130,26 @@ def _weights(m: int, k: int) -> np.ndarray:
     return w
 
 
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One opaque key per row of int8 heights; keys order like the rows do
-    (lexicographically), so ``np.searchsorted`` finds a row in a sorted set."""
-    rows = np.ascontiguousarray(rows, dtype=np.int8)
-    return rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
-
-
 def _tl_entries(basis: HeightBasis, k: int, i: int):
     """(rows, cols, vals) of the nonzero elements of e_i."""
     m, L = basis.m, basis.L
+    i %= L
     w = _weights(m, k)
     symmetric = np.all(w[1 : m + 1] > 0) or np.all(w[1 : m + 1] < 0)
     states = basis.states
     b = states[:, (i - 1) % L].astype(np.int64)
     src = np.flatnonzero(b == states[:, (i + 1) % L])
     b, a = b[src], states[src, i].astype(np.int64)
-    keys = _row_keys(states)
+    codes = basis.window_codes(0, L)
+    # a_i -> a_i + 2 turns step i-1 up (or adds 2 to a_0) and step i down;
+    # step L-1 is not part of a whole row's code
+    raise_code = ((2 << (L - 1)) if i == 0 else (1 << (L - 1 - i))) \
+        - ((1 << (L - 2 - i)) if i < L - 1 else 0)
     rows, cols, vals = [], [], []
     for step in (-1, 1):
         ap = b + step
         ok = (ap >= 1) & (ap <= m)
-        t = states[src[ok]]
-        t[:, i] = ap[ok]
-        rows.append(np.searchsorted(keys, _row_keys(t)))
+        rows.append(np.searchsorted(codes, codes[src[ok]] + (ap[ok] - a[ok]) // 2 * raise_code))
         cols.append(src[ok])
         num = np.sqrt(w[ap[ok]] * w[a[ok]]) if symmetric else w[ap[ok]]
         vals.append(num / w[b[ok]])
@@ -165,8 +184,8 @@ def build_rsos_hamiltonian(m: int, k: int, L: int, basis: Optional[HeightBasis] 
 
 def _shift(basis: HeightBasis) -> np.ndarray:
     """Row of each state translated by one site."""
-    return np.searchsorted(_row_keys(basis.states),
-                           _row_keys(np.roll(basis.states, 1, axis=1)))
+    return np.searchsorted(basis.window_codes(0, basis.L),
+                           basis.window_codes(basis.L - 1, basis.L))
 
 
 def translation_operator(basis: HeightBasis) -> sp.csr_matrix:
@@ -307,31 +326,33 @@ def reduced_density(basis: HeightBasis, pair: EigenPair, i: int, j: int) -> Redu
 
     Each state is a (subsystem path, environment path) pair, so within a
     block rho_b = R_b W_b^T, where R_b and W_b hold r and w on those pairs.
+    An environment path only has to fit a_i and a_j, so every block is the
+    full product of its subsystem and environment paths: sorted by (a_i,
+    a_j, subsystem code, environment code), its states are R_b row by row.
     Only the factors are stored; ``ReducedDensity.matrix`` assembles rho_A.
     """
-    L = basis.L
-    n_sites = (j - i) % L + 1
-    sub = _open_paths(basis.m, n_sites)
-    states = basis.states
-    sub_of = np.searchsorted(_row_keys(sub),
-                             _row_keys(states[:, (i + np.arange(n_sites)) % L]))
-    _, env_of = np.unique(states[:, (j + 1 + np.arange(L - n_sites)) % L],
-                          axis=0, return_inverse=True)
-    labels = np.column_stack([sub[:, 0], sub[:, -1]])
-    block_ids, block_of = np.unique(labels[sub_of], axis=0, return_inverse=True)
-
+    m, L = basis.m, basis.L
+    sites, i, j = (i, j), i % L, j % L
+    n_sub = (j - i) % L + 1
+    n_env = L - n_sub
+    sub = _open_paths(m, n_sub)
+    sub_label = sub[:, 0].astype(np.int64) * (m + 1) + sub[:, -1]
+    label = basis.states[:, i].astype(np.int64) * (m + 1) + basis.states[:, j]
+    key = (label << (n_sub - 1 + m.bit_length())) | basis.window_codes(i, n_sub)
+    order = np.argsort((key << (n_env + m.bit_length()))
+                       | basis.window_codes((j + 1) % L, n_env))
+    starts = np.flatnonzero(np.r_[True, np.diff(label[order]) != 0])
+    n_envs = np.linalg.matrix_power(adjacency_matrix(m), n_env + 1)   # paths a_j -> a_i
     blocks = []
-    for b, label in enumerate(block_ids):
-        idx = np.flatnonzero(block_of == b)
-        rows, row_of = np.unique(sub_of[idx], return_inverse=True)
-        envs, col_of = np.unique(env_of[idx], return_inverse=True)
-        shape = (len(rows), len(envs))
-        R = np.zeros(shape, dtype=pair.right.dtype)
-        W = np.zeros(shape, dtype=pair.left.dtype)
-        R[row_of, col_of] = pair.right[idx]
-        W[row_of, col_of] = pair.left[idx]
-        blocks.append(DensityBlock(tuple(int(a) for a in label), rows, R, W))
-    return ReducedDensity(sites=(i, j), sub_states=sub, block_labels=labels, blocks=blocks)
+    for lab, idx in zip(label[order[starts]], np.split(order, starts[1:])):
+        ai, aj = divmod(int(lab), m + 1)
+        rows = np.flatnonzero(sub_label == lab)
+        shape = (len(rows), int(n_envs[aj - 1, ai - 1]))
+        assert shape[0] * shape[1] == len(idx), "block is not a product of paths"
+        blocks.append(DensityBlock((ai, aj), rows, pair.right[idx].reshape(shape),
+                                   pair.left[idx].reshape(shape)))
+    return ReducedDensity(sites=sites, sub_states=sub,
+                          block_labels=np.column_stack([sub[:, 0], sub[:, -1]]), blocks=blocks)
 
 
 def twist_weights(m: int, k: int, q: int, n: int) -> np.ndarray:
@@ -375,13 +396,9 @@ def renyi_twisted(rd: ReducedDensity, N: int, m: int, k: int,
     if insertion == "bare":
         # the bare branch point carries unit weight: sum_q x_q w_q(a) = 1
         d = np.ones(len(ai))
-    elif isinstance(insertion, tuple):
-        qi, qj = insertion
-        d = twist_weights(m, k, qi, N)[ai] * twist_weights(m, k, qj, N)[aj]
     else:
-        q = int(insertion)
-        wq = twist_weights(m, k, q, N)
-        d = wq[ai] * wq[aj]
+        qi, qj = insertion if isinstance(insertion, tuple) else (int(insertion),) * 2
+        d = twist_weights(m, k, qi, N)[ai] * twist_weights(m, k, qj, N)[aj]
     value = complex(np.sum(d * np.array([_block_power_trace(blk, N) for blk in rd.blocks])))
     entropy = np.log(value + 0j) / (1 - N)
     return value, entropy
@@ -407,17 +424,11 @@ def entropy_curve(m: int, k: int, L: int, N: int, state: str, insertion,
     if basis is None or pair is None:
         H, basis = build_rsos_hamiltonian(m, k, L)
         pair = select_state(H, basis, state)
-    ells, traces, entropies, rescaled = [], [], [], []
-    for ell in range(1, L):
-        rd = reduced_density(basis, pair, 0, ell)
-        val, ent = renyi_twisted(rd, N, m, k, insertion)
-        ells.append(ell)
-        traces.append(val)
-        entropies.append(ent)
-        rescaled.append(val * L ** (4 * h_twist))
-    return {"ell": np.array(ells), "trace": np.array(traces),
-            "entropy": np.array(entropies), "rescaled": np.array(rescaled),
-            "L": L, "N": N, "insertion": insertion}
+    ell = np.arange(1, L)
+    trace, entropy = (np.array(col) for col in zip(*(
+        renyi_twisted(reduced_density(basis, pair, 0, e), N, m, k, insertion) for e in ell)))
+    return {"ell": ell, "trace": trace, "entropy": entropy,
+            "rescaled": trace * L ** (4 * h_twist), "L": L, "N": N, "insertion": insertion}
 
 
 def fit_twist_dimension(curve: dict, window: Optional[slice] = None) -> float:
@@ -427,19 +438,12 @@ def fit_twist_dimension(curve: dict, window: Optional[slice] = None) -> float:
     The default window keeps the middle third of the chain, where lattice
     corrections (decaying with the chord length) are smallest.
     """
-    L = curve["L"]
-    ell = curve["ell"]
-    tr = np.abs(curve["trace"])
+    L, ell = curve["L"], curve["ell"]
     if window is None:
         lo = max(int(np.ceil(L / 3)), 2)
-        hi = L - lo
-        sel = (ell >= lo) & (ell <= hi)
-    else:
-        sel = window
-    xs = np.log((L / np.pi) * np.sin(np.pi * ell[sel] / L))
-    ys = np.log(tr[sel])
-    slope = np.polyfit(xs, ys, 1)[0]
-    return float(-slope / 4.0)
+        window = (ell >= lo) & (ell <= L - lo)
+    xs = np.log((L / np.pi) * np.sin(np.pi * ell[window] / L))
+    return float(-np.polyfit(xs, np.log(np.abs(curve["trace"][window])), 1)[0] / 4.0)
 
 
 def overlay_fit(lattice_trace: np.ndarray, prediction: np.ndarray) -> tuple[float, float]:
@@ -456,12 +460,8 @@ def overlay_fit(lattice_trace: np.ndarray, prediction: np.ndarray) -> tuple[floa
 
 def curve_csv(curve: dict, q_or_bare) -> str:
     lines = ["L,ell,N,q_or_bare,trace_re,trace_im,entropy_re,entropy_im,rescaled"]
-    for i, ell in enumerate(curve["ell"]):
-        tr = curve["trace"][i]
-        en = curve["entropy"][i]
-        rs = curve["rescaled"][i]
-        vals = [float(tr.real), float(tr.imag), float(en.real), float(en.imag),
-                float(rs.real)]
+    for ell, tr, en, rs in zip(curve["ell"], curve["trace"], curve["entropy"], curve["rescaled"]):
+        vals = (tr.real, tr.imag, en.real, en.imag, rs.real)
         lines.append(f"{curve['L']},{ell},{curve['N']},{q_or_bare},"
-                     + ",".join(repr(v) for v in vals))
+                     + ",".join(repr(float(v)) for v in vals))
     return "\n".join(lines) + "\n"

@@ -225,6 +225,15 @@ class TestContinuation:
         with pytest.raises(mn.FitError, match="truncated"):
             mn.continue_blocks(model.standard_coeffs(), model.basis0(), [1j])
 
+    def test_tail_weighted_like_the_derivative_readout(self, monkeypatch):
+        # at 56 terms the raw |b_n| tail reads 5.9e-15 while the order-4
+        # blocks err by 1.6e-9; weighted by n!/(n-3)! it reads 7.8e-10
+        monkeypatch.setattr(mn, "_TAYLOR_TERMS", 56)
+        model = cy.get_model("mm_n3_phi21", F(13, 12))
+        x = np.exp(2j * np.pi * np.arange(1, 9) / 16)
+        with pytest.raises(mn.FitError, match="truncated"):
+            mn.continue_blocks(model.standard_coeffs(), model.basis0(), x)
+
     def test_real_targets_off_the_segment(self):
         # real targets past 1 or below 0 are reached through the upper half plane
         mp = pytest.importorskip("mpmath")

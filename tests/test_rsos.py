@@ -1,6 +1,7 @@
 """Height-chain exact diagonalization: bases, algebra, density matrices,
 twisted replica traces."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -36,6 +37,41 @@ class TestBasis:
         diffs = np.abs(np.diff(np.column_stack([basis.states, basis.states[:, :1]]), axis=1))
         assert np.all(diffs == 1)
 
+    def test_too_long_for_codes_rejected(self):
+        with pytest.raises(rsos.BasisError):
+            rsos.enumerate_heights(4, rsos.MAX_SITES + 1)
+
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_open_paths_against_brute_force(self, m):
+        # every height string where there are few, else every +-1 step
+        # string from every first height; admissible ones, sorted as tuples
+        for n in range(0, 13):
+            if m ** n <= 10 ** 5:
+                rows = list(itertools.product(range(1, m + 1), repeat=n))
+                cand = np.array(rows, dtype=int).reshape(len(rows), n)
+            else:
+                steps = np.array(list(itertools.product((-1, 1), repeat=n - 1)))
+                cand = np.concatenate([np.cumsum(np.column_stack(
+                    [np.full(len(steps), a), steps]), axis=1) for a in range(1, m + 1)])
+            ok = (np.all(np.abs(np.diff(cand, axis=1)) == 1, axis=1)
+                  & np.all((cand >= 1) & (cand <= m), axis=1))
+            want = sorted(map(tuple, cand[ok]))
+            got = rsos._open_paths(m, n)
+            assert got.dtype == np.int8 and got.shape == (len(want), n)
+            assert list(map(tuple, got.tolist())) == want
+            codes = [path_code(row) for row in got]
+            assert all(a < b for a, b in zip(codes, codes[1:]))
+
+    @pytest.mark.parametrize("m,L", [(4, 8), (5, 8), (3, 6)])
+    def test_window_codes(self, m, L):
+        basis = rsos.enumerate_heights(m, L)
+        for start in range(L):
+            for n in range(L + 1):
+                want = [path_code(s[(start + np.arange(n)) % L]) for s in basis.states]
+                assert basis.window_codes(start, n).tolist() == want
+        codes = basis.window_codes(0, L)
+        assert np.all(np.diff(codes) > 0)
+
     def test_dump_format(self):
         basis = rsos.enumerate_heights(3, 4)
         lines = basis.dump().strip().splitlines()
@@ -43,10 +79,22 @@ class TestBasis:
         assert all(len(ln) == 4 and ln.isdigit() for ln in lines)
 
 
+def row_index(states):
+    """Row of each height string, keyed by its bytes."""
+    return {row.tobytes(): t for t, row in enumerate(states)}
+
+
+def path_code(row):
+    """a_0 2^(n-1) + sum_t [a_{t+1} > a_t] 2^(n-2-t); 0 for the empty path."""
+    n = len(row)
+    return 0 if n == 0 else (int(row[0]) << (n - 1)) + sum(
+        1 << (n - 2 - t) for t in range(n - 1) if row[t + 1] > row[t])
+
+
 def loop_hamiltonian(m, k, L):
     """H = -sum_i e_i built one site, one state and one new height at a time."""
     basis = rsos.enumerate_heights(m, L)
-    keys = rsos._row_keys(basis.states)
+    index = row_index(basis.states)
     lam = math.pi * k / (m + 1)
     w = [math.sin(lam * a) for a in range(m + 2)]
     symmetric = all(x > 0 for x in w[1:m + 1]) or all(x < 0 for x in w[1:m + 1])
@@ -62,7 +110,7 @@ def loop_hamiltonian(m, k, L):
                     t = s.copy()
                     t[i] = ap
                     val = math.sqrt(w[ap] * w[a]) / w[b] if symmetric else w[ap] / w[b]
-                    H[np.searchsorted(keys, rsos._row_keys(t[None]))[0], s_idx] -= val
+                    H[index[t.tobytes()], s_idx] -= val
     return H
 
 
@@ -204,9 +252,8 @@ class TestSectorSolve:
 
     def test_projector_orbits(self):
         H, basis = rsos.build_rsos_hamiltonian(4, 3, 8)
-        keys = rsos._row_keys(basis.states)
-        shift = [np.searchsorted(keys, rsos._row_keys(np.roll(s, 1)[None]))[0]
-                 for s in basis.states]
+        index = row_index(basis.states)
+        shift = [index[np.roll(s, 1).tobytes()] for s in basis.states]
         P = rsos.zero_momentum_projector(np.array(shift))
         T = rsos.translation_operator(basis)
         orbits = {min(tuple(np.roll(s, t)) for t in range(8)) for s in basis.states}
@@ -330,20 +377,45 @@ def dense_reduced_density(basis, pair, sub, i, j):
     return rho, labels
 
 
-def dense_trace(rho, labels, N, insertion):
+def dense_trace(rho, labels, N, insertion, m=4, k=3):
     """Tr(D rho^N) from the N-th matrix power."""
     if insertion == "bare":
         d = np.ones(len(labels))
     else:
-        wq = rsos.twist_weights(4, 3, insertion, N)
+        wq = rsos.twist_weights(m, k, insertion, N)
         d = wq[labels[:, 0]] * wq[labels[:, 1]]
     return np.sum(d * np.diag(np.linalg.matrix_power(rho, N)))
+
+
+def whole_chain_trace(basis, pair, i, j, N, insertion, m, k):
+    """Tr(D rho_A^N) at ell = L - 1, summed exactly: each block's Gram matrix
+    is the scalar c_B = sum_{s in B} w_s r_s, B = (a_i, a_j)."""
+    assert not pair.right.imag.any() and not pair.left.imag.any()
+    c = {}
+    for s, r, w in zip(basis.states, pair.right.real, pair.left.real):
+        key = (int(s[i]), int(s[j]))
+        c[key] = c.get(key, 0) + Fraction(float(w)) * Fraction(float(r))
+    wq = np.ones(m + 1) if insertion == "bare" else rsos.twist_weights(m, k, insertion, N)
+    return float(sum(Fraction(float(wq[a] * wq[b])) * cb ** N for (a, b), cb in c.items()))
 
 
 @pytest.fixture(scope="module")
 def chain_8():
     H, basis = rsos.build_rsos_hamiltonian(4, 3, 8)
     return basis, {w: rsos.select_state(H, basis, w) for w in ("ground", "vacuum")}
+
+
+@pytest.fixture(scope="module")
+def larger_chains():
+    cache = {}
+
+    def get(m, k, L):
+        if (m, k, L) not in cache:
+            H, basis = rsos.build_rsos_hamiltonian(m, k, L)
+            cache[m, k, L] = basis, {w: rsos.select_state(H, basis, w)
+                                     for w in ("ground", "vacuum")}
+        return cache[m, k, L]
+    return get
 
 
 class TestBlockFactors:
@@ -364,6 +436,51 @@ class TestBlockFactors:
                 got, _ = rsos.renyi_twisted(rd, N, 4, 3, insertion)
                 want = dense_trace(rho, labels, N, insertion)
                 assert abs(got - want) < 1e-10 * abs(want)
+
+    @pytest.mark.parametrize("m,k,L", [(4, 3, 12), (6, 5, 10)])
+    @pytest.mark.parametrize("which", ["ground", "vacuum"])
+    def test_larger_chains_match_dense_loop(self, larger_chains, m, k, L, which):
+        basis, pairs = larger_chains(m, k, L)
+        # i != 0, wrap-around, a single site, ell = L - 1 from 0 and wrapped
+        for i, j in [(2, 7), (L - 3, 2), (4, 4), (0, L - 1), (5, 4)]:
+            rd = rsos.reduced_density(basis, pairs[which], i, j)
+            rho, labels = dense_reduced_density(basis, pairs[which], rd.sub_states, i, j)
+            assert np.array_equal(rd.block_labels, labels)
+            assert np.max(np.abs(rd.matrix - rho)) < 1e-13 * np.max(np.abs(rho))
+            for N, insertion in ((2, 3), (3, "bare")):
+                got, _ = rsos.renyi_twisted(rd, N, m, k, insertion)
+                if (j - i) % L == L - 1:
+                    # rho's entries reach 600 times its trace here, and the
+                    # dense N-th power is off by up to 1.5e-8 at (6, 5)
+                    want = whole_chain_trace(basis, pairs[which], i, j, N, insertion, m, k)
+                else:
+                    want = dense_trace(rho, labels, N, insertion, m, k)
+                assert abs(got - want) < 1e-10 * abs(want)
+
+    @pytest.mark.parametrize("i,j", [(0, 4), (6, 1), (3, 3), (0, 9), (5, 4)])
+    def test_block_shapes_are_path_counts(self, larger_chains, i, j):
+        # rows: the subsystem paths with the block's boundary heights;
+        # columns: the environment paths that occur beside them
+        basis, pairs = larger_chains(6, 5, 10)
+        rd = rsos.reduced_density(basis, pairs["ground"], i, j)
+        L = basis.L
+        env_cols = [(j + 1 + t) % L for t in range((i - j - 1) % L)]
+        envs = {}
+        for s in basis.states:
+            envs.setdefault((int(s[i]), int(s[j])), set()).add(s[env_cols].tobytes())
+        assert [blk.label for blk in rd.blocks] == sorted(envs)
+        for blk in rd.blocks:
+            n_rows = np.sum(np.all(rd.block_labels == blk.label, axis=1))
+            assert blk.right.shape == blk.left.shape == (n_rows, len(envs[blk.label]))
+            assert np.array_equal(blk.rows, np.flatnonzero(np.all(rd.block_labels == blk.label,
+                                                                  axis=1)))
+
+    def test_missing_state_breaks_the_product(self, chain_8):
+        basis, pairs = chain_8
+        cut = rsos.HeightBasis(basis.m, basis.L, basis.states[1:])
+        pair = rsos.EigenPair(0j, pairs["ground"].right[1:], pairs["ground"].left[1:])
+        with pytest.raises(AssertionError, match="product"):
+            rsos.reduced_density(cut, pair, 0, 3)
 
     def test_whole_chain_is_exact_block_sum(self):
         # at ell = L - 1 each block's Gram matrix is the scalar
