@@ -30,8 +30,7 @@ import numpy as np
 from . import frobenius as fb
 from . import monodromy as mn
 from . import specfun as sf
-from .polyring import pmul, pscale
-from .qseries import QSeries
+from .polyring import padd, pcompose_trunc, peval, pmul, pmul_trunc, ppow_trunc, pscale
 
 F = Fraction
 
@@ -697,13 +696,6 @@ def torus_check(q_points: Sequence[float]) -> dict:
     return out
 
 
-def _hyp_coeff_series(a: Fraction, b: Fraction, c: Fraction, n: int) -> QSeries:
-    coef = [F(1)]
-    for k in range(1, n + 1):
-        coef.append(coef[-1] * (a + k - 1) * (b + k - 1) / (k * (c + k - 1)))
-    return QSeries(coef, n)
-
-
 def torus_block_expansions(order: int = 4):
     """Exact integer expansion coefficients of the dressed blocks in the nome.
 
@@ -714,55 +706,34 @@ def torus_block_expansions(order: int = 4):
     integer.
     """
     n = 2 * order + 2  # series order in u = sqrt(q)
-    one = QSeries.const(1, n)
-    t1 = one
-    m = 1
-    while 2 * m - 1 <= n:
-        num = QSeries([1] + [0] * (2 * m - 1) + [1], n) if 2 * m <= n else one
-        den = QSeries([1] + [0] * (2 * m - 2) + [1], n)
-        t1 = t1 * num.pow_frac(8) * den.pow_frac(-8)
-        m += 1
-    x_over = t1  # x / (16 u)
-    x_series = QSeries([0, 16], n) * x_over
+    x_over = [1]  # x / (16 u) = prod_k (1 + u^k)^(8 (-1)^k)
+    for k in range(1, n + 1):
+        factor = ppow_trunc([1] + [0] * (k - 1) + [1], 8 * (-1) ** k, n)
+        x_over = pmul_trunc(x_over, factor, n)
+    x_series = pmul_trunc([0, 16], x_over, n)
+    dressing = ppow_trunc(padd([1], pscale(x_series, -1)), F(11, 30), n)  # (1-x)^(11/30)
 
-    def dressed(a, b, c, power_t1):
-        hyp = _hyp_coeff_series(a, b, c, n).compose(x_series)
-        one_minus_x = one - x_series
-        return (x_over.pow_frac(power_t1)
-                * one_minus_x.pow_frac(F(11, 30))
-                * hyp)
+    def dressed(a, b, c, power_x_over):
+        hyp = [F(1)]  # 2F1(a, b; c; x) coefficients
+        for k in range(1, n + 1):
+            hyp.append(hyp[-1] * (a + k - 1) * (b + k - 1) / (k * (c + k - 1)))
+        ser = pmul_trunc(ppow_trunc(x_over, power_x_over, n), dressing, n)
+        return pmul_trunc(ser, pcompose_trunc(hyp, x_series, n), n)
 
     s_id = dressed(F(7, 10), F(11, 10), F(7, 5), F(11, 30))
     s_phi = dressed(F(7, 10), F(3, 10), F(3, 5), F(-1, 30))
-    id_c = [s_id.c[2 * k] for k in range(order + 1)]
-    phi_c = [s_phi.c[2 * k] for k in range(order + 1)]
-    odd_id = [s_id.c[2 * k + 1] for k in range(order)]
-    odd_phi = [s_phi.c[2 * k + 1] for k in range(order)]
-    if any(v != 0 for v in odd_id + odd_phi):
+    if any(v != 0 for v in s_id[1:2 * order:2] + s_phi[1:2 * order:2]):
         raise AssertionError("odd half-integer powers should cancel")
-    return id_c, phi_c
+    return s_id[:2 * order + 1:2], s_phi[:2 * order + 1:2]
 
 
 # ---------------------------------------------------------------------------
 # Taylor coefficients for the contour-deformation identities
 
 
-def _binom_series(expo, arg_scale, P):
-    """(1 + arg_scale * w)^expo as a list of P+1 coefficients in w."""
-    out = [1]
-    acc = 1
-    for k in range(1, P + 1):
-        acc = acc * (expo - (k - 1)) / k
-        out.append(acc * arg_scale**k)
-    return out
-
-
-def _conv(p, q, P):
-    out = [0] * (P + 1)
-    for i, a in enumerate(p[: P + 1]):
-        for j in range(0, min(len(q), P + 1 - i)):
-            out[i + j] = out[i + j] + a * q[j]
-    return out
+def _binomial_pair(e1, c1, e2, c2, P):
+    """Coefficients 0..P of (1 + c1 w)^e1 (1 + c2 w)^e2."""
+    return pmul_trunc(ppow_trunc([1, c1], e1, P), ppow_trunc([1, c2], e2, P), P)
 
 
 def _int_like(v) -> bool:
@@ -780,53 +751,39 @@ def ward_taylor(m2, m3, m4, x, family: str, P: int):
     family "c": (z-1)^(m2+1) z^(m4+1)     about z = x
     family "d": (z-1)^(m2+1) (z-x)^(m3+1) about z = 0
 
+    Each family reads only its own two exponents; the third may be None.
     Exact rationals for integer exponents; for equal fractional exponents in
     family "d" the two factors combine into the single real power
     ((z-1)(z-x))^(m2+1); otherwise principal branches (complex output).
     """
-    p3 = m3 + 1
     if family == "a":
-        p2 = m2 + 1
-        return _conv(_binom_series(p2, -1, P), _binom_series(p3, -x, P), P)
-    if family == "d":
-        p2 = m2 + 1
-        if _int_like(p2) and _int_like(p3) and p2 >= 0 and p3 >= 0:
-            f1 = _poly_pow([-1, 1], int(p2))
-            f2 = _poly_pow([-x, 1], int(p3))
-            return _conv(f1, f2, P)
-        if p2 == p3:
-            # ((z-1)(z-x))^s = x^s (1 - (1+x)/x z + z^2/x)^s
-            s = p2
-            inner_lin = _binom_ode_pow([1, -(1 + x) / x, 1 / x], s, P)
-            return [x**s * c for c in inner_lin]
-        v0 = cmath.exp(1j * math.pi * complex(p2)) * complex(x) ** complex(p3) \
-            * cmath.exp(1j * math.pi * complex(p3))
-        ser = _normalized_d_series(p2, p3, x, P)
-        return [v0 * complex(c) for c in ser]
-    p4 = m4 + 1
+        return _binomial_pair(m2 + 1, -1, m3 + 1, -x, P)
     if family == "b":
+        p3, p4 = m3 + 1, m4 + 1
         base = 1 - x
-        ser = _conv(_binom_series(p3, _inv(base), P), _binom_series(p4, 1, P), P)
+        ser = _binomial_pair(p3, 1 / base, p4, 1, P)
         return [_pow_real_or_principal(base, p3) * c for c in ser]
     if family == "c":
-        p2 = m2 + 1
-        base1, base4 = x - 1, x
-        ser = _conv(_binom_series(p2, _inv(base1), P), _binom_series(p4, _inv(base4), P), P)
-        return [_pow_real_or_principal(base1, p2) * _pow_real_or_principal(base4, p4) * c
-                for c in ser]
+        p2, p4 = m2 + 1, m4 + 1
+        ser = _binomial_pair(p2, 1 / (x - 1), p4, 1 / x, P)
+        v0 = _pow_real_or_principal(x - 1, p2) * _pow_real_or_principal(x, p4)
+        return [v0 * c for c in ser]
+    if family == "d":
+        p2, p3 = m2 + 1, m3 + 1
+        if _int_like(p2) and _int_like(p3) and p2 >= 0 and p3 >= 0:
+            return pmul_trunc(_mul(*[[-1, 1]] * int(p2)), _mul(*[[-x, 1]] * int(p3)), P)
+        if p2 == p3:
+            # ((z-1)(z-x))^s = x^s (1 - (1+x)/x z + z^2/x)^s
+            return [x**p2 * c for c in ppow_trunc([1, -(1 + x) / x, 1 / x], p2, P)]
+        # (z-1)^p2 (z-x)^p3 at z = 0 is (-1)^p2 (-x)^p3, principal branches
+        v0 = cmath.exp(1j * math.pi * complex(p2)) * complex(-x) ** complex(p3)
+        return [v0 * complex(c) for c in _normalized_d_series(p2, p3, x, P)]
     raise ValueError("family must be one of 'a', 'b', 'c', 'd'")
 
 
 def _normalized_d_series(p2, p3, x, P):
     """Coefficients of (1-z)^p2 (1-z/x)^p3, exact when the inputs are exact."""
-    return _conv(_binom_series(p2, -1, P), _binom_series(p3, _inv(-x), P), P)
-
-
-def _inv(x):
-    try:
-        return 1 / x
-    except TypeError:
-        return x ** (-1)
+    return _binomial_pair(p2, -1, p3, -1 / x, P)
 
 
 def _pow_real_or_principal(base, expo):
@@ -836,29 +793,6 @@ def _pow_real_or_principal(base, expo):
     if b.real > 0 and abs(b.imag) == 0:
         return float(b.real) ** float(expo)
     return cmath.exp(complex(expo) * cmath.log(b))
-
-
-def _poly_pow(p, k):
-    out = [1]
-    for _ in range(k):
-        out = _conv(out, p, len(out) + len(p))
-    return out
-
-
-def _binom_ode_pow(inner, s, P):
-    """(c0 + c1 w + c2 w^2)^s / c0^s as P+1 coefficients; c0 must be 1."""
-    assert inner[0] == 1
-    out = [1] + [0] * P
-    c1 = inner[1]
-    c2 = inner[2] if len(inner) > 2 else 0
-    # f = g^s with g quadratic: (k+1) out[k+1] = s (g' g^(s-1))-style recurrence:
-    # g f' = s g' f  ->  f'[k] + c1 f'[k-1] + c2 f'[k-2] = s (c1 f[k] + 2 c2 f[k-1])
-    for k in range(P):
-        lhs = s * (c1 * out[k] + (2 * c2 * out[k - 1] if k >= 1 else 0))
-        lhs -= c1 * k * out[k] if k >= 1 else 0
-        lhs -= c2 * (k - 1) * out[k - 1] if k >= 2 else 0
-        out[k + 1] = lhs / (k + 1)
-    return out
 
 
 # reference data for the replica-3 contour identity
@@ -881,8 +815,6 @@ def n3_ward_consistency(x: Fraction) -> bool:
     x = F(x)
     ser = _normalized_d_series(F(2, 3), F(4, 3), x, 4)
     base = 243 * x**4
-    from .polyring import peval
-
     for p in range(5):
         q_val = peval(N3_WARD_POLYNOMIALS[p - 2], x)
         ratio = F(ser[p]) / F(ser[0])

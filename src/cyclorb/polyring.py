@@ -1,9 +1,11 @@
-"""Dense univariate polynomial helpers over generic coefficient rings.
+"""Dense polynomials and truncated power series over generic coefficient rings.
 
-Polynomials are plain lists of coefficients, low degree first.  All
+Polynomials and power series are plain lists of coefficients, low degree
+first.  The truncated-series functions (``pmul_trunc``, ``ppow_trunc``,
+``pcompose_trunc``) return the coefficients 0..n of the exact result.  All
 operations are duck-typed: they work equally well with ``fractions.Fraction``
-(exact mode), ``float``/``complex`` (numeric mode) or sympy expressions
-(symbolic checks in the tests).
+(exact mode: exact inputs give exact outputs), ``float``/``complex``
+(numeric mode) or sympy expressions (symbolic checks in the tests).
 """
 
 from __future__ import annotations
@@ -74,6 +76,46 @@ def psub_affine(p, a, b):
     for c in reversed(list(p)):
         acc = padd(pmul(acc, lin), [c])
     return trim(acc)
+
+
+def pmul_trunc(p, q, n):
+    """Coefficients 0..n of p*q."""
+    out = [0] * (n + 1)
+    for i, a in enumerate(p[: n + 1]):
+        if a == 0:
+            continue
+        for j, b in enumerate(q[: n + 1 - i]):
+            out[i + j] = out[i + j] + a * b
+    return out
+
+
+def ppow_trunc(p, s, n):
+    """Coefficients 0..n of p^s for p[0] = 1 and any exponent s.
+
+    J. C. P. Miller's recurrence k g_k = sum_j ((s+1) j - k) p_j g_(k-j)
+    (Knuth, TAOCP vol. 2, sec. 4.7); s = -1 gives the reciprocal series.
+    """
+    if p[0] != 1:
+        raise ValueError("ppow_trunc needs p[0] == 1")
+    g = [1]
+    for k in range(1, n + 1):
+        acc = 0
+        for j in range(1, min(k, len(p) - 1) + 1):
+            if p[j] != 0:
+                acc = acc + ((s + 1) * j - k) * p[j] * g[k - j]
+        g.append(Fraction(1, k) * acc)
+    return g
+
+
+def pcompose_trunc(p, inner, n):
+    """Coefficients 0..n of p(inner) for inner[0] = 0, by Horner's rule."""
+    if inner[0] != 0:
+        raise ValueError("pcompose_trunc needs inner[0] == 0")
+    acc = [0] * (n + 1)
+    for c in reversed(p[: n + 1]):
+        acc = pmul_trunc(acc, inner, n)
+        acc[0] = acc[0] + c
+    return acc
 
 
 def falling_factorial(k):

@@ -16,6 +16,8 @@ from math import gcd
 
 import numpy as np
 
+from .polyring import pmul_trunc
+
 
 class PoleError(ValueError):
     """Gamma evaluated at a non-positive integer."""
@@ -287,13 +289,7 @@ def character_coeffs(spec: CharacterSpec, M: int) -> list[int]:
     for k in range(1, M + 1):
         for e in range(k, M + 1):
             part[e] += part[e - k]
-    out = [0] * (M + 1)
-    for i, a in enumerate(num):
-        if a == 0:
-            continue
-        for j in range(M + 1 - i):
-            out[i + j] += a * part[j]
-    return out
+    return pmul_trunc(num, part, M)
 
 
 def kac_character(spec: CharacterSpec, q, M: int = 50) -> complex:

@@ -12,6 +12,7 @@ import pytest
 import cyclorb as cy
 from cyclorb import catalog as cat
 from cyclorb import monodromy as mn
+from cyclorb.polyring import pmul, psub_affine
 
 
 ALL_MODELS = [("yl2int_vac", None), ("yl1int_vac", None), ("yl1int_gs", None),
@@ -270,6 +271,10 @@ class TestTorus:
         idc, phic = cy.torus_block_expansions(4)
         assert idc == [1, 0, 1, 1, 1]
         assert phic == [1, 1, 1, 1, 2]
+        for order in (4, 6, 8):
+            idc, phic = cy.torus_block_expansions(order)
+            assert idc == cy.character_coeffs(cy.CharacterSpec(5, 2, 1, 1), order)
+            assert phic == cy.character_coeffs(cy.CharacterSpec(5, 2, 1, 2), order)
 
 
 class TestWardTaylor:
@@ -317,6 +322,41 @@ class TestWardTaylor:
         ref = mp.taylor(lambda w: (w + 1 - x) ** (m3 + 1) * (1 + w) ** (m4 + 1), 0, 4)
         for mine, want in zip(b, ref):
             assert abs(complex(mine) - complex(want)) < 1e-12
+
+    def test_c_family_oracle_without_m3(self):
+        mp = pytest.importorskip("mpmath")
+        m2, m4 = -0.5, -1.5
+        for x in (0.3, 0.7):
+            c = cy.ward_taylor(m2, None, m4, x, "c", 4)
+            ref = mp.taylor(lambda z: (z - 1) ** (m2 + 1) * z ** (m4 + 1), x, 4)
+            for mine, want in zip(c, ref):
+                assert abs(complex(mine) - complex(want)) < 1e-12
+
+    def test_d_family_principal_branch_both_signs_of_x(self):
+        # (z-1)^(1/2) (z-x)^(5/4) about z = 0: at x < 0 the prefactor is the
+        # principal (-x)^(5/4), real and positive
+        mp = pytest.importorskip("mpmath")
+        m2, m3 = -0.5, 0.25
+        for x in (-0.4, 0.3):
+            d = cy.ward_taylor(m2, m3, None, x, "d", 4)
+            ref = mp.taylor(lambda z: (z - 1) ** (m2 + 1) * (z - x) ** (m3 + 1), 0, 4)
+            for mine, want in zip(d, ref):
+                assert abs(complex(mine) - complex(want)) < 1e-12
+
+    def test_integer_exponents_are_exact(self):
+        x = F(3, 10)
+        a = cy.ward_taylor(0, 0, None, x, "a", 4)
+        assert a == [1, F(-13, 10), F(3, 10), 0, 0]
+        # oracles: the integer-power polynomials in z, re-centred exactly
+        # (z-x)^2 z about z = 1 and (z-1) z^2 about z = x
+        b = cy.ward_taylor(None, 1, 0, x, "b", 4)
+        b_poly = pmul(pmul([-x, 1], [-x, 1]), [0, 1])
+        assert b == psub_affine(b_poly, 1, 1) + [0]
+        c = cy.ward_taylor(0, None, 1, x, "c", 4)
+        c_poly = pmul(pmul([-1, 1], [0, 1]), [0, 1])
+        assert c == psub_affine(c_poly, x, 1) + [0]
+        for out in (a, b, c):
+            assert all(isinstance(v, (int, F)) for v in out)
 
     def test_replica3_reference_polynomials(self):
         for x in (F(3, 7), F(2), F(1, 2)):

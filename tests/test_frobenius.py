@@ -183,6 +183,54 @@ class TestIndicial:
         assert pr.rational_roots(p)[0] == [F(-4091, 4093)] * 3
 
 
+
+class TestTruncatedSeries:
+    P = [F(1), F(-2, 3), F(5, 7), F(0), F(3, 2)]
+
+    def test_product_is_truncated_pmul(self):
+        q = [F(2), F(1, 5), F(-4)]
+        for n in range(9):
+            full = pr.pmul(self.P, q) + [0] * n
+            assert pr.pmul_trunc(self.P, q, n) == full[: n + 1]
+
+    def test_integer_power_is_repeated_product(self):
+        n = 9
+        for s in range(6):
+            want = [F(1)]
+            for _ in range(s):
+                want = pr.pmul(want, self.P)
+            assert pr.ppow_trunc(self.P, s, n) == (want + [0] * n)[: n + 1]
+
+    def test_power_minus_one_is_reciprocal(self):
+        n = 8
+        for p in (self.P, [1, F(1, 3)], [1, 0, 0, F(-7, 2)]):
+            assert pr.pmul_trunc(p, pr.ppow_trunc(p, -1, n), n) == [1] + [0] * n
+
+    def test_power_round_trip(self):
+        n = 7
+        want = self.P + [0] * (n + 1 - len(self.P))
+        for s in (F(3, 7), F(-2, 5), F(11, 30), 3):
+            assert pr.ppow_trunc(pr.ppow_trunc(self.P, s, n), 1 / F(s), n) == want
+        p = [1.0, 0.25 + 0.5j, -0.75]
+        back = pr.ppow_trunc(pr.ppow_trunc(p, 0.3, n), 1 / 0.3, n)
+        assert max(abs(a - b) for a, b in zip(back, p + [0] * n)) < 1e-13
+
+    def test_composition_matches_nested_evaluation(self):
+        inner = [F(0), F(2, 3), F(-1), F(1, 4)]
+        n = (len(self.P) - 1) * (len(inner) - 1)   # no truncation loss
+        comp = pr.pcompose_trunc(self.P, inner, n)
+        for t in (F(1, 3), F(-5, 2), F(7)):
+            assert pr.peval(comp, t) == pr.peval(self.P, pr.peval(inner, t))
+        for m in range(n):
+            assert pr.pcompose_trunc(self.P, inner, m) == comp[: m + 1]
+
+    def test_preconditions(self):
+        with pytest.raises(ValueError):
+            pr.ppow_trunc([F(2), F(1)], F(1, 2), 3)
+        with pytest.raises(ValueError):
+            pr.pcompose_trunc(self.P, [F(1), F(1)], 3)
+
+
 class TestSeries:
     def test_exact_coefficients(self, gs_ode):
         s = cy.frobenius_series(gs_ode, F(1, 2), 6)
