@@ -6,6 +6,10 @@ Temperley-Lieb generators whose weights involve sin(pi k a / (m+1)).
 
 ``eigensystem``, shared with ``yanglee_chain``, solves the zero-momentum
 P^T H P once for right vectors R; covectors are the rows of R^-1.
+``sector_matrix`` builds P^T H P: from the orbit-representative columns of
+a dense H (the chain), and as the sparse product with P for the sparse RSOS
+H.  scipy.sparse is imported only inside the functions that return a sparse
+matrix, so the chain and the CFT side run on numpy alone.
 
 A run of heights (a_0 ... a_{n-1}) is identified by its path code
 a_0 2^(n-1) + sum_t [a_{t+1} > a_t] 2^(n-2-t); codes order like the rows
@@ -28,7 +32,6 @@ from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 SECTOR_LIMIT = 4_000    # largest matrix handed to the dense eigensolver
 MAX_SITES = 31          # 2 L step bits of a state fit one int64
@@ -71,6 +74,12 @@ class HeightBasis:
         word = up @ (1 << np.arange(self.L - 1, -1, -1, dtype=np.int64))
         return (word << self.L) | word
 
+    @cached_property
+    def _path_codes(self) -> np.ndarray:
+        """Sorted codes of every open path of L heights; the n-height paths
+        are their distinct n-height prefixes, ``codes >> (L - n)``."""
+        return _open_codes(self.m, self.L)
+
     def window_codes(self, start: int, n: int) -> np.ndarray:
         """Path code of the n heights from site ``start`` on, in every state
         (0 for the empty window); ``window_codes(0, L)`` is sorted."""
@@ -108,16 +117,26 @@ def enumerate_heights(m: int, L: int) -> HeightBasis:
 
 def _open_paths(m: int, n_sites: int) -> np.ndarray:
     """All height strings of n_sites heights with |a_i - a_{i+1}| = 1 (no
-    wrap-around), lexicographically ordered: their codes are built one site
-    at a time, each path followed by its down-step, then its up-step child."""
+    wrap-around), lexicographically ordered."""
     if n_sites == 0:
         return np.zeros((1, 0), dtype=np.int8)
+    return _path_rows(_open_codes(m, n_sites), n_sites)
+
+
+def _open_codes(m: int, n_sites: int) -> np.ndarray:
+    """Sorted codes of the open paths of n_sites >= 1 heights, built one site
+    at a time, each path followed by its down-step, then its up-step child."""
     codes = last = np.arange(1, m + 1, dtype=np.int64)
     for _ in range(n_sites - 1):
         codes = (2 * codes[:, None] + (0, 1)).ravel()
         last = (last[:, None] + (-1, 1)).ravel()
         keep = (last >= 1) & (last <= m)
         codes, last = codes[keep], last[keep]
+    return codes
+
+
+def _path_rows(codes: np.ndarray, n_sites: int) -> np.ndarray:
+    """The height rows of path codes of n_sites >= 1 heights."""
     steps = 2 * ((codes[:, None] >> np.arange(n_sites - 2, -1, -1)) & 1) - 1
     return np.cumsum(np.column_stack([codes >> (n_sites - 1), steps]), axis=1).astype(np.int8)
 
@@ -156,7 +175,7 @@ def _tl_entries(basis: HeightBasis, k: int, i: int):
     return np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
 
 
-def temperley_lieb_generator(basis: HeightBasis, k: int, i: int) -> sp.csr_matrix:
+def temperley_lieb_generator(basis: HeightBasis, k: int, i: int):
     """e_i acting on height i (0-based site), periodic indexing.
 
     Matrix elements: for a_{i-1} = a_{i+1} = b,
@@ -166,13 +185,17 @@ def temperley_lieb_generator(basis: HeightBasis, k: int, i: int) -> sp.csr_matri
     with f = sqrt(sin(lambda a') sin(lambda a)) when all weights share one
     sign (symmetric gauge, k = 1), else f = sin(lambda a') (real gauge).
     Both choices represent the same algebra; traces are gauge invariant.
+    Returns a scipy.sparse CSR matrix.
     """
+    import scipy.sparse as sp
     rows, cols, vals = _tl_entries(basis, k, i)
     return sp.csr_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim))
 
 
 def build_rsos_hamiltonian(m: int, k: int, L: int, basis: Optional[HeightBasis] = None):
-    """H = -sum_i e_i on the periodic chain; returns (H, basis)."""
+    """H = -sum_i e_i on the periodic chain; returns (H, basis), H a
+    scipy.sparse CSR matrix."""
+    import scipy.sparse as sp
     if not 1 <= k <= m:
         raise ValueError("require 1 <= k <= m")
     if basis is None:
@@ -188,25 +211,67 @@ def _shift(basis: HeightBasis) -> np.ndarray:
                            basis.window_codes(basis.L - 1, basis.L))
 
 
-def translation_operator(basis: HeightBasis) -> sp.csr_matrix:
+def translation_operator(basis: HeightBasis):
+    """The translation by one site, a scipy.sparse CSR matrix."""
+    import scipy.sparse as sp
     dim = basis.dim
     return sp.csr_matrix((np.ones(dim), (_shift(basis), np.arange(dim))), shape=(dim, dim))
 
 
-def zero_momentum_projector(shift: np.ndarray) -> sp.csr_matrix:
-    """Orthonormal basis P of the zero-momentum sector, one column per orbit.
-
-    ``shift[s]`` is the row of state s translated by one site.  Orbits are
-    labelled by their smallest row, and P[s, orbit(s)] = 1/sqrt(|orbit|).
-    """
+def _orbits(shift: np.ndarray):
+    """(orbit of each row, orbit sizes, orbit representatives) under the
+    translation ``shift``; orbits are numbered in the order of their
+    representatives, the smallest row of each."""
     rows = np.arange(len(shift))
     label, image = rows.copy(), shift
     while not np.array_equal(image, rows):
         np.minimum(label, image, out=label)
         image = shift[image]
-    _, orbit, size = np.unique(label, return_inverse=True, return_counts=True)
-    return sp.csr_matrix((1.0 / np.sqrt(size[orbit]), (rows, orbit)),
-                         shape=(len(rows), len(size)))
+    reps, orbit, size = np.unique(label, return_inverse=True, return_counts=True)
+    return orbit, size, reps
+
+
+def zero_momentum_projector(shift: np.ndarray):
+    """Orthonormal basis P of the zero-momentum sector, one column per orbit,
+    as a scipy.sparse CSR matrix.
+
+    ``shift[s]`` is the row of state s translated by one site.  Orbits are
+    labelled by their smallest row, and P[s, orbit(s)] = 1/sqrt(|orbit|).
+    """
+    return _projector(*_orbits(shift)[:2])
+
+
+def _projector(orbit, size):
+    import scipy.sparse as sp
+    return sp.csr_matrix((1.0 / np.sqrt(size[orbit]), (np.arange(len(orbit)), orbit)),
+                         shape=(len(orbit), len(size)))
+
+
+def sector_matrix(H, shift: np.ndarray):
+    """(P^T H P as a dense array, orbit, p): the zero-momentum block of H,
+    with P[s, orbit[s]] = p[s] the only nonzero of row s of P.
+
+    H must commute with the translation ``shift``.  For a dense numpy H the
+    block is read off the orbit representatives t_b (momentum states, as in
+    Sandvik, AIP Conf. Proc. 1297, 2010):
+    (P^T H P)[a, b] = sqrt(|b| / |a|) sum_{s in a} H[s, t_b].
+    A sparse H (RSOS) is multiplied out as (P^T H) P with the sparse P of
+    ``zero_momentum_projector``: orbit sums move the RSOS pairs by rounding,
+    enough to fail ``EigenPair.check``'s |w r - 1| < 1e-12 at (4,3), L = 16.
+    A sector above SECTOR_LIMIT raises ``SizeError``.
+    """
+    orbit, size, reps = _orbits(shift)
+    if len(size) > SECTOR_LIMIT:
+        raise SizeError(f"solved dimension {len(size)} exceeds {SECTOR_LIMIT}")
+    if isinstance(H, np.ndarray):
+        # rows sorted by orbit, so each orbit's rows are one run for reduceat
+        sums = np.add.reduceat(H[np.ix_(np.argsort(orbit, kind="stable"), reps)],
+                               np.cumsum(size) - size, axis=0)
+        Hs = sums * np.sqrt(size / size[:, None])
+    else:
+        P = _projector(orbit, size)
+        Hs = ((P.T @ H) @ P).toarray()
+    return Hs, orbit, (1.0 / np.sqrt(size))[orbit]
 
 
 @dataclass
@@ -228,19 +293,17 @@ class EigenPair:
 def eigensystem(H, shift: np.ndarray, n_states: int = 6) -> list[EigenPair]:
     """Lowest-(real part) zero-momentum eigenpairs with bi-orthonormal covectors.
 
-    ``shift[s]`` is the row of state s translated by one site.  The dense
-    P^T H P of ``zero_momentum_projector(shift)`` is solved once for right
-    vectors R; the covectors are the rows of W = R^-1, so W R = I also inside
-    degenerate and complex-conjugate clusters.  Each returned pair is checked
-    before it is expanded to r = P R[:, i], w = P W[i]: |w| |r| / |w r| > 1e10
-    or a residual > 1e-10 |v| max(1, |E|) raises ``DefectivePairError``; a
-    sector above SECTOR_LIMIT raises ``SizeError``.
+    ``shift[s]`` is the row of state s translated by one site, and H is a
+    dense numpy array (the chain) or a sparse matrix (RSOS).  The dense
+    P^T H P of ``sector_matrix`` is solved once for right vectors R; the
+    covectors are the rows of W = R^-1, so W R = I also inside degenerate and
+    complex-conjugate clusters.  Each returned pair is checked before it is
+    expanded to r = P R[:, i], w = P W[i], one gathered row of P per state:
+    |w| |r| / |w r| > 1e10 or a residual > 1e-10 |v| max(1, |E|) raises
+    ``DefectivePairError``; a sector above SECTOR_LIMIT raises ``SizeError``.
     """
-    P = zero_momentum_projector(shift)
-    if P.shape[1] > SECTOR_LIMIT:
-        raise SizeError(f"solved dimension {P.shape[1]} exceeds {SECTOR_LIMIT}")
-    Hs = (P.T @ H) @ P
-    evals, R = np.linalg.eig(Hs.toarray() if sp.issparse(Hs) else Hs)
+    Hs, orbit, p = sector_matrix(H, shift)
+    evals, R = np.linalg.eig(Hs)
     try:
         W = np.linalg.inv(R)
     except np.linalg.LinAlgError as exc:
@@ -260,7 +323,8 @@ def eigensystem(H, shift: np.ndarray, n_states: int = 6) -> list[EigenPair]:
             f"{res_r[i]:.1e} (right), {res_l[i]:.1e} (left); Jordan block?")
 
     pairs = []
-    for e, r, w in zip(energies, (P @ R).T, (P @ W.T).T):
+    rights, lefts = (V[orbit] * p[:, None] for V in (R, W.T))
+    for e, r, w in zip(energies, rights.T, lefts.T):
         big = np.argmax(np.abs(r))
         ph = r[big] / abs(r[big])
         r, w = r / ph, w * ph
@@ -335,7 +399,7 @@ def reduced_density(basis: HeightBasis, pair: EigenPair, i: int, j: int) -> Redu
     sites, i, j = (i, j), i % L, j % L
     n_sub = (j - i) % L + 1
     n_env = L - n_sub
-    sub = _open_paths(m, n_sub)
+    sub = _path_rows(np.unique(basis._path_codes >> (L - n_sub)), n_sub)
     sub_label = sub[:, 0].astype(np.int64) * (m + 1) + sub[:, -1]
     label = basis.states[:, i].astype(np.int64) * (m + 1) + basis.states[:, j]
     key = (label << (n_sub - 1 + m.bit_length())) | basis.window_codes(i, n_sub)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .rsos import EigenPair, SizeError, eigensystem, zero_momentum_projector
+from .rsos import EigenPair, SizeError, eigensystem, sector_matrix
 
 MAX_SITES = 12    # the dense build makes several 2^L x 2^L complex arrays, 256 MiB each at L = 12
 
@@ -67,8 +67,7 @@ def _rotation(H: np.ndarray) -> np.ndarray:
 def lowest_levels(H: np.ndarray, n: int = 4) -> np.ndarray:
     """The n zero-momentum levels of lowest real part: the two levels that
     merge at h_c are both translation invariant."""
-    P = zero_momentum_projector(_rotation(H))
-    ev = np.linalg.eigvals((P.T @ H) @ P)
+    ev = np.linalg.eigvals(sector_matrix(H, _rotation(H))[0])
     return ev[np.argsort(ev.real)][:n]
 
 

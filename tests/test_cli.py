@@ -1,7 +1,10 @@
 """Command-line interface: CSV output, determinism, selftests, exit codes."""
 
+import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,3 +208,51 @@ class TestConfig:
                                "--x", "0.25"], capture_output=True, text=True)
         assert proc.returncode == 0
         assert "0,0.25" in proc.stdout
+
+
+class TestImports:
+    """scipy is loaded only by the lattice functions that return sparse matrices."""
+
+    RUNS = [["ward", "--x", "0.3", "--selftest"],
+            ["correlator", "--model", "yl1int_gs", "--grid", "0.3:0.6:4"],
+            ["chain", "--L", "4"]]
+
+    def run_python(self, code):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def test_scipy_loaded_only_by_sparse_operators(self):
+        out = self.run_python(f"""
+import contextlib, io, json, sys
+import numpy as np
+def scipy_modules():
+    return [m for m in sys.modules if m.split(".")[0] == "scipy"]
+import cyclorb
+out = {{"import": scipy_modules()}}
+from cyclorb import cli, rsos
+with contextlib.redirect_stdout(io.StringIO()):
+    out["codes"] = [cli.main(args) for args in {self.RUNS!r}]
+out["cli"] = scipy_modules()
+H, basis = rsos.build_rsos_hamiltonian(4, 3, 8)
+v = np.ones(basis.dim)
+out["sparse"] = ["scipy.sparse" in sys.modules, H.nnz, float(np.sum(H @ v)), float(np.sum(v @ H))]
+print(json.dumps(out))
+""")
+        assert out["import"] == [] and out["cli"] == []
+        assert out["codes"] == [0, 0, 0]
+        loaded, nnz, col, row = out["sparse"]
+        assert loaded and nnz > 0 and abs(col - row) < 1e-9 * abs(col)
+
+    def test_cli_runs_without_scipy(self):
+        out = self.run_python(f"""
+import contextlib, io, json, sys
+sys.modules["scipy"] = None      # any scipy import now raises ImportError
+from cyclorb import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    print(json.dumps([cli.main(args) for args in {self.RUNS!r}]), file=sys.__stdout__)
+""")
+        assert out == [0, 0, 0]

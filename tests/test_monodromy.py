@@ -1,10 +1,6 @@
 """Connection fits, invariance solves, assembly, continuation."""
 
-import os
-import subprocess
-import sys
 from fractions import Fraction as F
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -258,16 +254,6 @@ class TestContinuation:
         tol = 1e-14 * np.max(np.abs(want))
         assert np.allclose(mn.block_sum(V, X, cross), want, rtol=0, atol=tol)
         assert abs(mn.block_sum(V[2], X, cross) - want[2]) <= tol
-
-
-def test_import_leaves_scipy_integrate_and_optimize_unloaded():
-    src = str(Path(cy.__file__).resolve().parents[1])
-    code = ("import sys, cyclorb; "
-            "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=env, check=True).stdout
-    assert out.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

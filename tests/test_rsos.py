@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cyclorb import rsos
+from cyclorb import rsos, yanglee_chain as ylc
 
 
 class TestBasis:
@@ -71,6 +71,14 @@ class TestBasis:
                 assert basis.window_codes(start, n).tolist() == want
         codes = basis.window_codes(0, L)
         assert np.all(np.diff(codes) > 0)
+
+    @pytest.mark.parametrize("m,L", [(2, 6), (4, 8), (6, 10)])
+    def test_subpaths_are_prefixes_of_whole_paths(self, m, L):
+        # reduced_density reads the n-height paths off one L-height enumeration
+        basis = rsos.enumerate_heights(m, L)
+        for n in range(1, L + 1):
+            prefixes = np.unique(basis._path_codes >> (L - n))
+            assert np.array_equal(rsos._path_rows(prefixes, n), rsos._open_paths(m, n))
 
     def test_dump_format(self):
         basis = rsos.enumerate_heights(3, 4)
@@ -260,6 +268,43 @@ class TestSectorSolve:
         assert P.shape == (basis.dim, len(orbits))
         assert abs(P.T @ P - np.eye(len(orbits))).max() < 1e-15
         assert abs(T @ P - P).max() == 0.0
+
+    # the chain below and above h_c (0.097, 0.060, 0.046 at L = 4, 6, 8),
+    # and a dense copy of the RSOS H
+    @pytest.mark.parametrize("case", [(L, h) for L in (4, 6, 8) for h in (0.02, 0.2)]
+                             + ["rsos"], ids=lambda c: c if c == "rsos" else "chain-%d-%g" % c)
+    def test_dense_sector_matches_projector(self, case):
+        # the orbit-representative block against the sparse projector product
+        if case == "rsos":
+            H, basis = rsos.build_rsos_hamiltonian(4, 3, 8)
+            H, shift = H.toarray(), rsos._shift(basis)
+        else:
+            H = ylc.ising_imaginary_chain(0.8, case[1], case[0])
+            shift = ylc._rotation(H)
+        P = rsos.zero_momentum_projector(shift)
+        want = np.asarray((P.T @ H) @ P)
+        got, orbit, p = rsos.sector_matrix(H, shift)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        assert P.nnz == len(shift)
+        assert np.array_equal(P.toarray()[np.arange(len(shift)), orbit], p)
+
+    def test_sector_limit_raises_before_eigensolve(self, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("eigensolve reached")
+
+        monkeypatch.setattr(np.linalg, "eig", no_solve)
+        monkeypatch.setattr(np.linalg, "eigvals", no_solve)
+        monkeypatch.setattr(rsos, "SECTOR_LIMIT", 35)
+        H = ylc.ising_imaginary_chain(0.8, 0.02, 8)             # 36 orbits
+        H_rsos, basis = rsos.build_rsos_hamiltonian(4, 3, 12)   # 60 orbits
+        for h, shift in ((H, ylc._rotation(H)), (H_rsos, rsos._shift(basis))):
+            with pytest.raises(rsos.SizeError):
+                rsos.sector_matrix(h, shift)
+            with pytest.raises(rsos.SizeError):
+                rsos.eigensystem(h, shift)
+        with pytest.raises(rsos.SizeError):
+            ylc.lowest_levels(H)
 
     @pytest.mark.parametrize("L", [8, 10, 12])
     def test_matches_full_solve(self, L):
