@@ -81,17 +81,15 @@ class CorrelatorModel:
     def order(self) -> int:
         return self.ode.order
 
-    def ode_at_1(self) -> fb.ThetaOde:
-        return self._ode_at_1
-
     @cached_property
-    def _ode_at_1(self) -> fb.ThetaOde:
-        # recentred once per model, so its indicial roots are solved once too
+    def ode_at_1(self) -> fb.ThetaOde:
+        """The blocks ODE about 1, recentred once per model, so its indicial
+        roots are solved once too."""
         return fb.recenter_to_one(self.ode)
 
     @cached_property
     def _bootstraps(self) -> dict:
-        # bootstrap() results with the default sample points, keyed by M
+        # bootstrap() results, keyed by M
         return {}
 
     def standard_coeffs(self):
@@ -101,7 +99,7 @@ class CorrelatorModel:
         return fb.basis_for(self.ode, self.block_exponents_0, M)
 
     def basis1(self, M: int = 200) -> fb.FrobeniusBasis:
-        return fb.basis_for(self.ode_at_1(), self.block_exponents_1, M)
+        return fb.basis_for(self.ode_at_1, self.block_exponents_1, M)
 
 
 MODEL_IDS = ("yl2int_vac", "yl1int_vac", "yl1int_gs", "ising2int_vac",
@@ -293,9 +291,7 @@ def kac_h21(g: Fraction) -> Fraction:
     return (3 * g - 2) / 4
 
 
-def _check_g_window(g: Fraction, columns):
-    if not (F(1, 2) < g < F(5, 2)):
-        raise ValueError(f"g = {g} outside the validity window (1/2, 5/2)")
+def _check_columns(g: Fraction, columns):
     notes = []
     for col in columns:
         for i in range(len(col)):
@@ -318,7 +314,7 @@ def _mm_n2(g) -> CorrelatorModel:
     col0 = ((2 - 3 * g) / 2, (1 - g) / 2)
     col1 = ((6 * g**2 - 13 * g + 6) / (8 * g), (38 * g**2 - 29 * g + 6) / (8 * g))
     colinf = ((-6 + 17 * g - 10 * g**2) / (8 * g), (-18 * g**2 + 21 * g - 6) / (8 * g))
-    notes = _check_g_window(g, (col0, col1, colinf))
+    notes = _check_columns(g, (col0, col1, colinf))
     scheme = fb.RiemannScheme(col0, col1, colinf)
     ode = _hyp_theta_ode(a, b, c)
     p0, p1 = -2 * h21, (6 * g**2 - 13 * g + 6) / (8 * g)  # (-2 h_21, -2 h_twist(orb))
@@ -416,7 +412,7 @@ def _mm_n3(g) -> CorrelatorModel:
     h21 = kac_h21(g)
     h_twist = c_charge / 9  # replica 3 twist dimension c/24 (N - 1/N)
     col0, col1, colinf = mm_n3_scheme_columns(g)
-    notes = _check_g_window(g, (col0, col1, colinf))
+    notes = _check_columns(g, (col0, col1, colinf))
     polys = _mm_n3_polys(g)
     ode = fb.ThetaOde(order=4, polys=tuple(tuple(p) for p in polys))
     scheme = fb.RiemannScheme(col0, col1, colinf)
@@ -446,14 +442,13 @@ def get_model(model_id: str, g=None) -> CorrelatorModel:
         return _yl1int_gs()
     if model_id == "ising2int_vac":
         return _ising2int_vac()
-    if model_id == "mm_n2_phi21":
+    if model_id in ("mm_n2_phi21", "mm_n3_phi21"):
         if g is None:
-            raise ValueError("mm_n2_phi21 requires g")
-        return _mm_n2(g)
-    if model_id == "mm_n3_phi21":
-        if g is None:
-            raise ValueError("mm_n3_phi21 requires g")
-        return _mm_n3(g)
+            raise ValueError(f"{model_id} requires g")
+        g = F(g)
+        if not F(1, 2) < g < F(5, 2):   # checked before any division by g
+            raise ValueError(f"g = {g} outside the validity window (1/2, 5/2)")
+        return (_mm_n2 if model_id == "mm_n2_phi21" else _mm_n3)(g)
     raise KeyError(f"unknown model id {model_id!r}; choose from {MODEL_IDS}")
 
 
@@ -461,7 +456,7 @@ def validate_scheme(model: CorrelatorModel) -> bool:
     """Exact check: shifted indicial data of the blocks ODE equals the scheme."""
     p0, p1 = model.prefactor_exponents
     at0 = sorted(e + p0 for e in fb.indicial_exponents(model.ode))
-    at1 = sorted(e + p1 for e in fb.indicial_exponents(model.ode_at_1()))
+    at1 = sorted(e + p1 for e in fb.indicial_exponents(model.ode_at_1))
     atinf = sorted(e - p0 - p1 for e in fb.exponents_at_infinity(model.ode))
     want0, want1, wantinf = model.scheme.column_sets()
     ok = (tuple(at0), tuple(at1), tuple(atinf)) == (want0, want1, wantinf)
@@ -486,20 +481,20 @@ def integer_spaced_pairs(exponents) -> list:
     return out
 
 
-def bootstrap(model: CorrelatorModel, M: int = 200, points=None):
+def bootstrap(model: CorrelatorModel, M: int = 200):
     """Fit the connection matrix and solve for the block coefficients.
 
     A strictly diagonal invariance ansatz is tried first; if it admits no
     one-dimensional solution, the minimal relaxation with symmetric cross
-    terms on integer-spaced exponent pairs is used.  With the default sample
-    points the result is kept on the model, one per M, so ``correlator`` and
-    ``predict_on_circle`` on one model fit and solve once.
+    terms on integer-spaced exponent pairs is used.  The result is kept on
+    the model, one per M, so ``correlator`` and ``predict_on_circle`` on one
+    model fit and solve once.
     """
-    if points is None and M in model._bootstraps:
+    if M in model._bootstraps:
         return model._bootstraps[M]
     b0 = model.basis0(M)
     b1 = model.basis1(M)
-    fit = mn.fit_connection(b0, b1, points)
+    fit = mn.fit_connection(b0, b1)
     try:
         coeffs = mn.diagonal_invariants(fit, norm_channel=model.norm_channel)
     except mn.DegeneracyError:
@@ -507,8 +502,7 @@ def bootstrap(model: CorrelatorModel, M: int = 200, points=None):
         p1 = integer_spaced_pairs(model.block_exponents_1)
         coeffs = mn.diagonal_invariants(fit, norm_channel=model.norm_channel,
                                         pairs0=p0, pairs1=p1)
-    if points is None:
-        model._bootstraps[M] = fit, coeffs, b0, b1
+    model._bootstraps[M] = fit, coeffs, b0, b1
     return fit, coeffs, b0, b1
 
 

@@ -2,8 +2,9 @@
 
 Subcommands emit deterministic CSV (header row, ``.`` decimal separator) or
 machine-readable PASS/FAIL reports.  Exit codes: 0 pass, 2 usage error,
-3 numerical degeneracy, 4 tolerance failure.  A library error maps to one
-of these codes with a one-line message on stderr (see ``EXIT_CODES``).
+3 numerical degeneracy, 4 tolerance failure.  ``main`` turns every library
+error into one of these codes with a one-line message on stderr, by the
+first class of the exception's MRO that ``EXIT_CODES`` lists.
 
 A plain-text config file with ``key=value`` lines can seed any flags;
 explicit flags win.
@@ -18,14 +19,15 @@ from fractions import Fraction
 import numpy as np
 
 from . import catalog as cat, frobenius as fb, monodromy as mn, rsos
-from . import specfun as sf, yanglee_chain as ylc
+from . import yanglee_chain as ylc
 
 EXIT_OK, EXIT_USAGE, EXIT_DEGENERATE, EXIT_TOLERANCE = 0, 2, 3, 4
 
-# library error -> exit code
+# library error -> exit code; a bad argument raises ValueError by the
+# library's convention, and an unreadable or unwritable path OSError
 EXIT_CODES = {
-    rsos.SizeError: EXIT_USAGE,
-    sf.DomainError: EXIT_USAGE,
+    ValueError: EXIT_USAGE,
+    OSError: EXIT_USAGE,
     fb.LogarithmicCaseError: EXIT_DEGENERATE,
     mn.DegeneracyError: EXIT_DEGENERATE,
     rsos.DefectivePairError: EXIT_DEGENERATE,
@@ -40,23 +42,13 @@ def _parse_grid(spec: str):
         a, b, n = spec.split(":")
         a, b, n = float(a), float(b), int(n)
     except ValueError:
-        raise SystemExit(EXIT_USAGE)
+        raise ValueError(f"grid {spec!r} is not a:b:n") from None
     if n < 0 or not (0.0 <= a <= b <= 1.0):
-        print("grid must be a:b:n with 0 <= a <= b <= 1", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        raise ValueError("grid must be a:b:n with 0 <= a <= b <= 1")
     if n == 0:
         return np.array([])
     eps = 1e-9
     return np.clip(np.linspace(a, b, n), eps, 1 - eps)
-
-
-def _model_from_args(args) -> cat.CorrelatorModel:
-    g = Fraction(args.g) if getattr(args, "g", None) else None
-    try:
-        return cat.get_model(args.model, g)
-    except (KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
 
 
 def _write(args, text: str):
@@ -80,7 +72,7 @@ def _report(lines) -> int:
 
 
 def cmd_blocks(args) -> int:
-    model = _model_from_args(args)
+    model = cat.get_model(args.model, args.g)
     if args.selftest:
         s = model.basis0(60).series[0]
         a0 = s.evaluate(1e-8) / (1e-8) ** float(s.exponent)
@@ -105,12 +97,8 @@ def cmd_blocks(args) -> int:
 
 
 def cmd_monodromy(args) -> int:
-    model = _model_from_args(args)
-    try:
-        fit, coeffs, *_ = cat.bootstrap(model, M=args.terms)
-    except mn.DegeneracyError as exc:
-        print(f"degeneracy: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
+    model = cat.get_model(args.model, args.g)
+    fit, coeffs, *_ = cat.bootstrap(model, M=args.terms)
     out = []
     out.append(f"# model {model.id}: connection matrix (6 significant digits)")
     for row in fit.A:
@@ -139,7 +127,7 @@ def cmd_monodromy(args) -> int:
 
 
 def cmd_correlator(args) -> int:
-    model = _model_from_args(args)
+    model = cat.get_model(args.model, args.g)
     if args.selftest:
         if model.closed_form is None:
             return _report([("closed form available", False, "none for this model")])
@@ -202,17 +190,13 @@ def cmd_ward(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    try:
-        H, basis = rsos.build_rsos_hamiltonian(args.m, args.k, args.L)
-    except (rsos.BasisError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    H, basis = rsos.build_rsos_hamiltonian(args.m, args.k, args.L)
     pair = rsos.select_state(H, basis, args.state)
-    insertion = "bare" if args.bare else args.q
+    insertion = "bare" if args.bare or args.q is None else args.q
     htw = args.h_twist if args.h_twist is not None else 0.0
     curve = rsos.entropy_curve(args.m, args.k, args.L, args.N, args.state,
                                insertion, h_twist=htw, pair=pair, basis=basis)
-    _write(args, rsos.curve_csv(curve, "bare" if args.bare else args.q))
+    _write(args, rsos.curve_csv(curve, insertion))
     if args.selftest:
         tr = curve["trace"].real
         sym = float(np.max(np.abs(tr - tr[::-1])))
@@ -221,10 +205,11 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    data = np.genfromtxt(args.lattice_csv, delimiter=",", names=True)
+    # a one-row file reads as a 0-d array
+    data = np.atleast_1d(np.genfromtxt(args.lattice_csv, delimiter=",", names=True))
     L = int(data["L"][0])
     s = data["ell"] / L
-    model = _model_from_args(args)
+    model = cat.get_model(args.model, args.g)
     pred = cat.predict_on_circle(model, s, dressing_power=float(Fraction(args.dressing)))
     const, rms = rsos.overlay_fit(data["trace_re"], pred)
     rows = ["ell,lattice,prediction,fitted_constant,rms_rel_dev"]
@@ -251,6 +236,12 @@ def cmd_chain(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _add_model(p):
+    p.add_argument("--model", required=True, choices=cat.MODEL_IDS)
+    p.add_argument("--g", type=Fraction, default=None,
+                   help="coupling of the mm_* families, a fraction such as 11/8")
+
+
 def _add_common(p, grid=False):
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.add_argument("--selftest", action="store_true")
@@ -270,20 +261,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("blocks", help="conformal-block values on a grid")
-    p.add_argument("--model", required=True)
-    p.add_argument("--g", default=None)
+    _add_model(p)
     _add_common(p, grid=True)
     p.set_defaults(fn=cmd_blocks)
 
     p = sub.add_parser("monodromy", help="connection matrix and block coefficients")
-    p.add_argument("--model", required=True)
-    p.add_argument("--g", default=None)
+    _add_model(p)
     _add_common(p)
     p.set_defaults(fn=cmd_monodromy)
 
     p = sub.add_parser("correlator", help="assembled correlator on a grid")
-    p.add_argument("--model", required=True)
-    p.add_argument("--g", default=None)
+    _add_model(p)
     _add_common(p, grid=True)
     p.set_defaults(fn=cmd_correlator)
 
@@ -314,8 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="overlay a lattice CSV against a model")
     p.add_argument("lattice_csv")
-    p.add_argument("--model", required=True)
-    p.add_argument("--g", default=None)
+    _add_model(p)
     p.add_argument("--dressing", default="0", help="extra (1-x) power, rational")
     _add_common(p)
     p.set_defaults(fn=cmd_compare)
@@ -333,6 +320,8 @@ def _apply_config(argv):
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
+    if i + 1 == len(argv):
+        raise ValueError("--config needs a path")
     path = argv[i + 1]
     inject = []
     with open(path) as fh:
@@ -350,29 +339,22 @@ def _apply_config(argv):
     head = argv[: i] + argv[i + 2:]
     # place injected options right after the subcommand
     for j, a in enumerate(head):
-        if not a.startswith("-") and j > 0 or (j == 0 and not a.startswith("-")):
+        if not a.startswith("-"):
             return head[: j + 1] + inject + head[j + 1:]
     return head + inject
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    argv = _apply_config(argv)
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
-    if getattr(args, "q", None) is None and getattr(args, "bare", False) is False \
-            and args.cmd == "lattice":
-        args.bare = True
-    try:
+        args = build_parser().parse_args(_apply_config(argv))
         return args.fn(args)
     except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except tuple(EXIT_CODES) as exc:
         print(f"error: {type(exc).__name__}: {' '.join(str(exc).split())}", file=sys.stderr)
-        return next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls))
+        return EXIT_CODES[next(c for c in type(exc).__mro__ if c in EXIT_CODES)]
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ complex floats otherwise.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -114,12 +113,8 @@ class FrobeniusSeries:
     exponent: object                       # Fraction or float
     coeffs: np.ndarray                     # complex, length M+1
     center: str = ZERO
-    truncation_order: int = 0
     resonant_orders: tuple = ()
     exact_coeffs: Optional[list] = None    # Fractions when available
-
-    def __post_init__(self):
-        self.truncation_order = len(self.coeffs) - 1
 
     def evaluate(self, x):
         return evaluate(self, x)
@@ -191,10 +186,6 @@ class FrobeniusBasis:
         """Values of every series at x: shape (size,) for a scalar x, else
         x.shape + (size,)."""
         return _series_values(self._alpha, self._coeffs, self.center, x, self._real)
-
-    def evaluate_matrix(self, points: Sequence[float]) -> np.ndarray:
-        """Matrix V[p, i] = series_i evaluated at physical coordinate points[p]."""
-        return self.evaluate(np.asarray(points, dtype=complex).reshape(-1))
 
 
 # ---------------------------------------------------------------------------
@@ -494,9 +485,10 @@ def _series_values(alpha: np.ndarray, C: np.ndarray, center: str, x,
     by one matrix product with C.  Arrays are taken ``_CHUNK`` points at a
     time, so no (points x terms) matrix is held whole.  A scalar u in (0, 1)
     with ``real`` = (alpha, C, n) in float64 is summed in real arithmetic,
-    with the powers u ** n in one vectorised call, and gives a float array.
-    Raises ``OutOfDiskError`` if any |u| >= 1, and at u = 0 for an exponent
-    that is neither zero nor of positive real part.
+    with the powers u ** n in one vectorised call, and gives a float array;
+    any other scalar is taken as one point of the array kernel.  Raises
+    ``OutOfDiskError`` if any |u| >= 1, and at u = 0 for an exponent that is
+    neither zero nor of positive real part.
     """
     if isinstance(x, _SCALARS):
         x = complex(x) if isinstance(x, (complex, np.complexfloating)) else float(x)
@@ -506,13 +498,6 @@ def _series_values(alpha: np.ndarray, C: np.ndarray, center: str, x,
         if real is not None and isinstance(u, float) and u > 0:
             alpha, C, n = real
             return (u ** n @ C) * u ** alpha
-        u = complex(u)
-        pw = np.full(len(C), u)
-        pw[0] = 1.0
-        s = np.cumprod(pw, out=pw) @ C
-        if u == 0:
-            return _at_center(alpha, s)
-        return np.exp(alpha * cmath.log(u)) * s
     x = np.asarray(x, dtype=complex)
     u = (x if center == ZERO else 1.0 - x).reshape(-1)
     r = np.abs(u)

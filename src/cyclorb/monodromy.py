@@ -49,22 +49,25 @@ class ConnectionFit:
     sample_points: tuple
     residual: float
     condition: float
-    ill_conditioned: bool = False
 
 
 @dataclass(frozen=True)
 class BlockCoefficients:
     X: np.ndarray
     Y: np.ndarray
-    normalization_channel: int
     diag_residual: float
     singular_values: np.ndarray
     X_cross: dict = None   # {(i, j): amplitude} for integer-spaced pairs about 0
     Y_cross: dict = None
 
 
-def chebyshev_points(n: int, lo: float = 0.38, hi: float = 0.62) -> list[float]:
-    """n Chebyshev-spaced sample points in [lo, hi]."""
+_OVERLAP = (0.38, 0.62)   # sample interval of the connection fit
+_GAP_FACTOR = 1e6         # least ratio of the two smallest singular values
+
+
+def chebyshev_points(n: int) -> list[float]:
+    """n Chebyshev-spaced sample points in the overlap interval [0.38, 0.62]."""
+    lo, hi = _OVERLAP
     k = np.arange(n)
     nodes = np.cos((2 * k + 1) * np.pi / (2 * n))
     pts = 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes
@@ -76,8 +79,8 @@ def fit_connection(basis0: FrobeniusBasis, basis1: FrobeniusBasis,
     """Fit the real connection matrix between bases at 0 and 1.
 
     Points default to 2n Chebyshev nodes in [0.38, 0.62], where both series
-    converge fast.  The fit is rejected if the relative residual exceeds 1e-8
-    and flagged when the sample matrix condition number exceeds 1e8.
+    converge fast.  The fit is rejected if the relative residual exceeds 1e-8;
+    the condition number of the sample matrix is reported.
     """
     n = basis0.size
     if basis1.size != n:
@@ -88,8 +91,8 @@ def fit_connection(basis0: FrobeniusBasis, basis1: FrobeniusBasis,
     if len(points) < n:
         raise ValueError(f"need at least {n} sample points")
 
-    V0 = basis0.evaluate_matrix(points)
-    V1 = basis1.evaluate_matrix(points)
+    V0 = basis0.evaluate(np.array(points))
+    V1 = basis1.evaluate(np.array(points))
     if max(np.max(np.abs(V0.imag)), np.max(np.abs(V1.imag))) > 1e-9 * np.max(np.abs(V0)):
         raise FitError("complex basis values on the real overlap; real-A assumption violated")
     V0, V1 = V0.real, V1.real
@@ -100,22 +103,22 @@ def fit_connection(basis0: FrobeniusBasis, basis1: FrobeniusBasis,
         A[i] = sol
     resid = np.max(np.abs(V0.T - A @ V1.T) / np.maximum(np.abs(V0.T), 1e-300))
     cond = float(np.linalg.cond(V1))
-    ill = cond > 1e8
     if resid > 1e-8:
         raise FitError(f"connection fit residual {resid:.3e} > 1e-8")
     return ConnectionFit(A=A, sample_points=tuple(points), residual=float(resid),
-                         condition=cond, ill_conditioned=ill)
+                         condition=cond)
 
 
 def diagonal_invariants(fit: ConnectionFit, norm_channel: int = 0,
-                        pairs0: Sequence[tuple] = (), pairs1: Sequence[tuple] = (),
-                        gap_factor: float = 1e6) -> BlockCoefficients:
+                        pairs0: Sequence[tuple] = (), pairs1: Sequence[tuple] = ()
+                        ) -> BlockCoefficients:
     """Solve the single-valuedness constraints for the block coefficients.
 
     In the generic case the coefficient matrices are diagonal and the
     constraints read offdiag(A^T diag(X) A) = 0; the solution is the
     (required one-dimensional) nullspace of that linear map, normalized so
-    Y[norm_channel] = 1.
+    Y[norm_channel] = 1.  The nullspace counts as one-dimensional when the
+    second-smallest singular value is at least 1e6 times the smallest.
 
     ``pairs0`` lists index pairs whose exponents about 0 differ by a nonzero
     integer: such cross terms are single-valued, so X may carry a symmetric
@@ -147,7 +150,7 @@ def diagonal_invariants(fit: ConnectionFit, norm_channel: int = 0,
     else:
         _, svals, vt = np.linalg.svd(C)
         svals = np.concatenate([svals, np.zeros(max(0, n_unk - len(svals)))])
-        if n_unk >= 2 and svals[-2] < gap_factor * max(svals[-1], 1e-300):
+        if n_unk >= 2 and svals[-2] < _GAP_FACTOR * max(svals[-1], 1e-300):
             raise DegeneracyError(
                 f"nullspace not one-dimensional (singular values {svals})",
                 singular_values=svals,
@@ -168,7 +171,6 @@ def diagonal_invariants(fit: ConnectionFit, norm_channel: int = 0,
     denom = max(np.max(np.abs(np.diag(Ymat))), 1e-300)
     return BlockCoefficients(
         X=np.diag(Xmat).copy(), Y=np.diag(Ymat).copy(),
-        normalization_channel=norm_channel,
         diag_residual=float(np.max(np.abs(off)) / denom),
         singular_values=svals,
         X_cross={p: float(Xmat[p[0], p[1]]) for p in pairs0},
@@ -224,11 +226,12 @@ def assemble(prefactor_exponents: tuple, X: Sequence[float],
 
 _TAYLOR_TERMS = 80   # Taylor coefficients per continuation step
 _TAIL_TOL = 1e-15    # largest ratio of a step's weighted last terms to its first terms
+_X_START = 0.5       # where the series seed the continuation
 
 
-def continue_blocks(standard_coeffs, basis: FrobeniusBasis, targets: Sequence[complex],
-                    x_start: float = 0.5) -> np.ndarray:
-    """Continue all basis solutions from x_start to complex targets.
+def continue_blocks(standard_coeffs, basis: FrobeniusBasis, targets: Sequence[complex]
+                    ) -> np.ndarray:
+    """Continue all basis solutions from x = 1/2 to complex targets.
 
     Targets in the closed upper half plane are reached along straight
     segments through the upper half plane, visited counterclockwise (by
@@ -237,7 +240,7 @@ def continue_blocks(standard_coeffs, basis: FrobeniusBasis, targets: Sequence[co
     (``FitError`` when its tail, weighted as in the derivative read-out,
     exceeds 1e-15).  Each step is a transition
     matrix of the values (f, f', ..., f^(order-1)), and the blocks, seeded
-    by their series at x_start, are carried through them all at once.
+    by their series at x = 1/2, are carried through them all at once.
     Returns an array B[t, i] = I_i(targets[t]).
     """
     targets = [complex(t) for t in targets]
@@ -246,9 +249,9 @@ def continue_blocks(standard_coeffs, basis: FrobeniusBasis, targets: Sequence[co
     if any(min(abs(t), abs(t - 1)) < 1e-12 for t in targets):
         raise ValueError("targets must avoid the singular points 0 and 1")
     order = len(standard_coeffs) - 1
-    x0, h, reached = _route(complex(x_start), targets)
+    x0, h, reached = _route(complex(_X_START), targets)
     T = _transitions(standard_coeffs, x0, h) if len(x0) else []
-    Y = np.array([s.derivative_values(x_start, order - 1) for s in basis.series]).T
+    Y = np.array([s.derivative_values(_X_START, order - 1) for s in basis.series]).T
     states = [Y]
     for Ts in T:
         states.append(Ts @ states[-1])

@@ -192,14 +192,13 @@ def temperley_lieb_generator(basis: HeightBasis, k: int, i: int):
     return sp.csr_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim))
 
 
-def build_rsos_hamiltonian(m: int, k: int, L: int, basis: Optional[HeightBasis] = None):
+def build_rsos_hamiltonian(m: int, k: int, L: int):
     """H = -sum_i e_i on the periodic chain; returns (H, basis), H a
     scipy.sparse CSR matrix."""
     import scipy.sparse as sp
     if not 1 <= k <= m:
         raise ValueError("require 1 <= k <= m")
-    if basis is None:
-        basis = enumerate_heights(m, L)
+    basis = enumerate_heights(m, L)
     rows, cols, vals = (np.concatenate(parts)
                         for parts in zip(*(_tl_entries(basis, k, i) for i in range(L))))
     return sp.csr_matrix((-vals, (rows, cols)), shape=(basis.dim, basis.dim)), basis
@@ -340,13 +339,14 @@ def eigensystem(H, shift: np.ndarray, n_states: int = 6) -> list[EigenPair]:
 def select_state(H, basis: HeightBasis, which: str) -> EigenPair:
     """"ground": lowest energy; "vacuum": next real level.  Both are
     translation invariant, so only the zero-momentum sector is solved."""
+    if which not in ("ground", "vacuum"):
+        raise ValueError("state must be 'ground' or 'vacuum'")
     pairs = eigensystem(H, _shift(basis), n_states=12)
     real_pairs = [p for p in pairs if abs(p.energy.imag) < 1e-8]
-    if which == "ground":
-        return real_pairs[0]
-    if which == "vacuum":
-        return real_pairs[1]
-    raise ValueError("state must be 'ground' or 'vacuum'")
+    i = 0 if which == "ground" else 1
+    if i >= len(real_pairs):
+        raise ValueError(f"no {which} state: {len(real_pairs)} real level(s) in the sector")
+    return real_pairs[i]
 
 
 # ---------------------------------------------------------------------------
@@ -463,15 +463,16 @@ def renyi_twisted(rd: ReducedDensity, N: int, m: int, k: int,
     else:
         qi, qj = insertion if isinstance(insertion, tuple) else (int(insertion),) * 2
         d = twist_weights(m, k, qi, N)[ai] * twist_weights(m, k, qj, N)[aj]
-    value = complex(np.sum(d * np.array([_block_power_trace(blk, N) for blk in rd.blocks])))
+    value = complex(np.sum(d * np.array([_block_power_trace(blk.right, blk.left, N)
+                                         for blk in rd.blocks])))
     entropy = np.log(value + 0j) / (1 - N)
     return value, entropy
 
 
-def _block_power_trace(blk: DensityBlock, N: int) -> complex:
+def _block_power_trace(R: np.ndarray, W: np.ndarray, N: int) -> complex:
     """Tr((R W^T)^N) = Tr((W^T R)^N), on the smaller of the two Gram matrices;
-    the last product is only traced: Tr(M^(N-1) M) = sum(M^(N-1) * M^T)."""
-    R, W = blk.right, blk.left
+    the last product is only traced: Tr(M^(N-1) M) = sum(M^(N-1) * M^T).
+    Serves the RSOS blocks and the chain's single block alike."""
     M = W.T @ R if R.shape[1] < R.shape[0] else R @ W.T
     return np.sum(np.linalg.matrix_power(M, N - 1) * M.T)
 
@@ -495,17 +496,16 @@ def entropy_curve(m: int, k: int, L: int, N: int, state: str, insertion,
             "rescaled": trace * L ** (4 * h_twist), "L": L, "N": N, "insertion": insertion}
 
 
-def fit_twist_dimension(curve: dict, window: Optional[slice] = None) -> float:
+def fit_twist_dimension(curve: dict) -> float:
     """Least-squares slope of log|trace| vs log((L/pi) sin(pi ell / L)).
 
     For a conformal two-point function of twists the slope is -4 h_twist.
-    The default window keeps the middle third of the chain, where lattice
-    corrections (decaying with the chord length) are smallest.
+    The fit keeps the middle third of the chain, where lattice corrections
+    (decaying with the chord length) are smallest.
     """
     L, ell = curve["L"], curve["ell"]
-    if window is None:
-        lo = max(int(np.ceil(L / 3)), 2)
-        window = (ell >= lo) & (ell <= L - lo)
+    lo = max(int(np.ceil(L / 3)), 2)
+    window = (ell >= lo) & (ell <= L - lo)
     xs = np.log((L / np.pi) * np.sin(np.pi * ell[window] / L))
     return float(-np.polyfit(xs, np.log(np.abs(curve["trace"][window])), 1)[0] / 4.0)
 

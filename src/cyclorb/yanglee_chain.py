@@ -9,16 +9,19 @@ merge into a complex-conjugate pair (the finite-size shadow of the edge
 singularity).
 
 The density matrix is the bi-orthogonal one, rho = r0 w0 with w0 r0 = 1,
-from ``rsos.eigensystem`` in the zero-momentum sector.
+from ``rsos.eigensystem`` in the zero-momentum sector; its Renyi-2 traces
+are taken on the smaller Gram side, as for an RSOS block.  The symmetry
+checks on H run over its nonzero pattern (``_transpose_residual``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .rsos import EigenPair, SizeError, eigensystem, sector_matrix
+from .rsos import EigenPair, SizeError, _block_power_trace, eigensystem, sector_matrix
 
-MAX_SITES = 12    # the dense build makes several 2^L x 2^L complex arrays, 256 MiB each at L = 12
+MAX_SITES = 12    # the dense build makes a 2^L x 2^L complex array, 256 MiB at L = 12
+_MERGED_TOL = 1e-9   # |Im E_0| above which the two lowest levels count as a complex pair
 
 
 class ComplexGroundStateError(RuntimeError):
@@ -29,6 +32,8 @@ def ising_imaginary_chain(lam: float, h: float, L: int) -> np.ndarray:
     """Dense 2^L x 2^L Hamiltonian; verifies P H P = H^dagger at build time."""
     if not 0 < lam < 1:
         raise ValueError("require 0 < lambda < 1")
+    if L < 2:
+        raise ValueError(f"L = {L}: the chain needs at least 2 sites")
     if L > MAX_SITES:
         raise SizeError(f"L = {L} > {MAX_SITES}")
     s = np.arange(1 << L)
@@ -40,11 +45,26 @@ def ising_imaginary_chain(lam: float, h: float, L: int) -> np.ndarray:
         # no index repeats within a call; L = 2's coinciding bonds add up
         H[s ^ (1 << j) ^ (1 << jp), s] += -0.5 * lam
         H[s ^ (1 << j), s] += -0.5j * h
-    P = parity_diagonal(L)
-    residual = np.max(np.abs((P[:, None] * H * P[None, :]) - H.conj().T))
+    residual = _transpose_residual(H, parity_diagonal(L), conj=True)
     if residual > 1e-12:
         raise AssertionError(f"P H P != H^dagger (residual {residual})")
     return H
+
+
+def _transpose_residual(H: np.ndarray, d: np.ndarray | None = None,
+                        conj: bool = False) -> float:
+    """max_(r,c) |d_r H[r, c] d_c - G[c, r]|, G = conj(H) if ``conj`` else H,
+    for a diagonal d of signs (all +1 when None): the residual of
+    P H P = H^dagger or of H = H^T.
+
+    Taken over the nonzero pattern of H, it equals the maximum over all
+    (r, c): where H[r, c] = H[c, r] = 0 the term is 0, and otherwise (r, c)
+    or (c, r) is in the pattern, whose two terms have the same modulus.
+    """
+    r, c = np.nonzero(H)
+    a = H[r, c] if d is None else d[r] * H[r, c] * d[c]
+    b = H[c, r].conj() if conj else H[c, r]
+    return float(np.max(np.abs(a - b), initial=0.0))
 
 
 def _down_spins(L: int) -> np.ndarray:
@@ -71,10 +91,10 @@ def lowest_levels(H: np.ndarray, n: int = 4) -> np.ndarray:
     return ev[np.argsort(ev.real)][:n]
 
 
-def levels_merged(lam: float, h: float, L: int, tol: float = 1e-9) -> bool:
+def levels_merged(lam: float, h: float, L: int) -> bool:
     """True when the two lowest zero-momentum levels form a complex pair."""
     ev = lowest_levels(ising_imaginary_chain(lam, h, L), 2)
-    return bool(np.abs(ev[0].imag) > tol)
+    return bool(np.abs(ev[0].imag) > _MERGED_TOL)
 
 
 def critical_field(lam: float, L: int, tol: float = 1e-8) -> float:
@@ -97,7 +117,7 @@ def ground_pair(H: np.ndarray) -> EigenPair:
     """Bi-orthonormal ground pair from ``rsos.eigensystem`` in the
     zero-momentum sector; a defective pair (at h_c) raises
     ``DefectivePairError``."""
-    if np.max(np.abs(H - H.T)) > 1e-12:
+    if _transpose_residual(H) > 1e-12:
         raise ValueError("expected a complex-symmetric Hamiltonian")
     pair = eigensystem(H, _rotation(H), n_states=1)[0]
     if abs(pair.energy.imag) > 1e-9:
@@ -108,16 +128,17 @@ def ground_pair(H: np.ndarray) -> EigenPair:
 def renyi2_profile(H: np.ndarray, L: int) -> np.ndarray:
     """S_2(ell) for ell = 1..L-1 from rho = r0 w0, subsystem = first ell sites.
 
-    Values are real in the unbroken-symmetry phase (the imaginary parts are
-    checked and discarded).
+    rho_A = R W^T with R, W the ground pair reshaped to 2^ell x 2^(L-ell);
+    Tr rho_A^2 is taken on the smaller Gram side by ``rsos._block_power_trace``,
+    so no matrix larger than 2^(L/2) square is formed.  Values are real in
+    the unbroken-symmetry phase (the imaginary parts are checked and
+    discarded).
     """
     gp = ground_pair(H)
     out = np.empty(L - 1)
     for ell in range(1, L):
-        R = gp.right.reshape(1 << ell, 1 << (L - ell))
-        W = gp.left.reshape(1 << ell, 1 << (L - ell))
-        rho = R @ W.T
-        t2 = np.trace(rho @ rho)
+        shape = (1 << ell, 1 << (L - ell))
+        t2 = _block_power_trace(gp.right.reshape(shape), gp.left.reshape(shape), 2)
         if abs(t2.imag) > 1e-8 * max(1.0, abs(t2.real)):
             raise RuntimeError(f"Tr rho^2 not real: {t2}")
         s2 = -np.log(complex(t2))
@@ -126,7 +147,12 @@ def renyi2_profile(H: np.ndarray, L: int) -> np.ndarray:
 
 
 def crossover_study(lam: float, L: int, h_fractions) -> dict:
-    """S_2 profiles at h = fraction * h_c(lam, L) for each fraction in (0, 1)."""
+    """S_2 profiles at h = fraction * h_c(lam, L) for each fraction in (0, 1).
+
+    L >= 4, so that ``midpoint_second_difference`` has three profile values.
+    """
+    if L < 4:
+        raise ValueError(f"L = {L}: the crossover study needs at least 4 sites")
     hc = critical_field(lam, L)
     profiles = {}
     for f in h_fractions:

@@ -171,8 +171,6 @@ class TestCorrelatorChannels:
         cy.correlator(model, M=150)
         cy.predict_on_circle(model, [0.25], M=150)
         assert len(calls) == 2
-        cy.bootstrap(model, points=mn.chebyshev_points(5))
-        assert len(calls) == 3
 
 
 class TestIsingBlocks:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -155,6 +156,9 @@ class TestExitCodes:
         (ylc.ComplexGroundStateError("complex"), 3),
         (mn.FitError("residual"), 4),
         (fb.OutOfDiskError("|u| >= 1"), 4),
+        (ValueError("bad argument"), 2),
+        (OSError("unreadable path"), 2),
+        (rsos.BasisError("odd L"), 2),
     ])
     def test_library_errors_map_to_codes(self, monkeypatch, capsys, exc, code):
         def fail(args):
@@ -164,6 +168,32 @@ class TestExitCodes:
         assert run_cli(["ward"]) == code
         err = capsys.readouterr().err
         assert err.startswith(f"error: {type(exc).__name__}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        "chain --lam 1.5",
+        "chain --L 0", "chain --L 1", "chain --L 2", "chain --L 3",
+        "lattice --m 4 --k 3 --L 8 --N 1",
+        "lattice --m 4 --k 3 --L 8 --q 9",
+        "correlator --model mm_n2_phi21 --g abc",
+        "correlator --model mm_n2_phi21 --g 0",
+        "blocks --model yl2int_vac --terms 1 --grid 0.3:0.6:3",
+        "correlator --model yl1int_gs --terms 1",
+        "compare /nonexistent --model yl1int_gs",
+        "compare README.md --model yl1int_gs",
+        "correlator --model yl1int_gs --grid 0.3:0.4:2 --out /nonexistent/d/f.csv",
+        "--config",
+        "blocks --model yl2int_vac --config",
+        "--config /nonexistent blocks --model yl2int_vac",
+        "lattice --m 2 --k 1 --L 4 --state vacuum",
+    ])
+    def test_no_traceback(self, monkeypatch, capsys, argv):
+        monkeypatch.chdir(Path(__file__).resolve().parents[1])   # for README.md
+        code = run_cli(argv.split())
+        err = capsys.readouterr().err
+        assert code in (2, 3, 4)
+        assert "Traceback" not in err
+        if "usage:" not in err:     # a library error, not an argparse message
+            assert re.fullmatch(r"error: \w+: [^\n]+\n", err), err
 
 
 class TestLattice:
@@ -179,6 +209,18 @@ class TestLattice:
 
     def test_usage_error_on_bad_size(self, capsys):
         assert run_cli(["lattice", "--m", "4", "--k", "3", "--L", "7"]) == 2
+
+    def test_compare_one_row(self, tmp_path, capsys):
+        lat = tmp_path / "lat.csv"
+        run_cli(["lattice", "--m", "4", "--k", "3", "--L", "10", "--N", "2",
+                 "--q", "1", "--state", "ground", "--h-twist", "-0.375", "--out", str(lat)])
+        lines = lat.read_text().splitlines()
+        one = tmp_path / "one.csv"
+        one.write_text("\n".join(lines[:1] + lines[5:6]) + "\n")
+        out = tmp_path / "cmp.csv"
+        assert run_cli(["compare", str(one), "--model", "yl1int_gs",
+                        "--dressing=-1/20", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1].startswith("5,")
 
     def test_compare_roundtrip(self, tmp_path, capsys):
         lat = tmp_path / "lat.csv"

@@ -343,7 +343,6 @@ class TestKernel:
                     ref = s.evaluate(complex(x))
                     assert abs(V[p, i] - ref) <= 1e-13 * abs(ref)
                     assert abs(basis.evaluate(complex(x))[i] - ref) <= 1e-13 * abs(ref)
-            assert np.array_equal(basis.evaluate_matrix(list(xs)), V)
 
     def test_real_scalar_path(self, gs_ode):
         # a real x with u in (0, 1) is summed in float64; anything else, and a

@@ -9,6 +9,21 @@ from scipy.linalg import eigvals
 from cyclorb import rsos, yanglee_chain as ylc
 
 
+def dense_renyi2(H, L):
+    """S_2 profile from the dense rho_A = R W^T and Tr(rho_A rho_A), and the
+    rounding bound 2^L eps sum_ij |rho_ij rho_ji| / |Tr rho_A^2| of each value."""
+    gp = ylc.ground_pair(H)
+    out, bound = [], []
+    for ell in range(1, L):
+        R = gp.right.reshape(1 << ell, 1 << (L - ell))
+        W = gp.left.reshape(1 << ell, 1 << (L - ell))
+        rho = R @ W.T
+        t2 = np.trace(rho @ rho)
+        out.append((-np.log(complex(t2))).real)
+        bound.append((1 << L) * np.finfo(float).eps * np.sum(np.abs(rho * rho.T)) / abs(t2))
+    return np.array(out), np.array(bound)
+
+
 def loop_chain(lam, h, L):
     """The chain Hamiltonian built one basis state and one site at a time."""
     dim = 1 << L
@@ -49,6 +64,9 @@ class TestHamiltonian:
     def test_size_rejected(self):
         with pytest.raises(ylc.SizeError):
             ylc.ising_imaginary_chain(0.8, 0.1, 21)
+        for L in (0, 1):
+            with pytest.raises(ValueError):
+                ylc.ising_imaginary_chain(0.8, 0.1, L)
 
     def test_size_cap_before_allocating(self):
         # one 2^13 x 2^13 complex matrix would take 1 GiB
@@ -65,6 +83,33 @@ class TestHamiltonian:
     def test_coupling_range(self):
         with pytest.raises(ValueError):
             ylc.ising_imaginary_chain(1.2, 0.1, 6)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pattern_residual_matches_full_formula(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 40
+        H = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) * (rng.random((n, n)) < 0.1)
+        d = rng.choice([-1.0, 1.0], size=n)
+        for conj in (False, True):
+            G = H.conj() if conj else H
+            assert ylc._transpose_residual(H, conj=conj) == np.max(np.abs(H - G.T))
+            assert ylc._transpose_residual(H, d, conj) == np.max(np.abs(
+                d[:, None] * H * d[None, :] - G.T))
+        assert ylc._transpose_residual(np.zeros((n, n), dtype=complex)) == 0.0
+
+    def test_checks_catch_small_perturbations(self):
+        # 2e-12 added to an entry off the nonzero pattern, then to one on it
+        L = 6
+        H = ylc.ising_imaginary_chain(0.8, 0.03, L)
+        P = ylc.parity_diagonal(L)
+        off = tuple(np.argwhere(H == 0)[0])
+        on = tuple(np.argwhere((H != 0) & ~np.eye(len(H), dtype=bool))[0])
+        for rc in (off, on):
+            Hp = H.copy()
+            Hp[rc] += 2e-12
+            assert ylc._transpose_residual(Hp, P, conj=True) > 1e-12
+            with pytest.raises(ValueError, match="complex-symmetric"):
+                ylc.ground_pair(Hp)
 
     def test_spectrum_conjugation_closed(self):
         H = ylc.ising_imaginary_chain(0.8, 0.12, 8)
@@ -148,6 +193,14 @@ class TestGroundPair:
         assert abs(gp.energy - energy) < 1e-10
         assert np.max(np.abs(ylc.renyi2_profile(H, L) - profile)) < 1e-10
 
+    @pytest.mark.parametrize("L", [6, 8, 10])
+    @pytest.mark.parametrize("h", [0.02, 0.035])
+    def test_profile_matches_dense_rho(self, L, h):
+        # near h_c (0.0387 at L = 10) Tr rho_A^2 cancels up to 1000-fold
+        H = ylc.ising_imaginary_chain(0.8, h, L)
+        want, bound = dense_renyi2(H, L)
+        assert np.all(np.abs(ylc.renyi2_profile(H, L) - want) <= bound)
+
     @pytest.mark.parametrize("L", [6, 8])
     def test_conjugate_pair_biorthonormal(self, L):
         # above h_c the two lowest levels are a complex-conjugate pair; the
@@ -172,3 +225,8 @@ class TestCrossover:
     def test_fraction_range(self):
         with pytest.raises(ValueError):
             ylc.crossover_study(0.8, 6, [1.5])
+
+    @pytest.mark.parametrize("L", [2, 3])
+    def test_too_short_for_midpoint_difference(self, L):
+        with pytest.raises(ValueError, match="at least 4 sites"):
+            ylc.crossover_study(0.8, L, [0.5])
