@@ -4,11 +4,11 @@ Basis states are height strings (a_1 ... a_L), a_i in 1..m, with
 |a_i - a_{i+1}| = 1 cyclically.  The Hamiltonian H = -sum_i e_i is built from
 Temperley-Lieb generators whose weights involve sin(pi k a / (m+1)).
 
-``eigensystem``, shared with ``yanglee_chain``, solves the zero-momentum
-P^T H P once for right vectors R; covectors are the rows of R^-1.
-``sector_matrix`` builds P^T H P: from the orbit-representative columns of
-a dense H (the chain), and as the sparse product with P for the sparse RSOS
-H.  scipy.sparse is imported only inside the functions that return a sparse
+``sector_pairs``, shared with ``yanglee_chain``, solves a block P^H H P
+once for right vectors R; covectors are the rows of R^-1.  ``sector_matrix``
+builds the zero-momentum P^T H P: from the orbit-representative columns of a
+dense H, and as the sparse product with P for the sparse RSOS H.
+scipy.sparse is imported only inside the functions that return a sparse
 matrix, so the chain and the CFT side run on numpy alone.
 
 A run of heights (a_0 ... a_{n-1}) is identified by its path code
@@ -230,6 +230,11 @@ def _orbits(shift: np.ndarray):
     return orbit, size, reps
 
 
+def check_sector_size(dim: int) -> None:
+    if dim > SECTOR_LIMIT:
+        raise SizeError(f"solved dimension {dim} exceeds {SECTOR_LIMIT}")
+
+
 def zero_momentum_projector(shift: np.ndarray):
     """Orthonormal basis P of the zero-momentum sector, one column per orbit,
     as a scipy.sparse CSR matrix.
@@ -260,8 +265,7 @@ def sector_matrix(H, shift: np.ndarray):
     A sector above SECTOR_LIMIT raises ``SizeError``.
     """
     orbit, size, reps = _orbits(shift)
-    if len(size) > SECTOR_LIMIT:
-        raise SizeError(f"solved dimension {len(size)} exceeds {SECTOR_LIMIT}")
+    check_sector_size(len(size))
     if isinstance(H, np.ndarray):
         # rows sorted by orbit, so each orbit's rows are one run for reduceat
         sums = np.add.reduceat(H[np.ix_(np.argsort(orbit, kind="stable"), reps)],
@@ -281,7 +285,8 @@ class EigenPair:
 
     def check(self, H, tol=1e-10) -> bool:
         """Bi-orthonormality, and each residual relative to its own vector."""
-        r = abs(self.left @ self.right - 1.0) < 1e-12
+        wr = self.left * self.right    # w r cancels 1e4-fold at (4,3), L = 16: fsum
+        r = abs(complex(math.fsum(wr.real), math.fsum(wr.imag)) - 1.0) < 1e-12
         hr = np.linalg.norm(H @ self.right - self.energy * self.right)
         hl = np.linalg.norm(self.left @ H - self.energy * self.left)
         e = max(1.0, abs(self.energy))
@@ -290,18 +295,19 @@ class EigenPair:
 
 
 def eigensystem(H, shift: np.ndarray, n_states: int = 6) -> list[EigenPair]:
-    """Lowest-(real part) zero-momentum eigenpairs with bi-orthonormal covectors.
+    """Lowest-(real part) zero-momentum eigenpairs: ``sector_pairs`` on the
+    block of ``sector_matrix``, ``shift[s]`` the row of s translated by one site."""
+    return sector_pairs(*sector_matrix(H, shift), n_states)
 
-    ``shift[s]`` is the row of state s translated by one site, and H is a
-    dense numpy array (the chain) or a sparse matrix (RSOS).  The dense
-    P^T H P of ``sector_matrix`` is solved once for right vectors R; the
-    covectors are the rows of W = R^-1, so W R = I also inside degenerate and
-    complex-conjugate clusters.  Each returned pair is checked before it is
-    expanded to r = P R[:, i], w = P W[i], one gathered row of P per state:
-    |w| |r| / |w r| > 1e10 or a residual > 1e-10 |v| max(1, |E|) raises
-    ``DefectivePairError``; a sector above SECTOR_LIMIT raises ``SizeError``.
-    """
-    Hs, orbit, p = sector_matrix(H, shift)
+
+def sector_pairs(Hs: np.ndarray, index: np.ndarray, p: np.ndarray, n_states: int) -> list:
+    """The n_states pairs of lowest real part of the block Hs = P^H H P, where
+    P (orthonormal columns) has one nonzero per row, P[s, index[s]] = p[s].
+    Hs is solved once for right vectors R; the covectors are the rows of
+    W = R^-1, so W R = I also inside degenerate and complex-conjugate
+    clusters.  Each pair is checked, then expanded to r = P R[:, i],
+    w = W[i] P^H: |w| |r| / |w r| > 1e10 or a residual > 1e-10 |v| max(1, |E|)
+    raises ``DefectivePairError``."""
     evals, R = np.linalg.eig(Hs)
     try:
         W = np.linalg.inv(R)
@@ -322,7 +328,7 @@ def eigensystem(H, shift: np.ndarray, n_states: int = 6) -> list[EigenPair]:
             f"{res_r[i]:.1e} (right), {res_l[i]:.1e} (left); Jordan block?")
 
     pairs = []
-    rights, lefts = (V[orbit] * p[:, None] for V in (R, W.T))
+    rights, lefts = (V[index] * q[:, None] for V, q in ((R, p), (W.T, p.conj())))
     for e, r, w in zip(energies, rights.T, lefts.T):
         big = np.argmax(np.abs(r))
         ph = r[big] / abs(r[big])

@@ -8,19 +8,22 @@ size-dependent threshold h_c the two lowest levels are real; at h_c they
 merge into a complex-conjugate pair (the finite-size shadow of the edge
 singularity).
 
-The density matrix is the bi-orthogonal one, rho = r0 w0 with w0 r0 = 1,
-from ``rsos.eigensystem`` in the zero-momentum sector; its Renyi-2 traces
-are taken on the smaller Gram side, as for an RSOS block.  The symmetry
-checks on H run over its nonzero pattern (``_transpose_residual``).
+The threshold search and the crossover solve ``ChainSector``'s real blocks
+and never form H; the dense H, ``lowest_levels``, ``ground_pair`` and
+``renyi2_profile`` are the reference.  rho = r0 w0 (w0 r0 = 1), from
+``rsos.sector_pairs``, has its Renyi-2 traces taken as for an RSOS block.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
-from .rsos import EigenPair, SizeError, _block_power_trace, eigensystem, sector_matrix
+from .rsos import (EigenPair, SizeError, _block_power_trace, _orbits, check_sector_size,
+                   eigensystem, sector_matrix, sector_pairs)
 
-MAX_SITES = 12    # the dense build makes a 2^L x 2^L complex array, 256 MiB at L = 12
+MAX_SITES = 12    # the dense reference makes a 2^L x 2^L complex array, 256 MiB at L = 12
 _MERGED_TOL = 1e-9   # |Im E_0| above which the two lowest levels count as a complex pair
 
 
@@ -30,12 +33,7 @@ class ComplexGroundStateError(RuntimeError):
 
 def ising_imaginary_chain(lam: float, h: float, L: int) -> np.ndarray:
     """Dense 2^L x 2^L Hamiltonian; verifies P H P = H^dagger at build time."""
-    if not 0 < lam < 1:
-        raise ValueError("require 0 < lambda < 1")
-    if L < 2:
-        raise ValueError(f"L = {L}: the chain needs at least 2 sites")
-    if L > MAX_SITES:
-        raise SizeError(f"L = {L} > {MAX_SITES}")
+    _check_chain(lam, L)
     s = np.arange(1 << L)
     H = np.zeros((len(s), len(s)), dtype=complex)
     # sz_j = +1 for bit 0, so sum_j sz_j = L - 2 (number of down-spins)
@@ -51,16 +49,22 @@ def ising_imaginary_chain(lam: float, h: float, L: int) -> np.ndarray:
     return H
 
 
+def _check_chain(lam: float, L: int) -> None:
+    if not 0 < lam < 1:
+        raise ValueError("require 0 < lambda < 1")
+    if L < 2:
+        raise ValueError(f"L = {L}: the chain needs at least 2 sites")
+    if L > MAX_SITES:
+        raise SizeError(f"L = {L} > {MAX_SITES}")
+
+
 def _transpose_residual(H: np.ndarray, d: np.ndarray | None = None,
                         conj: bool = False) -> float:
     """max_(r,c) |d_r H[r, c] d_c - G[c, r]|, G = conj(H) if ``conj`` else H,
     for a diagonal d of signs (all +1 when None): the residual of
-    P H P = H^dagger or of H = H^T.
-
-    Taken over the nonzero pattern of H, it equals the maximum over all
-    (r, c): where H[r, c] = H[c, r] = 0 the term is 0, and otherwise (r, c)
-    or (c, r) is in the pattern, whose two terms have the same modulus.
-    """
+    P H P = H^dagger, H = H^T or M = D M^T D.  Taken over the nonzero pattern
+    of H, it equals the maximum over all (r, c): (r, c) and (c, r) have
+    terms of the same modulus, and both are 0 off the pattern."""
     r, c = np.nonzero(H)
     a = H[r, c] if d is None else d[r] * H[r, c] * d[c]
     b = H[c, r].conj() if conj else H[c, r]
@@ -77,9 +81,9 @@ def parity_diagonal(L: int) -> np.ndarray:
     return 1.0 - 2.0 * (_down_spins(L) % 2)
 
 
-def _rotation(H: np.ndarray) -> np.ndarray:
-    """The translation by one site: a cyclic rotation of the site bits."""
-    L = H.shape[0].bit_length() - 1
+def _rotation(H) -> np.ndarray:
+    """The translation by one site on the 2^L rows of H: a rotation of the bits."""
+    L = len(H).bit_length() - 1
     s = np.arange(1 << L)
     return (s >> 1) | ((s & 1) << (L - 1))
 
@@ -91,58 +95,128 @@ def lowest_levels(H: np.ndarray, n: int = 4) -> np.ndarray:
     return ev[np.argsort(ev.real)][:n]
 
 
+class ChainSector:
+    """The zero-momentum sector, split by the reflection j -> L-1-j into two
+    real blocks, with no 2^L x 2^L matrix.  A class c, a rotation orbit with
+    its mirror (N_c states), spans sum_{s in c} sigma(s) i^parity(s) |s> /
+    sqrt(N_c) in the even block (sigma = 1) and, if it holds two orbits, in
+    the odd one (sigma = -1 on the second).  The entries are -lambda/2 and
+    +-h/2 (+ to an even target) times sigma(target) sqrt(N_d/N_c)."""
+
+    def __init__(self, lam: float, L: int):
+        _check_chain(lam, L)
+        self.lam, self.L = lam, L
+
+    @cached_property
+    def _blocks(self) -> list:
+        """(d, base, field, index, p) per non-empty block, even first: M(h) =
+        base + h field, D = diag(d) = (-1)^parity, P[s, index[s]] = p[s]."""
+        L, j = self.L, np.arange(self.L)
+        orbit, size, reps = _orbits(_rotation(range(1 << L)))
+        bits = (reps[:, None] >> j) & 1
+        first = np.minimum(np.arange(len(reps)), orbit[bits @ (1 << L - 1 - j)])
+        heads, cls, n_orbits = np.unique(first, return_inverse=True, return_counts=True)
+        paired, n_states = n_orbits == 2, size[heads] * n_orbits
+        parity = bits.sum(axis=1) % 2
+        # the 2L + 1 targets of H on each class representative t, coefficients of 1 and h
+        t = reps[heads][:, None]
+        flips = np.hstack([t, t ^ (1 << j) ^ (1 << (j + 1) % L), t ^ (1 << j)])
+        coef = np.zeros((2,) + flips.shape)
+        coef[0, :, 0] = -0.5 * (L - 2 * bits[heads].sum(axis=1))
+        coef[0, :, 1:L + 1] = -0.5 * self.lam
+        coef[1, :, L + 1:] = parity[heads, None] - 0.5
+        col, row = np.arange(len(heads))[:, None], cls[orbit[flips]]
+        scale = np.sqrt(n_states[col] / n_states[row])
+        twist = np.where(parity[orbit], 1j, 1.0) / np.sqrt(n_states[cls[orbit]])
+        blocks = []
+        for keep, sign in ((np.ones_like(paired), np.ones(len(reps))),
+                           (paired, np.where(first == np.arange(len(reps)), 1.0, -1.0))):
+            n, pos = int(keep.sum()), np.cumsum(keep) - 1
+            ok = keep[row] & keep[col]
+            flat = (pos[row] * n + pos[col])[ok]
+            base, field = (np.bincount(flat, (scale * sign[orbit[flips]] * c)[ok], n * n)
+                           .reshape(n, n) for c in coef)
+            if n:
+                blocks.append((1.0 - 2.0 * parity[heads][keep], base, field,
+                               pos[cls[orbit]], twist * sign[orbit] * keep[cls[orbit]]))
+        return blocks
+
+    def blocks(self, h: float) -> list:
+        """The real blocks at field h, each checked: P H P = H^dagger and
+        H = H^T become M = D M^T D there, D = diag(d), to 1e-12."""
+        out = []
+        for d, base, field, *_ in self._blocks:
+            check_sector_size(len(d))
+            out.append(base + h * field)
+            if (residual := _transpose_residual(out[-1], d)) > 1e-12:
+                raise AssertionError(f"M != D M^T D (residual {residual})")
+        return out
+
+    def merged(self, h: float) -> bool:
+        """True when the level of lowest real part, over both blocks, is complex."""
+        ev = np.concatenate([np.linalg.eigvals(M) for M in self.blocks(h)])
+        return bool(np.abs(ev[np.argmin(ev.real)].imag) > _MERGED_TOL)
+
+    def critical_field(self, tol: float = 1e-8) -> float:
+        """Merging threshold h_c by bisection on the complex-pair onset."""
+        lo, hi = 0.0, 0.25
+        while not self.merged(hi):
+            lo, hi = hi, hi * 2.0
+            if hi > 64:
+                raise RuntimeError("no merging found below h = 64")
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if self.merged(mid) else (mid, hi)
+        return 0.5 * (lo + hi)
+
+    def ground_pair(self, h: float) -> EigenPair:
+        """The lower of the blocks' ground pairs, from ``rsos.sector_pairs``."""
+        return _real_ground([sector_pairs(M, index, p, 1)[0]
+                             for M, (*_, index, p) in zip(self.blocks(h), self._blocks)])
+
+
 def levels_merged(lam: float, h: float, L: int) -> bool:
     """True when the two lowest zero-momentum levels form a complex pair."""
-    ev = lowest_levels(ising_imaginary_chain(lam, h, L), 2)
-    return bool(np.abs(ev[0].imag) > _MERGED_TOL)
+    return ChainSector(lam, L).merged(h)
 
 
 def critical_field(lam: float, L: int, tol: float = 1e-8) -> float:
     """Merging threshold h_c(lambda, L) by bisection on the complex-pair onset."""
-    lo, hi = 0.0, 0.25
-    while not levels_merged(lam, hi, L):
-        lo, hi = hi, hi * 2.0
-        if hi > 64:
-            raise RuntimeError("no merging found below h = 64")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if levels_merged(lam, mid, L):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return ChainSector(lam, L).critical_field(tol)
 
 
 def ground_pair(H: np.ndarray) -> EigenPair:
-    """Bi-orthonormal ground pair from ``rsos.eigensystem`` in the
-    zero-momentum sector; a defective pair (at h_c) raises
-    ``DefectivePairError``."""
+    """Bi-orthonormal ground pair of the dense H from ``rsos.eigensystem``; a
+    defective pair (at h_c) raises ``DefectivePairError``."""
     if _transpose_residual(H) > 1e-12:
         raise ValueError("expected a complex-symmetric Hamiltonian")
-    pair = eigensystem(H, _rotation(H), n_states=1)[0]
+    return _real_ground(eigensystem(H, _rotation(H), n_states=1))
+
+
+def _real_ground(pairs: list) -> EigenPair:
+    pair = min(pairs, key=lambda pr: pr.energy.real)
     if abs(pair.energy.imag) > 1e-9:
         raise ComplexGroundStateError(f"lowest level is complex: {pair.energy}")
     return pair
 
 
 def renyi2_profile(H: np.ndarray, L: int) -> np.ndarray:
-    """S_2(ell) for ell = 1..L-1 from rho = r0 w0, subsystem = first ell sites.
+    """``_profile`` of the ground pair of the dense H."""
+    return _profile(ground_pair(H), L)
 
-    rho_A = R W^T with R, W the ground pair reshaped to 2^ell x 2^(L-ell);
-    Tr rho_A^2 is taken on the smaller Gram side by ``rsos._block_power_trace``,
-    so no matrix larger than 2^(L/2) square is formed.  Values are real in
-    the unbroken-symmetry phase (the imaginary parts are checked and
-    discarded).
-    """
-    gp = ground_pair(H)
+
+def _profile(gp: EigenPair, L: int) -> np.ndarray:
+    """S_2(ell), ell = 1..L-1, of rho = r0 w0 on the first ell sites: rho_A =
+    R W^T, R and W the pair reshaped to 2^ell x 2^(L-ell), and Tr rho_A^2 on
+    the smaller Gram side (``rsos._block_power_trace``).  Values are real in
+    the unbroken phase; the imaginary parts are checked and discarded."""
     out = np.empty(L - 1)
     for ell in range(1, L):
         shape = (1 << ell, 1 << (L - ell))
         t2 = _block_power_trace(gp.right.reshape(shape), gp.left.reshape(shape), 2)
         if abs(t2.imag) > 1e-8 * max(1.0, abs(t2.real)):
             raise RuntimeError(f"Tr rho^2 not real: {t2}")
-        s2 = -np.log(complex(t2))
-        out[ell - 1] = s2.real
+        out[ell - 1] = (-np.log(complex(t2))).real
     return out
 
 
@@ -153,13 +227,13 @@ def crossover_study(lam: float, L: int, h_fractions) -> dict:
     """
     if L < 4:
         raise ValueError(f"L = {L}: the crossover study needs at least 4 sites")
-    hc = critical_field(lam, L)
+    sector = ChainSector(lam, L)
+    hc = sector.critical_field()
     profiles = {}
     for f in h_fractions:
         if not 0 < f < 1:
             raise ValueError("fractions must lie in (0, 1)")
-        H = ising_imaginary_chain(lam, f * hc, L)
-        profiles[f] = renyi2_profile(H, L)
+        profiles[f] = _profile(sector.ground_pair(f * hc), L)
     return {"h_c": hc, "profiles": profiles}
 
 

@@ -210,6 +210,14 @@ class TestEigensystem:
             assert np.linalg.norm(pair.left) > 10 * np.linalg.norm(pair.right)
             assert pair.check(H)
 
+    def test_check_rejects_scaled_covector(self):
+        # |w r - 1| is one compensated sum, held to 1e-12 absolute
+        H, basis = rsos.build_rsos_hamiltonian(4, 3, 8)
+        pair = rsos.select_state(H, basis, "ground")
+        assert pair.check(H)
+        scaled = rsos.EigenPair(pair.energy, pair.right, pair.left * (1 + 1e-11))
+        assert not scaled.check(H)
+
     def test_biorthonormality(self):
         H, basis = rsos.build_rsos_hamiltonian(4, 3, 8)
         pairs = [p for p, _ in full_eigensystem(H, basis, 6)]

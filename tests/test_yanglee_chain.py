@@ -24,6 +24,32 @@ def dense_renyi2(H, L):
     return np.array(out), np.array(bound)
 
 
+def reflection_classes(L):
+    """The rotation orbits numbered by their smallest state, as in
+    ``rsos.sector_matrix``, grouped by brute force with their mirror orbits.
+    Returns the (orbit x class) even and odd projections and the parity of
+    each class, classes ordered by their first orbit."""
+    def rotations(s):
+        return [((s >> k) | (s << (L - k))) & ((1 << L) - 1) for k in range(L)]
+
+    reps = sorted({min(rotations(s)) for s in range(1 << L)})
+    orbit_of = {rep: a for a, rep in enumerate(reps)}
+    mirror = [orbit_of[min(rotations(int(format(rep, f"0{L}b")[::-1], 2)))] for rep in reps]
+    heads = [a for a in range(len(reps)) if a <= mirror[a]]
+    even = np.zeros((len(reps), len(heads)))
+    odd = np.zeros((len(reps), sum(mirror[a] != a for a in heads)))
+    c_odd = 0
+    for c, a in enumerate(heads):
+        if mirror[a] == a:
+            even[a, c] = 1.0
+        else:
+            even[[a, mirror[a]], c] = np.sqrt(0.5)
+            odd[[a, mirror[a]], c_odd] = np.sqrt(0.5), -np.sqrt(0.5)
+            c_odd += 1
+    parity = np.array([bin(reps[a]).count("1") % 2 for a in heads])
+    return even, odd, parity, parity[[mirror[a] != a for a in heads]]
+
+
 def loop_chain(lam, h, L):
     """The chain Hamiltonian built one basis state and one site at a time."""
     dim = 1 << L
@@ -211,6 +237,127 @@ class TestGroundPair:
         assert abs(pairs[0].energy.imag) > 1e-3
         G = np.array([[pi.left @ pj.right for pj in pairs] for pi in pairs])
         assert np.max(np.abs(G - np.eye(6))) < 1e-10
+
+
+# h_c(lambda, L) at tol 1e-6 and 1e-8 from the dense bisection that the
+# sector search replaced: the same midpoints, compared with ==
+PINNED_HC = {
+    (4, 0.78): (0.10208463668823242, 0.10208446905016899),
+    (4, 0.80): (0.09695196151733398, 0.0969519279897213),
+    (4, 0.82): (0.09210634231567383, 0.09210644289851189),
+    (6, 0.78): (0.0651249885559082, 0.06512533500790596),
+    (6, 0.80): (0.06023454666137695, 0.06023486331105232),
+    (6, 0.82): (0.055692195892333984, 0.05569206550717354),
+    (8, 0.78): (0.0506749153137207, 0.0506751723587513),
+    (8, 0.80): (0.04587507247924805, 0.0458749420940876),
+    (8, 0.82): (0.04146528244018555, 0.0414653979241848),
+    (10, 0.78): (0.043454647064208984, 0.04345431551337242),
+    (10, 0.80): (0.03867197036743164, 0.03867225721478462),
+    (10, 0.82): (0.034311771392822266, 0.03431146964430809),
+}
+
+
+def sector_levels(sector, h):
+    """The levels of both real blocks, by ascending real part."""
+    ev = np.concatenate([np.linalg.eigvals(M) for M in sector.blocks(h)])
+    return ev[np.argsort(ev.real)]
+
+
+class TestSector:
+    @pytest.mark.parametrize("L", range(2, 11))
+    @pytest.mark.parametrize("h", [0.02, 0.2])
+    def test_blocks_match_projected_sector(self, L, h):
+        # un-twisted from the i^parity basis, each real block is the
+        # reflection projection of the orbit-representative block of the
+        # dense H; L = 2 has coinciding bonds, L = 4 an empty odd block
+        H = ylc.ising_imaginary_chain(0.8, h, L)
+        S = rsos.sector_matrix(H, ylc._rotation(H))[0]
+        even, odd, *parities = reflection_classes(L)
+        blocks = ylc.ChainSector(0.8, L).blocks(h)
+        assert len(blocks) == (2 if odd.shape[1] else 1)
+        for Q, parity, B in zip((even, odd), parities, blocks):
+            assert B.dtype == np.float64
+            twist = np.where(parity, 1j, 1.0)
+            want = Q.T @ S @ Q
+            got = twist[:, None] * B * twist.conj()[None, :]
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("L,lam", list(PINNED_HC))
+    def test_critical_field_pinned(self, L, lam):
+        for tol, hc in zip((1e-6, 1e-8), PINNED_HC[L, lam]):
+            assert ylc.critical_field(lam, L, tol=tol) == hc
+
+    @pytest.mark.parametrize("L", range(4, 13))
+    def test_ground_pair_matches_dense(self, L):
+        # h = 0.03 lies below h_c(0.8, L) up to L = 12 (0.0345)
+        H = ylc.ising_imaginary_chain(0.8, 0.03, L)
+        want = ylc.ground_pair(H)
+        got = ylc.ChainSector(0.8, L).ground_pair(0.03)
+        assert abs(got.energy - want.energy) <= 1e-13 * abs(want.energy)
+        assert got.check(H)     # r ~ i^parity, w ~ i^-parity in the whole space
+        assert np.max(np.abs(ylc._profile(got, L) - ylc.renyi2_profile(H, L))) < 1e-11
+
+    @pytest.mark.parametrize("L", [6, 8])
+    @pytest.mark.parametrize("h", [0.02, 0.2])
+    def test_levels_match_dense(self, L, h):
+        # the merged levels of both blocks against the orbit block of the
+        # dense H; members of a conjugate pair may come in either order
+        want = ylc.lowest_levels(ylc.ising_imaginary_chain(0.8, h, L), 6)
+        got = sector_levels(ylc.ChainSector(0.8, L), h)[:6]
+        assert np.allclose(got.real, want.real, rtol=0, atol=1e-12)
+        assert np.allclose(np.sort(np.abs(got.imag)), np.sort(np.abs(want.imag)),
+                           rtol=0, atol=1e-10)
+
+    def test_real_levels_have_zero_imaginary_part(self):
+        ev = sector_levels(ylc.ChainSector(0.8, 8), 0.9 * PINNED_HC[8, 0.80][1])[:2]
+        assert np.all(ev.imag == 0.0)
+        assert ylc.ChainSector(0.8, 8).merged(1.1 * PINNED_HC[8, 0.80][1])
+
+    def test_block_check_catches_small_perturbations(self):
+        # 2e-12 added to an entry off the nonzero pattern, then to one on it
+        sector = ylc.ChainSector(0.8, 8)
+        M = sector.blocks(0.03)[0]
+        off = tuple(np.argwhere(M == 0)[0])
+        on = tuple(np.argwhere((M != 0) & ~np.eye(len(M), dtype=bool))[0])
+        for rc in (off, on):
+            sector = ylc.ChainSector(0.8, 8)
+            sector._blocks[0][1][rc] += 2e-12     # base of the even block
+            with pytest.raises(AssertionError, match="D M"):
+                sector.blocks(0.03)
+
+    def test_sector_limit_per_block_before_eigensolve(self, monkeypatch):
+        assert [len(M) for M in ylc.ChainSector(0.8, 8).blocks(0.02)] == [30, 6]
+
+        def no_solve(*args):
+            raise AssertionError("eigensolve reached")
+
+        monkeypatch.setattr(rsos, "SECTOR_LIMIT", 29)
+        monkeypatch.setattr(np.linalg, "eig", no_solve)
+        monkeypatch.setattr(np.linalg, "eigvals", no_solve)
+        with pytest.raises(rsos.SizeError):
+            ylc.levels_merged(0.8, 0.02, 8)
+        with pytest.raises(rsos.SizeError):
+            ylc.ChainSector(0.8, 8).ground_pair(0.02)
+
+    def test_size_and_coupling_rejected(self):
+        with pytest.raises(ylc.SizeError):
+            ylc.ChainSector(0.8, ylc.MAX_SITES + 1)
+        for lam, L in ((1.2, 6), (0.8, 1)):
+            with pytest.raises(ValueError):
+                ylc.levels_merged(lam, 0.1, L)
+
+    def test_no_dense_matrix_on_search_path(self):
+        # the dense H alone would take 256 MiB at L = 12
+        for run in (lambda: ylc.critical_field(0.8, 12, tol=1e-4),
+                    lambda: ylc.crossover_study(0.8, 12, [0.1, 0.99])):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 16 << 20
 
 
 class TestCrossover:
