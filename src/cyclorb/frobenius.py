@@ -47,10 +47,6 @@ def _is_rational(x) -> bool:
     return isinstance(x, (int, Fraction))
 
 
-def _all_rational(polys) -> bool:
-    return all(_is_rational(c) for p in polys for c in p)
-
-
 @dataclass(frozen=True)
 class ThetaOde:
     """Fuchsian ODE in theta form; ``polys[k]`` holds P_k, low degree first."""
@@ -68,7 +64,7 @@ class ThetaOde:
 
     @property
     def is_rational(self) -> bool:
-        return _all_rational(self.polys)
+        return all(_is_rational(c) for p in self.polys for c in p)
 
     def indicial_poly(self):
         return list(self.polys[0])

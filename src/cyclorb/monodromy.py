@@ -12,7 +12,8 @@ physical correlator is assembled as
     G(x, xbar) = |x|^(2 p0) |1-x|^(2 p1) sum_ij X_ij conj(I_i(x)) I_j(x),
 
 with X diagonal except for cross terms on integer-spaced exponent pairs;
-``block_sum`` is that sum, on the real axis and on the circle alike.
+``block_sum`` is that sum, on the real axis and on the circle alike, and
+``assemble`` sums a real scalar point from a plan of rows and exponents.
 ``continue_blocks`` carries the blocks off the real axis by Taylor steps at
 regular points of the ODE.
 """
@@ -26,7 +27,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .frobenius import FrobeniusBasis
+from .frobenius import ZERO, FrobeniusBasis, OutOfDiskError
 
 
 class FitError(RuntimeError):
@@ -63,6 +64,8 @@ class BlockCoefficients:
 
 _OVERLAP = (0.38, 0.62)   # sample interval of the connection fit
 _GAP_FACTOR = 1e6         # least ratio of the two smallest singular values
+_PLAN_RADIUS = 0.5        # |u| up to which a scalar G sums only the rows it needs (the channel split)
+_ROW_TOL = 2.0 ** -60     # largest dropped tail there, relative to a series' leading coefficient
 
 
 def chebyshev_points(n: int) -> list[float]:
@@ -190,6 +193,12 @@ def block_sum(values: np.ndarray, X: Sequence[float], cross: Optional[dict] = No
     return tot
 
 
+def _row_cut(C: np.ndarray) -> int:
+    """Fewest leading rows K of C with sum_{n>=K} |C_ni| 2^-n <= 2^-60 |C_0i| for every i."""
+    tail = np.cumsum((np.abs(C) * 0.5 ** np.arange(len(C))[:, None])[::-1], axis=0)[::-1]
+    return int(np.argmax(np.r_[np.all(tail <= _ROW_TOL * np.abs(C[0]), axis=1), True]))
+
+
 def assemble(prefactor_exponents: tuple, X: Sequence[float],
              basis: FrobeniusBasis, cross: Optional[dict] = None
              ) -> Callable:
@@ -200,21 +209,36 @@ def assemble(prefactor_exponents: tuple, X: Sequence[float],
     physical slice xbar = conj(x); for the basis centered at 1 pass the Y
     coefficients instead of X.  G takes a scalar (returning a float) or an
     array of points (returning an array of the same shape).
+
+    A float x with u in (0, 1), on a real basis, is summed by a plan made
+    once: s = u^n @ C over the rows ``_row_cut`` keeps at |u| <= 1/2 (all
+    rows beyond), then c s_i s_j u^e per term, e holding the prefactor
+    exponent at the centre.  Other scalars are one point of the array
+    branch.  A negative prefactor exponent raises ``OutOfDiskError`` at u = 0.
     """
     p0, p1 = (2 * float(p) for p in prefactor_exponents)
     X = np.asarray(X, dtype=float)
-    Xs = X.tolist()
     cross = dict(cross or {})
+    zero = basis.center == ZERO
+    pc, po = (p0, p1) if zero else (p1, p0)
+    if basis._real is not None:
+        a, C, n = basis._real
+        K, a = _row_cut(C), a.tolist()
+        rows = (n[:K], C[:K]), (n, C)
+        terms = [(i, i, c, pc + 2 * a[i]) for i, c in enumerate(X.tolist())]
+        terms += [(i, j, 2.0 * t, pc + a[i] + a[j]) for (i, j), t in cross.items()]
 
     def G(x):
+        if basis._real is not None and isinstance(x, float) and 0.0 < x < 1.0:
+            x = float(x)
+            u, v = (x, 1.0 - x) if zero else (1.0 - x, x)
+            n, C = rows[u > _PLAN_RADIUS]
+            s = (u ** n @ C).tolist()
+            return v ** po * sum(c * s[i] * s[j] * u ** e for i, j, c, e in terms)
         if isinstance(x, (int, float, complex, np.number)):
-            # the block sum of a few values, in Python scalars
-            v = basis.evaluate(x).tolist()
-            tot = sum(c * abs(vi) ** 2 for c, vi in zip(Xs, v))
-            for (i, j), t in cross.items():
-                tot += 2.0 * t * (v[i].conjugate() * v[j]).real
-            z = complex(x)
-            return float(abs(z) ** p0 * abs(1 - z) ** p1 * tot)
+            return float(G(np.array([x], dtype=complex))[0])
+        if pc < 0 and np.any(np.asarray(x) == (0.0 if zero else 1.0)):
+            raise OutOfDiskError(f"G diverges at its centre: prefactor exponent {pc:g} < 0")
         tot = block_sum(basis.evaluate(x), X, cross)
         return np.abs(x) ** p0 * np.abs(1 - x) ** p1 * tot
 

@@ -11,6 +11,7 @@ import pytest
 
 import cyclorb as cy
 from cyclorb import catalog as cat
+from cyclorb import frobenius as fb
 from cyclorb import monodromy as mn
 from cyclorb.polyring import pmul, psub_affine
 
@@ -171,6 +172,118 @@ class TestCorrelatorChannels:
         cy.correlator(model, M=150)
         cy.predict_on_circle(model, [0.25], M=150)
         assert len(calls) == 2
+
+
+PLAN_MODELS = [(m, None) for m in ("yl2int_vac", "yl1int_vac", "yl1int_gs", "ising2int_vac")] + [
+    (f, g) for f in ("mm_n2_phi21", "mm_n3_phi21") for g in (F(4, 3), F(11, 8), F(13, 8))]
+PLAN_GRID = np.r_[1e-10, np.linspace(1e-3, 1 - 1e-3, 1997), 0.5, 1 - 1e-10]
+END_MODELS = [("yl2int_vac", None), ("yl1int_vac", None), ("yl1int_gs", None),
+              ("ising2int_vac", None), ("mm_n2_phi21", F(7, 5)), ("mm_n3_phi21", F(11, 8))]
+
+
+def _abs_sum_scale(model, xs):
+    """|prefactor| sum_ij |X_ij I_i I_j| at each point, in the channel correlator uses.
+
+    Errors are measured against this sum of absolute terms, so cancellation in
+    a non-unitary sum cannot make a wrong value look small.
+    """
+    _, bc, b0, b1 = cy.bootstrap(model)
+    p0, p1 = (2 * float(p) for p in model.prefactor_exponents)
+    xs = np.asarray(xs)
+    out = np.empty(xs.shape)
+    for far, b, X, cross in ((False, b0, bc.X, bc.X_cross), (True, b1, bc.Y, bc.Y_cross)):
+        sel = (xs.real > 0.5) == far
+        v = np.abs(b.evaluate(xs[sel]))
+        tot = v ** 2 @ np.abs(X)
+        for (i, j), t in (cross or {}).items():
+            tot += 2 * abs(t) * v[:, i] * v[:, j]
+        out[sel] = np.abs(xs[sel]) ** p0 * np.abs(1 - xs[sel]) ** p1 * tot
+    return out
+
+
+class TestScalarPlan:
+    """The scalar branch of ``assemble`` against the unchanged array kernel."""
+
+    @pytest.mark.parametrize("mid,g", PLAN_MODELS)
+    def test_plan_matches_array_kernel(self, mid, g):
+        model = cy.get_model(mid, g)
+        G = cy.correlator(model)
+        want = G(PLAN_GRID)
+        tol = 1e-14 * _abs_sum_scale(model, PLAN_GRID)
+        for kind in (float, np.float64):
+            got = np.array([G(kind(x)) for x in PLAN_GRID])
+            assert np.all(np.abs(got - want) <= tol), kind
+
+    @pytest.mark.parametrize("mid,g", [("yl1int_gs", None), ("mm_n3_phi21", F(13, 8))])
+    def test_other_scalars_take_the_array_branch(self, mid, g, monkeypatch):
+        model = cy.get_model(mid, g)
+        G = cy.correlator(model)
+        calls = []
+        kernel = fb._series_values
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(fb, "_series_values", counted)
+        for x in (np.float32(0.3), np.float32(0.8), 0.3 + 0j, 0.8 + 0j, 0.3 + 0.2j, 0.7 + 0.1j):
+            n = len(calls)
+            got = G(x)
+            assert type(got) is float and len(calls) == n + 1
+            ref = complex(x) if isinstance(x, complex) else float(x)
+            want = G(np.array([ref]))[0]
+            assert abs(got - want) <= 1e-14 * _abs_sum_scale(model, [ref])[0]
+        n = len(calls)
+        G(0.3), G(np.float64(0.8))
+        assert len(calls) == n
+
+    def test_scalar_path_skips_the_series_kernel(self, monkeypatch):
+        model = cy.get_model("mm_n2_phi21", F(11, 8))
+        cy.correlator(model)
+
+        def kernel(*args):
+            raise AssertionError("series kernel entered")
+
+        monkeypatch.setattr(fb, "_series_values", kernel)
+        G = cy.correlator(model)
+        assert isinstance(G(0.3), float) and isinstance(G(0.8), float)
+        with pytest.raises(AssertionError):
+            G(np.array([0.3]))
+
+    @pytest.mark.parametrize("mid,g", END_MODELS)
+    @pytest.mark.parametrize("x", [0.0, 1.0, 0, 1])
+    def test_ends_agree_on_every_path(self, mid, g, x):
+        G = cy.correlator(cy.get_model(mid, g))
+        paths = (lambda: G(x), lambda: G(np.array([x]))[0], lambda: G(np.array([x, 0.3]))[0])
+        if mid == "yl1int_gs":
+            # every block exponent is positive and the prefactor is 1: G -> 0
+            assert type(G(x)) is float
+            assert [p() for p in paths] == [0.0, 0.0, 0.0]
+        else:
+            # a negative block or prefactor exponent at the centre
+            for p in paths:
+                with pytest.raises(cy.OutOfDiskError):
+                    p()
+
+    @pytest.mark.parametrize("mid,g", END_MODELS)
+    def test_row_cut_drops_below_2_to_minus_60(self, mid, g):
+        _, _, b0, b1 = cy.bootstrap(cy.get_model(mid, g))
+        for b in (b0, b1):
+            C = np.abs(b._real[1])
+            K = mn._row_cut(b._real[1])
+            assert 1 < K < len(C)
+
+            def tail(k, i):
+                return math.fsum(C[n, i] * 2.0 ** -n for n in range(k, len(C)))
+
+            assert all(tail(K, i) <= 2.0 ** -60 * C[0, i] for i in range(b.size))
+            # one row fewer would drop more in some column
+            assert any(tail(K - 1, i) > 2.0 ** -60 * C[0, i] for i in range(b.size))
+
+    def test_undecayed_rows_are_all_kept(self):
+        model = cy.get_model("yl1int_gs")
+        for b in (model.basis0(20), model.basis1(20)):
+            assert mn._row_cut(b._real[1]) == 21
 
 
 class TestIsingBlocks:
