@@ -192,7 +192,7 @@ def cmd_ward(args) -> int:
 def cmd_lattice(args) -> int:
     H, basis = rsos.build_rsos_hamiltonian(args.m, args.k, args.L)
     pair = rsos.select_state(H, basis, args.state)
-    insertion = "bare" if args.bare or args.q is None else args.q
+    insertion = "bare" if args.q is None else args.q
     htw = args.h_twist if args.h_twist is not None else 0.0
     curve = rsos.entropy_curve(args.m, args.k, args.L, args.N, args.state,
                                insertion, h_twist=htw, pair=pair, basis=basis)
@@ -210,7 +210,8 @@ def cmd_compare(args) -> int:
     L = int(data["L"][0])
     s = data["ell"] / L
     model = cat.get_model(args.model, args.g)
-    pred = cat.predict_on_circle(model, s, dressing_power=float(Fraction(args.dressing)))
+    pred = cat.predict_on_circle(model, s, M=args.terms,
+                                 dressing_power=float(Fraction(args.dressing)))
     const, rms = rsos.overlay_fit(data["trace_re"], pred)
     rows = ["ell,lattice,prediction,fitted_constant,rms_rel_dev"]
     for i in range(len(s)):
@@ -242,14 +243,18 @@ def _add_model(p):
                    help="coupling of the mm_* families, a fraction such as 11/8")
 
 
-def _add_common(p, grid=False):
-    p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--selftest", action="store_true")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility; grids are evaluated in one call")
-    p.add_argument("--terms", type=int, default=200, help="series truncation order")
-    if grid:
-        p.add_argument("--grid", default="0.05:0.95:19", help="a:b:n grid on (0,1)")
+# flags several subcommands share; each subcommand declares only those it reads
+_SHARED = {
+    "--out": dict(default=None, help="output path (default stdout)"),
+    "--selftest": dict(action="store_true"),
+    "--terms": dict(type=int, default=200, help="series truncation order"),
+    "--grid": dict(default="0.05:0.95:19", help="a:b:n grid on (0,1)"),
+}
+
+
+def _add(p, *flags):
+    for f in flags:
+        p.add_argument(f, **_SHARED[f])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,30 +267,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("blocks", help="conformal-block values on a grid")
     _add_model(p)
-    _add_common(p, grid=True)
+    _add(p, "--out", "--selftest", "--terms", "--grid")
     p.set_defaults(fn=cmd_blocks)
 
     p = sub.add_parser("monodromy", help="connection matrix and block coefficients")
     _add_model(p)
-    _add_common(p)
+    _add(p, "--out", "--selftest", "--terms")
     p.set_defaults(fn=cmd_monodromy)
 
     p = sub.add_parser("correlator", help="assembled correlator on a grid")
     _add_model(p)
-    _add_common(p, grid=True)
+    _add(p, "--out", "--selftest", "--terms", "--grid")
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; grids are evaluated in one call")
     p.set_defaults(fn=cmd_correlator)
 
     p = sub.add_parser("torus", help="character and partition-sum checks")
-    _add_common(p)
+    # the checks always run; --selftest is accepted as on the other reports
+    _add(p, "--selftest")
     p.set_defaults(fn=cmd_torus)
 
     p = sub.add_parser("ope", help="structure-constant table (CSV)")
-    _add_common(p)
+    _add(p, "--out", "--selftest")
     p.set_defaults(fn=cmd_ope)
 
     p = sub.add_parser("ward", help="contour-identity weight coefficients")
     p.add_argument("--x", type=float, default=0.3)
-    _add_common(p)
+    _add(p, "--out", "--selftest")
     p.set_defaults(fn=cmd_ward)
 
     p = sub.add_parser("lattice", help="height-chain entropy curve (CSV)")
@@ -293,24 +301,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--N", type=int, default=2)
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--bare", action="store_true")
+    twist = p.add_mutually_exclusive_group()
+    twist.add_argument("--q", type=int, default=None)
+    twist.add_argument("--bare", action="store_true", help="the bare twist (the default)")
     p.add_argument("--state", choices=("ground", "vacuum"), default="ground")
     p.add_argument("--h-twist", type=float, default=None)
-    _add_common(p)
+    _add(p, "--out", "--selftest")
     p.set_defaults(fn=cmd_lattice)
 
     p = sub.add_parser("compare", help="overlay a lattice CSV against a model")
     p.add_argument("lattice_csv")
     _add_model(p)
     p.add_argument("--dressing", default="0", help="extra (1-x) power, rational")
-    _add_common(p)
+    _add(p, "--out", "--terms")
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("chain", help="imaginary-field chain crossover report")
     p.add_argument("--lam", type=float, default=0.8)
     p.add_argument("--L", type=int, default=8)
-    _add_common(p)
     p.set_defaults(fn=cmd_chain)
     return ap
 

@@ -40,7 +40,6 @@ ZERO, ONE = "zero", "one"
 
 _RES_TOL = 1e-10   # relative tolerance for a vanishing resonance numerator
 _CHUNK = 256       # points per power matrix in array evaluation
-_SCALARS = (int, float, complex, np.number)
 
 
 def _is_rational(x) -> bool:
@@ -150,12 +149,9 @@ class FrobeniusBasis:
 
     center: str
     series: tuple
-    # exponents and coefficient matrix C[n, i] = a_n of series i, zero-padded;
-    # _real holds float64 copies of both and the float orders n = 0, 1, ...
-    # when every entry is real, else None
+    # complex exponents and coefficient matrix C[n, i] = a_n of series i, zero-padded
     _alpha: np.ndarray = field(init=False, repr=False, compare=False)
     _coeffs: np.ndarray = field(init=False, repr=False, compare=False)
-    _real: Optional[tuple] = field(init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -170,18 +166,13 @@ class FrobeniusBasis:
         C = np.zeros((n_max, len(self.series)), dtype=complex)
         for i, s in enumerate(self.series):
             C[: len(s.coeffs), i] = s.coeffs
-        alpha = np.array([_exponent(s) for s in self.series])
-        real = None
-        if not (np.any(alpha.imag) or np.any(C.imag)):
-            real = (alpha.real.copy(), C.real.copy(), np.arange(n_max, dtype=float))
-        object.__setattr__(self, "_alpha", alpha)
+        object.__setattr__(self, "_alpha", np.array([_exponent(s) for s in self.series]))
         object.__setattr__(self, "_coeffs", C)
-        object.__setattr__(self, "_real", real)
 
     def evaluate(self, x) -> np.ndarray:
-        """Values of every series at x: shape (size,) for a scalar x, else
-        x.shape + (size,)."""
-        return _series_values(self._alpha, self._coeffs, self.center, x, self._real)
+        """Complex values of every series at x: shape (size,) for a scalar x,
+        else x.shape + (size,)."""
+        return _series_values(self._alpha, self._coeffs, self.center, x)
 
 
 # ---------------------------------------------------------------------------
@@ -473,27 +464,15 @@ def evaluate(series: FrobeniusSeries, x):
     return complex(vals[0]) if vals.ndim == 1 else vals[..., 0]
 
 
-def _series_values(alpha: np.ndarray, C: np.ndarray, center: str, x,
-                   real: Optional[tuple] = None) -> np.ndarray:
+def _series_values(alpha: np.ndarray, C: np.ndarray, center: str, x) -> np.ndarray:
     """exp(alpha_i log u) * sum_n C[n, i] u^n for every column i of C.
 
     The powers u^n are running products, and each block of points is summed
-    by one matrix product with C.  Arrays are taken ``_CHUNK`` points at a
-    time, so no (points x terms) matrix is held whole.  A scalar u in (0, 1)
-    with ``real`` = (alpha, C, n) in float64 is summed in real arithmetic,
-    with the powers u ** n in one vectorised call, and gives a float array;
-    any other scalar is taken as one point of the array kernel.  Raises
-    ``OutOfDiskError`` if any |u| >= 1, and at u = 0 for an exponent that is
-    neither zero nor of positive real part.
+    by one matrix product with C.  Points are taken ``_CHUNK`` at a time, so
+    no (points x terms) matrix is held whole; a scalar is a 0-d array of one
+    point.  Raises ``OutOfDiskError`` if any |u| >= 1, and at u = 0 for an
+    exponent that is neither zero nor of positive real part.
     """
-    if isinstance(x, _SCALARS):
-        x = complex(x) if isinstance(x, (complex, np.complexfloating)) else float(x)
-        u = x if center == ZERO else 1.0 - x
-        if abs(u) >= 1.0:
-            raise OutOfDiskError(f"|u| = {abs(u):.3f} >= 1 outside the convergence disk")
-        if real is not None and isinstance(u, float) and u > 0:
-            alpha, C, n = real
-            return (u ** n @ C) * u ** alpha
     x = np.asarray(x, dtype=complex)
     u = (x if center == ZERO else 1.0 - x).reshape(-1)
     r = np.abs(u)

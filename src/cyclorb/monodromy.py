@@ -210,26 +210,31 @@ def assemble(prefactor_exponents: tuple, X: Sequence[float],
     coefficients instead of X.  G takes a scalar (returning a float) or an
     array of points (returning an array of the same shape).
 
-    A float x with u in (0, 1), on a real basis, is summed by a plan made
-    once: s = u^n @ C over the rows ``_row_cut`` keeps at |u| <= 1/2 (all
-    rows beyond), then c s_i s_j u^e per term, e holding the prefactor
-    exponent at the centre.  Other scalars are one point of the array
-    branch.  A negative prefactor exponent raises ``OutOfDiskError`` at u = 0.
+    A float x with u in (0, 1), on a basis whose exponents and coefficients
+    are all real, is summed by a plan made once per channel from contiguous
+    float64 copies of them: s = u^n @ C over the rows ``_row_cut`` keeps at
+    |u| <= 1/2 (all rows beyond), then c s_i s_j u^e per term, e holding the
+    prefactor exponent at the centre.  Other scalars are one point of the
+    array branch.  A negative prefactor exponent raises ``OutOfDiskError``
+    at u = 0.
     """
     p0, p1 = (2 * float(p) for p in prefactor_exponents)
     X = np.asarray(X, dtype=float)
     cross = dict(cross or {})
     zero = basis.center == ZERO
     pc, po = (p0, p1) if zero else (p1, p0)
-    if basis._real is not None:
-        a, C, n = basis._real
-        K, a = _row_cut(C), a.tolist()
+    real = not (np.any(basis._alpha.imag) or np.any(basis._coeffs.imag))
+    if real:
+        # a contiguous copy: a strided view of C.real rounds u ** n @ C differently
+        C = basis._coeffs.real.copy()
+        n = np.arange(len(C), dtype=float)
+        K, a = _row_cut(C), basis._alpha.real.tolist()
         rows = (n[:K], C[:K]), (n, C)
         terms = [(i, i, c, pc + 2 * a[i]) for i, c in enumerate(X.tolist())]
         terms += [(i, j, 2.0 * t, pc + a[i] + a[j]) for (i, j), t in cross.items()]
 
     def G(x):
-        if basis._real is not None and isinstance(x, float) and 0.0 < x < 1.0:
+        if real and isinstance(x, float) and 0.0 < x < 1.0:
             x = float(x)
             u, v = (x, 1.0 - x) if zero else (1.0 - x, x)
             n, C = rows[u > _PLAN_RADIUS]

@@ -269,8 +269,8 @@ class TestScalarPlan:
     def test_row_cut_drops_below_2_to_minus_60(self, mid, g):
         _, _, b0, b1 = cy.bootstrap(cy.get_model(mid, g))
         for b in (b0, b1):
-            C = np.abs(b._real[1])
-            K = mn._row_cut(b._real[1])
+            C = np.abs(b._coeffs.real)
+            K = mn._row_cut(b._coeffs.real)
             assert 1 < K < len(C)
 
             def tail(k, i):
@@ -283,7 +283,7 @@ class TestScalarPlan:
     def test_undecayed_rows_are_all_kept(self):
         model = cy.get_model("yl1int_gs")
         for b in (model.basis0(20), model.basis1(20)):
-            assert mn._row_cut(b._real[1]) == 21
+            assert mn._row_cut(b._coeffs.real) == 21
 
 
 class TestIsingBlocks:

@@ -128,6 +128,17 @@ class TestExitCodes:
         assert code == 4
         assert err.startswith("error: FitError") and err.count("\n") == 1
 
+    def test_compare_reads_terms(self, tmp_path, capsys):
+        lat = tmp_path / "lat.csv"
+        run_cli(["lattice", "--m", "4", "--k", "3", "--L", "8", "--q", "1",
+                 "--h-twist", "-0.375", "--out", str(lat)])
+        capsys.readouterr()
+        code = run_cli(["compare", str(lat), "--model", "yl1int_gs",
+                        "--dressing=-1/20", "--terms", "3"])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("error: FitError") and err.count("\n") == 1
+
     def test_size_error_is_usage_error(self, capsys):
         code = run_cli(["chain", "--L", "30"])
         err = capsys.readouterr().err
@@ -194,6 +205,25 @@ class TestExitCodes:
         assert "Traceback" not in err
         if "usage:" not in err:     # a library error, not an argparse message
             assert re.fullmatch(r"error: \w+: [^\n]+\n", err), err
+
+    # flags a subcommand does not read, and the exclusive twist pair
+    @pytest.mark.parametrize("argv", [
+        *(f"{cmd} --threads 2" for cmd in (
+            "blocks --model yl2int_vac", "monodromy --model yl1int_gs", "torus", "ope",
+            "ward", "lattice --m 4 --k 3 --L 8", "compare lat.csv --model yl1int_gs",
+            "chain")),
+        "torus --out t.csv", "chain --L 4 --out c.csv",
+        *(f"{cmd} --terms 3" for cmd in ("torus", "ope", "ward",
+                                         "lattice --m 4 --k 3 --L 8", "chain")),
+        "compare lat.csv --model yl1int_gs --selftest", "chain --selftest",
+        "lattice --m 4 --k 3 --L 8 --q 3 --bare",
+    ])
+    def test_unread_flag_is_usage_error(self, monkeypatch, tmp_path, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(argv.split()) == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "Traceback" not in err
+        assert not any(tmp_path.iterdir())
 
 
 class TestLattice:

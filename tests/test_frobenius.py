@@ -345,24 +345,32 @@ class TestKernel:
                     assert abs(basis.evaluate(complex(x))[i] - ref) <= 1e-13 * abs(ref)
 
     def test_real_scalar_path(self, gs_ode):
-        # a real x with u in (0, 1) is summed in float64; anything else, and a
-        # basis with a complex entry, takes the complex route
+        # a real scalar agrees with the array route, on a real basis and on a
+        # basis with a complex entry alike
         b0 = cy.basis_for(gs_ode, cy.indicial_exponents(gs_ode), 200)
         for x in (0.05, 0.3, np.float64(0.5), 0.62):
             v = b0.evaluate(x)
-            assert v.dtype == np.float64
             ref = b0.evaluate(np.array([x]))[0]
             assert np.max(np.abs(v - ref) / np.abs(ref)) <= 1e-14
         assert b0.evaluate(0.3 + 0j).dtype == complex
         assert b0.evaluate(-0.3).dtype == complex
         ode1 = cy.recenter_to_one(gs_ode)
         b1 = cy.basis_for(ode1, cy.indicial_exponents(ode1), 200)
-        assert b1.evaluate(0.7).dtype == np.float64
         assert abs(b1.evaluate(0.7) - b1.evaluate(0.7 + 0j)).max() <= 1e-14
         bc = cy.FrobeniusBasis(b0.center, (b0.series[0],
                                            cy.FrobeniusSeries(F(1, 2), np.array([1, 0.5j, 0.1]))))
         assert bc.evaluate(0.3).dtype == complex
         assert abs(bc.evaluate(0.3)[1] - 0.3 ** 0.5 * (1 + 0.15j + 0.009)) <= 1e-15
+
+    @pytest.mark.parametrize("kind", [float, np.float64, np.float32, int, complex])
+    def test_scalar_is_one_point_of_the_array_kernel(self, kind):
+        # every scalar goes through the one kernel, so it is bitwise the value
+        # of the same point in a one-element array; an int is taken at the centre
+        model = cy.get_model("yl1int_gs")
+        for basis, xs, centre in ((model.basis0(200), (0.05, 0.3, 0.5, 0.62), 0),
+                                  (model.basis1(200), (0.4, 0.7, 0.95), 1)):
+            for x in map(kind, (centre,) if kind is int else xs):
+                assert np.array_equal(basis.evaluate(x), basis.evaluate(np.array([x]))[0])
 
     def test_array_shape_and_series_arrays(self, gs_ode):
         s = cy.frobenius_series(gs_ode, F(1, 2), 80, exact=False)
