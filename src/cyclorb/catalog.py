@@ -509,11 +509,11 @@ def bootstrap(model: CorrelatorModel, M: int = 200):
 def correlator(model: CorrelatorModel, M: int = 200):
     """Assembled G(x) on (0, 1), in the channel whose series converges faster.
 
-    Points with Re x <= 1/2 use the x = 0 decomposition (X with the basis
-    about 0), the others the x = 1 decomposition (Y with the basis about 1),
-    so no series is summed beyond |u| = 1/2 on the real segment.  G takes a
-    scalar (returning a float) or an array of points (returning an array of
-    the same shape).
+    Points with Re x <= ``monodromy.CHANNEL_SPLIT`` = 1/2 use the x = 0
+    decomposition (X with the basis about 0), the others the x = 1
+    decomposition (Y with the basis about 1), so no series is summed beyond
+    |u| = 1/2 on the real segment.  G takes a scalar (returning a float) or
+    an array of points (returning an array of the same shape).
     """
     fit, coeffs, b0, b1 = bootstrap(model, M)
     G0 = mn.assemble(model.prefactor_exponents, coeffs.X, b0, coeffs.X_cross)
@@ -521,9 +521,9 @@ def correlator(model: CorrelatorModel, M: int = 200):
 
     def G(x):
         if isinstance(x, (int, float, complex, np.number)):
-            return G1(x) if x.real > 0.5 else G0(x)
+            return G1(x) if x.real > mn.CHANNEL_SPLIT else G0(x)
         x = np.asarray(x)
-        far = x.real > 0.5
+        far = x.real > mn.CHANNEL_SPLIT
         out = np.empty(x.shape)
         out[~far] = G0(x[~far])
         out[far] = G1(x[far])

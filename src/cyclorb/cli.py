@@ -82,8 +82,8 @@ def cmd_blocks(args) -> int:
     basis = model.basis0(args.terms)
     names = ",".join(f"I_{i+1}" for i in range(model.order))
     rows = [f"x,{names}"]
-    # past x = 1/2, I = A J from the x = 1 basis, whose series converges faster there
-    far = grid > 0.5
+    # past the channel split, I = A J from the x = 1 basis, whose series converges faster there
+    far = grid > mn.CHANNEL_SPLIT
     vals = np.empty((len(grid), model.order))
     vals[~far] = basis.evaluate(grid[~far]).real
     if np.any(far):

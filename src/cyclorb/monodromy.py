@@ -64,8 +64,8 @@ class BlockCoefficients:
 
 _OVERLAP = (0.38, 0.62)   # sample interval of the connection fit
 _GAP_FACTOR = 1e6         # least ratio of the two smallest singular values
-_PLAN_RADIUS = 0.5        # |u| up to which a scalar G sums only the rows it needs (the channel split)
-_ROW_TOL = 2.0 ** -60     # largest dropped tail there, relative to a series' leading coefficient
+CHANNEL_SPLIT = 0.5       # x up to which a real point is summed about 0; past it, about 1
+_ROW_TOL = 2.0 ** -60     # largest dropped tail at |u| = CHANNEL_SPLIT, relative to C_0
 
 
 def chebyshev_points(n: int) -> list[float]:
@@ -132,24 +132,22 @@ def diagonal_invariants(fit: ConnectionFit, norm_channel: int = 0,
     n = A.shape[0]
     pairs0 = [tuple(sorted(p)) for p in pairs0]
     skip1 = {tuple(sorted(p)) for p in pairs1}
-    n_unk = n + len(pairs0)
-    rows = []
-    for k in range(n):
-        for l in range(k + 1, n):
-            if (k, l) in skip1:
-                continue
-            row = np.empty(n_unk)
-            row[:n] = A[:, k] * A[:, l]
-            for m, (i, j) in enumerate(pairs0):
-                row[n + m] = A[i, k] * A[j, l] + A[j, k] * A[i, l]
-            rows.append(row)
-    C = np.array(rows)
+    i, j = np.array(pairs0, dtype=int).reshape(-1, 2).T
+    i1, j1 = np.array(sorted(skip1), dtype=int).reshape(-1, 2).T
+    live = np.triu(np.ones((n, n), dtype=bool), 1)
+    live[i1, j1] = False
+    k, l = (v[:, None] for v in np.nonzero(live))
+    # one row per constrained k < l: (A^T X A)_kl, linear in X_00 .. X_(n-1)(n-1)
+    # and then in the cross amplitudes X_ij = X_ji
+    C = A[np.r_[:n, i], k] * A[np.r_[:n, j], l]
+    C[:, n:] += A[j, k] * A[i, l]
+    n_unk = C.shape[1]
     if not np.any(C):
         # the bases coincide channel by channel (A is diagonal up to scale):
         # every diagonal X is invariant; return the canonical representative
         sol = np.ones(n_unk)
         sol[n:] = 0.0
-        svals = np.zeros(len(rows))
+        svals = np.zeros(len(C))
     else:
         _, svals, vt = np.linalg.svd(C)
         svals = np.concatenate([svals, np.zeros(max(0, n_unk - len(svals)))])
@@ -160,8 +158,7 @@ def diagonal_invariants(fit: ConnectionFit, norm_channel: int = 0,
             )
         sol = vt[-1]
     Xmat = np.diag(sol[:n])
-    for m, (i, j) in enumerate(pairs0):
-        Xmat[i, j] = Xmat[j, i] = sol[n + m]
+    Xmat[i, j] = Xmat[j, i] = sol[n:]
     Ymat = A.T @ Xmat @ A
     scale = Ymat[norm_channel, norm_channel]
     if scale == 0:
@@ -169,8 +166,7 @@ def diagonal_invariants(fit: ConnectionFit, norm_channel: int = 0,
     Xmat = Xmat / scale
     Ymat = Ymat / scale
     off = Ymat - np.diag(np.diag(Ymat))
-    for (k, l) in skip1:
-        off[k, l] = off[l, k] = 0.0
+    off[i1, j1] = off[j1, i1] = 0.0
     denom = max(np.max(np.abs(np.diag(Ymat))), 1e-300)
     return BlockCoefficients(
         X=np.diag(Xmat).copy(), Y=np.diag(Ymat).copy(),
@@ -194,8 +190,10 @@ def block_sum(values: np.ndarray, X: Sequence[float], cross: Optional[dict] = No
 
 
 def _row_cut(C: np.ndarray) -> int:
-    """Fewest leading rows K of C with sum_{n>=K} |C_ni| 2^-n <= 2^-60 |C_0i| for every i."""
-    tail = np.cumsum((np.abs(C) * 0.5 ** np.arange(len(C))[:, None])[::-1], axis=0)[::-1]
+    """Fewest leading rows K of C with sum_{n>=K} |C_ni| CHANNEL_SPLIT^n <= 2^-60 |C_0i|
+    for every i."""
+    weights = CHANNEL_SPLIT ** np.arange(len(C))[:, None]
+    tail = np.cumsum((np.abs(C) * weights)[::-1], axis=0)[::-1]
     return int(np.argmax(np.r_[np.all(tail <= _ROW_TOL * np.abs(C[0]), axis=1), True]))
 
 
@@ -210,13 +208,12 @@ def assemble(prefactor_exponents: tuple, X: Sequence[float],
     coefficients instead of X.  G takes a scalar (returning a float) or an
     array of points (returning an array of the same shape).
 
-    A float x with u in (0, 1), on a basis whose exponents and coefficients
-    are all real, is summed by a plan made once per channel from contiguous
-    float64 copies of them: s = u^n @ C over the rows ``_row_cut`` keeps at
-    |u| <= 1/2 (all rows beyond), then c s_i s_j u^e per term, e holding the
-    prefactor exponent at the centre.  Other scalars are one point of the
-    array branch.  A negative prefactor exponent raises ``OutOfDiskError``
-    at u = 0.
+    A float x with u in (0, CHANNEL_SPLIT], on a basis whose exponents and
+    coefficients are all real, is summed by a plan made once per channel
+    from contiguous float64 copies of them: s = u^n @ C over the rows
+    ``_row_cut`` keeps, then c s_i s_j u^e per term, e holding the prefactor
+    exponent at the centre.  Other scalars are one point of the array
+    branch.  A negative prefactor exponent raises ``OutOfDiskError`` at u = 0.
     """
     p0, p1 = (2 * float(p) for p in prefactor_exponents)
     X = np.asarray(X, dtype=float)
@@ -227,19 +224,18 @@ def assemble(prefactor_exponents: tuple, X: Sequence[float],
     if real:
         # a contiguous copy: a strided view of C.real rounds u ** n @ C differently
         C = basis._coeffs.real.copy()
-        n = np.arange(len(C), dtype=float)
         K, a = _row_cut(C), basis._alpha.real.tolist()
-        rows = (n[:K], C[:K]), (n, C)
+        n, C = np.arange(K, dtype=float), C[:K]
         terms = [(i, i, c, pc + 2 * a[i]) for i, c in enumerate(X.tolist())]
         terms += [(i, j, 2.0 * t, pc + a[i] + a[j]) for (i, j), t in cross.items()]
 
     def G(x):
-        if real and isinstance(x, float) and 0.0 < x < 1.0:
+        if real and isinstance(x, float):
             x = float(x)
             u, v = (x, 1.0 - x) if zero else (1.0 - x, x)
-            n, C = rows[u > _PLAN_RADIUS]
-            s = (u ** n @ C).tolist()
-            return v ** po * sum(c * s[i] * s[j] * u ** e for i, j, c, e in terms)
+            if 0.0 < u <= CHANNEL_SPLIT:
+                s = (u ** n @ C).tolist()
+                return v ** po * sum(c * s[i] * s[j] * u ** e for i, j, c, e in terms)
         if isinstance(x, (int, float, complex, np.number)):
             return float(G(np.array([x], dtype=complex))[0])
         if pc < 0 and np.any(np.asarray(x) == (0.0 if zero else 1.0)):

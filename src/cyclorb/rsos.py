@@ -260,8 +260,9 @@ def sector_matrix(H, shift: np.ndarray):
     Sandvik, AIP Conf. Proc. 1297, 2010):
     (P^T H P)[a, b] = sqrt(|b| / |a|) sum_{s in a} H[s, t_b].
     A sparse H (RSOS) is multiplied out as (P^T H) P with the sparse P of
-    ``zero_momentum_projector``: orbit sums move the RSOS pairs by rounding,
-    enough to fail ``EigenPair.check``'s |w r - 1| < 1e-12 at (4,3), L = 16.
+    ``zero_momentum_projector``: orbit sums move the RSOS pairs by rounding.
+    They pass ``EigenPair.check``, but the (6,5), L = 10 vacuum density then
+    misses the 1e-13 bound of ``test_larger_chains_match_dense_loop``.
     A sector above SECTOR_LIMIT raises ``SizeError``.
     """
     orbit, size, reps = _orbits(shift)

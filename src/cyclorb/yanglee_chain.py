@@ -20,8 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .rsos import (EigenPair, SizeError, _block_power_trace, _orbits, check_sector_size,
-                   eigensystem, sector_matrix, sector_pairs)
+from . import rsos
+from .rsos import EigenPair, SizeError
 
 MAX_SITES = 12    # the dense reference makes a 2^L x 2^L complex array, 256 MiB at L = 12
 _MERGED_TOL = 1e-9   # |Im E_0| above which the two lowest levels count as a complex pair
@@ -91,7 +91,7 @@ def _rotation(H) -> np.ndarray:
 def lowest_levels(H: np.ndarray, n: int = 4) -> np.ndarray:
     """The n zero-momentum levels of lowest real part: the two levels that
     merge at h_c are both translation invariant."""
-    ev = np.linalg.eigvals(sector_matrix(H, _rotation(H))[0])
+    ev = np.linalg.eigvals(rsos.sector_matrix(H, _rotation(H))[0])
     return ev[np.argsort(ev.real)][:n]
 
 
@@ -110,9 +110,10 @@ class ChainSector:
     @cached_property
     def _blocks(self) -> list:
         """(d, base, field, index, p) per non-empty block, even first: M(h) =
-        base + h field, D = diag(d) = (-1)^parity, P[s, index[s]] = p[s]."""
+        base + h field, D = diag(d) = (-1)^parity, P[s, index[s]] = p[s].  A
+        block above ``rsos.SECTOR_LIMIT`` raises ``SizeError`` before it is filled."""
         L, j = self.L, np.arange(self.L)
-        orbit, size, reps = _orbits(_rotation(range(1 << L)))
+        orbit, size, reps = rsos._orbits(_rotation(range(1 << L)))
         bits = (reps[:, None] >> j) & 1
         first = np.minimum(np.arange(len(reps)), orbit[bits @ (1 << L - 1 - j)])
         heads, cls, n_orbits = np.unique(first, return_inverse=True, return_counts=True)
@@ -132,6 +133,7 @@ class ChainSector:
         for keep, sign in ((np.ones_like(paired), np.ones(len(reps))),
                            (paired, np.where(first == np.arange(len(reps)), 1.0, -1.0))):
             n, pos = int(keep.sum()), np.cumsum(keep) - 1
+            rsos.check_sector_size(n)
             ok = keep[row] & keep[col]
             flat = (pos[row] * n + pos[col])[ok]
             base, field = (np.bincount(flat, (scale * sign[orbit[flips]] * c)[ok], n * n)
@@ -146,7 +148,6 @@ class ChainSector:
         H = H^T become M = D M^T D there, D = diag(d), to 1e-12."""
         out = []
         for d, base, field, *_ in self._blocks:
-            check_sector_size(len(d))
             out.append(base + h * field)
             if (residual := _transpose_residual(out[-1], d)) > 1e-12:
                 raise AssertionError(f"M != D M^T D (residual {residual})")
@@ -171,7 +172,7 @@ class ChainSector:
 
     def ground_pair(self, h: float) -> EigenPair:
         """The lower of the blocks' ground pairs, from ``rsos.sector_pairs``."""
-        return _real_ground([sector_pairs(M, index, p, 1)[0]
+        return _real_ground([rsos.sector_pairs(M, index, p, 1)[0]
                              for M, (*_, index, p) in zip(self.blocks(h), self._blocks)])
 
 
@@ -190,7 +191,7 @@ def ground_pair(H: np.ndarray) -> EigenPair:
     defective pair (at h_c) raises ``DefectivePairError``."""
     if _transpose_residual(H) > 1e-12:
         raise ValueError("expected a complex-symmetric Hamiltonian")
-    return _real_ground(eigensystem(H, _rotation(H), n_states=1))
+    return _real_ground(rsos.eigensystem(H, _rotation(H), n_states=1))
 
 
 def _real_ground(pairs: list) -> EigenPair:
@@ -213,7 +214,7 @@ def _profile(gp: EigenPair, L: int) -> np.ndarray:
     out = np.empty(L - 1)
     for ell in range(1, L):
         shape = (1 << ell, 1 << (L - ell))
-        t2 = _block_power_trace(gp.right.reshape(shape), gp.left.reshape(shape), 2)
+        t2 = rsos._block_power_trace(gp.right.reshape(shape), gp.left.reshape(shape), 2)
         if abs(t2.imag) > 1e-8 * max(1.0, abs(t2.real)):
             raise RuntimeError(f"Tr rho^2 not real: {t2}")
         out[ell - 1] = (-np.log(complex(t2))).real

@@ -251,6 +251,25 @@ class TestScalarPlan:
             G(np.array([0.3]))
 
     @pytest.mark.parametrize("mid,g", END_MODELS)
+    def test_plan_ends_at_the_channel_split(self, mid, g, monkeypatch):
+        # past the split a float is one point of the array branch, bitwise;
+        # up to it (x = 1/2 included) correlator returns the plan's value
+        model = cy.get_model(mid, g)
+        _, bc, b0, b1 = cy.bootstrap(model)
+        G0 = cy.assemble(model.prefactor_exponents, bc.X, b0, bc.X_cross)
+        G1 = cy.assemble(model.prefactor_exponents, bc.Y, b1, bc.Y_cross)
+        for u in (0.51, 0.6, 0.7, 0.9, 0.99):
+            assert G0(u) == G0(np.array([u]))[0]
+            assert G1(1.0 - u) == G1(np.array([1.0 - u]))[0]
+        G = cy.correlator(model)
+
+        def kernel(*args):
+            raise AssertionError("series kernel entered")
+
+        monkeypatch.setattr(fb, "_series_values", kernel)
+        assert G(0.5) == G0(0.5)
+
+    @pytest.mark.parametrize("mid,g", END_MODELS)
     @pytest.mark.parametrize("x", [0.0, 1.0, 0, 1])
     def test_ends_agree_on_every_path(self, mid, g, x):
         G = cy.correlator(cy.get_model(mid, g))

@@ -105,6 +105,23 @@ class TestReports:
     def test_correlator_selftest(self, capsys):
         assert run_cli(["correlator", "--model", "yl2int_vac", "--selftest"]) == 0
 
+    def test_blocks_selftest(self, capsys):
+        assert run_cli(["blocks", "--model", "yl1int_gs", "--selftest"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("PASS blocks leading coefficient: a0 = ")
+        assert out.count("\n") == 1
+
+    def test_correlator_selftest_without_closed_form(self, capsys):
+        assert run_cli(["correlator", "--model", "yl1int_gs", "--selftest"]) == 4
+        assert capsys.readouterr().out == "FAIL closed form available: none for this model\n"
+
+    def test_monodromy_prints_cross_amplitudes(self, capsys):
+        assert run_cli(["monodromy", "--model", "mm_n3_phi21", "--g", "11/8"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        cross = [line for line in lines if line.startswith("# cross amplitudes")]
+        assert cross == [lines[-1]]
+        assert re.fullmatch(r"# cross amplitudes \{\(0, 2\): -0\.0450959\d*\}", cross[0])
+
     def test_torus_report(self, capsys):
         assert run_cli(["torus"]) == 0
         out = capsys.readouterr().out

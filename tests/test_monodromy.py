@@ -74,6 +74,35 @@ class TestDiagonalInvariants:
             mn.diagonal_invariants(fit, norm_channel=0)
         assert err.value.singular_values is not None
 
+    @pytest.mark.parametrize("mid,g,cross", [("yl1int_gs", None, False),
+                                             ("mm_n3_phi21", F(11, 8), True),
+                                             ("mm_n3_phi21", F(4, 7), True)])
+    def test_constraints_match_loop_reference(self, mid, g, cross):
+        # reference: the constraint rows built pair by pair in Python; the
+        # index-array build must give the same matrix, so the same solve
+        model = cy.get_model(mid, g)
+        fit = cy.bootstrap(model)[0]
+        pairs0 = cy.integer_spaced_pairs(model.block_exponents_0) if cross else []
+        pairs1 = cy.integer_spaced_pairs(model.block_exponents_1) if cross else []
+        A, n = fit.A, len(fit.A)
+        skip = {tuple(sorted(p)) for p in pairs1}
+        rows = []
+        for k in range(n):
+            for l in range(k + 1, n):
+                if (k, l) not in skip:
+                    rows.append([A[q, k] * A[q, l] for q in range(n)]
+                                + [A[i, k] * A[j, l] + A[j, k] * A[i, l] for i, j in pairs0])
+        _, svals, vt = np.linalg.svd(np.array(rows))
+        bc = mn.diagonal_invariants(fit, model.norm_channel, pairs0, pairs1)
+        assert np.array_equal(bc.singular_values[:len(svals)], svals)
+        Xmat = np.diag(vt[-1][:n])
+        for m, (i, j) in enumerate(pairs0):
+            Xmat[i, j] = Xmat[j, i] = vt[-1][n + m]
+        scale = (A.T @ Xmat @ A)[model.norm_channel, model.norm_channel]
+        assert np.array_equal(bc.X, np.diag(Xmat / scale))
+        assert bc.X_cross == {(i, j): float(Xmat[i, j] / scale) for i, j in pairs0}
+        assert set(bc.Y_cross) == skip
+
     def test_trivial_self_connection(self):
         # identity connection: any diagonal X works; the canonical ones-vector
         fit = mn.ConnectionFit(A=np.eye(3), sample_points=(), residual=0.0, condition=1.0)

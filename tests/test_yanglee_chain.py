@@ -340,6 +340,31 @@ class TestSector:
         with pytest.raises(rsos.SizeError):
             ylc.ChainSector(0.8, 8).ground_pair(0.02)
 
+    def test_sector_limit_before_the_blocks_are_filled(self, monkeypatch):
+        # the 30-class even block at L = 8 is refused before np.bincount fills it
+        def no_fill(*args, **kwargs):
+            raise AssertionError("block filled")
+
+        monkeypatch.setattr(rsos, "SECTOR_LIMIT", 29)
+        monkeypatch.setattr(np, "bincount", no_fill)
+        with pytest.raises(rsos.SizeError):
+            ylc.levels_merged(0.8, 0.02, 8)
+        with pytest.raises(rsos.SizeError):
+            ylc.ChainSector(0.8, 8).ground_pair(0.02)
+
+    def test_solves_through_the_rsos_module(self, monkeypatch):
+        # a wrapped rsos.sector_pairs sees the solve of each block
+        calls = []
+        solve = rsos.sector_pairs
+
+        def counted(*args):
+            calls.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(rsos, "sector_pairs", counted)
+        ylc.ChainSector(0.8, 6).ground_pair(0.02)
+        assert len(calls) == 2
+
     def test_size_and_coupling_rejected(self):
         with pytest.raises(ylc.SizeError):
             ylc.ChainSector(0.8, ylc.MAX_SITES + 1)
