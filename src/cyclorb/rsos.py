@@ -4,12 +4,14 @@ Basis states are height strings (a_1 ... a_L), a_i in 1..m, with
 |a_i - a_{i+1}| = 1 cyclically.  The Hamiltonian H = -sum_i e_i is built from
 Temperley-Lieb generators whose weights involve sin(pi k a / (m+1)).
 
-``sector_pairs``, shared with ``yanglee_chain``, solves a block P^H H P
-once for right vectors R; covectors are the rows of R^-1.  ``sector_matrix``
-builds the zero-momentum P^T H P: from the orbit-representative columns of a
-dense H, and as the sparse product with P for the sparse RSOS H.
-scipy.sparse is imported only inside the functions that return a sparse
-matrix, so the chain and the CFT side run on numpy alone.
+Both lattice models solve the zero-momentum sector split into classes of
+rotation orbits under involutions (``symmetry_classes``: the chain's mirror;
+the reflection and the height flip a -> m + 1 - a here), one block per
+character, filled from the entries at the class representatives
+(``class_blocks``).  ``sector_pairs`` solves each block once for right
+vectors R, covectors the rows of R^-1.  ``sector_matrix``, the whole sector
+of a dense H as one block, is the reference.  scipy.sparse is imported only
+inside the functions that return a sparse matrix.
 
 A run of heights (a_0 ... a_{n-1}) is identified by its path code
 a_0 2^(n-1) + sum_t [a_{t+1} > a_t] 2^(n-2-t); codes order like the rows
@@ -79,6 +81,17 @@ class HeightBasis:
         """Sorted codes of every open path of L heights; the n-height paths
         are their distinct n-height prefixes, ``codes >> (L - n)``."""
         return _open_codes(self.m, self.L)
+
+    @cached_property
+    def _classes(self) -> "SymmetryClasses":
+        """Zero-momentum classes under the reflection a_j -> a_{L-1-j} and the
+        height flip a -> m + 1 - a, which both commute with H."""
+        orbit, size, reps = _orbits(_shift(self))
+        codes, rows = self.window_codes(0, self.L), self.states[reps]
+        images = [orbit[np.searchsorted(codes, HeightBasis(self.m, self.L, image)
+                                        .window_codes(0, self.L))]
+                  for image in (rows[:, ::-1], self.m + 1 - rows)]
+        return symmetry_classes(orbit, size, reps, images)
 
     def window_codes(self, start: int, n: int) -> np.ndarray:
         """Path code of the n heights from site ``start`` on, in every state
@@ -210,13 +223,6 @@ def _shift(basis: HeightBasis) -> np.ndarray:
                            basis.window_codes(basis.L - 1, basis.L))
 
 
-def translation_operator(basis: HeightBasis):
-    """The translation by one site, a scipy.sparse CSR matrix."""
-    import scipy.sparse as sp
-    dim = basis.dim
-    return sp.csr_matrix((np.ones(dim), (_shift(basis), np.arange(dim))), shape=(dim, dim))
-
-
 def _orbits(shift: np.ndarray):
     """(orbit of each row, orbit sizes, orbit representatives) under the
     translation ``shift``; orbits are numbered in the order of their
@@ -235,47 +241,72 @@ def check_sector_size(dim: int) -> None:
         raise SizeError(f"solved dimension {dim} exceeds {SECTOR_LIMIT}")
 
 
-def zero_momentum_projector(shift: np.ndarray):
-    """Orthonormal basis P of the zero-momentum sector, one column per orbit,
-    as a scipy.sparse CSR matrix.
-
-    ``shift[s]`` is the row of state s translated by one site.  Orbits are
-    labelled by their smallest row, and P[s, orbit(s)] = 1/sqrt(|orbit|).
-    """
-    return _projector(*_orbits(shift)[:2])
+class SymmetryClasses(NamedTuple):
+    orbit: np.ndarray            # rotation orbit of each state
+    reps: np.ndarray             # state representing each class: its head orbit's smallest
+    n_states: np.ndarray         # N_c, the states of each class
+    cls: np.ndarray              # class of each orbit
+    chars: list                  # (keep, sign) per character, see ``symmetry_classes``
 
 
-def _projector(orbit, size):
-    import scipy.sparse as sp
-    return sp.csr_matrix((1.0 / np.sqrt(size[orbit]), (np.arange(len(orbit)), orbit)),
-                         shape=(len(orbit), len(size)))
+def symmetry_classes(orbit, size, reps, images) -> SymmetryClasses:
+    """Zero-momentum classes (Sandvik, AIP Conf. Proc. 1297, 2010) under
+    involutions g_i that commute with each other and the translation:
+    ``images[i][a]`` is the orbit of g_i on orbit a.  A class is an orbit
+    with its images, headed by the smallest.  Character x (chi_i = -1 where
+    bit i of x is set) spans sum_{s in c} chi(g_s) |s> / sqrt(N_c), g_s taking
+    the head to the orbit of s, where chi is trivial on the head's stabiliser
+    (``keep``); ``sign`` is chi(g_a) on each orbit a."""
+    group = [np.arange(len(size))]           # element g has g_i as a factor where bit i is set
+    for img in images:
+        group += [img[g] for g in group]
+    group = np.array(group)
+    head = group.min(axis=0)
+    heads, cls, n_orbits = np.unique(head, return_inverse=True, return_counts=True)
+    to_head, fixes = np.argmax(group == head, axis=0), group[:, heads] == heads
+    chis = (np.array([(-1.0) ** bin(g & x).count("1") for g in range(len(group))])
+            for x in range(len(group)))
+    return SymmetryClasses(orbit, reps[heads], size[heads] * n_orbits, cls, [
+        (np.all(fixes <= (chi[:, None] == 1), axis=0), chi[to_head]) for chi in chis])
 
 
-def sector_matrix(H, shift: np.ndarray):
-    """(P^T H P as a dense array, orbit, p): the zero-momentum block of H,
-    with P[s, orbit[s]] = p[s] the only nonzero of row s of P.
+def class_blocks(sc: SymmetryClasses, src, tgt, coefs) -> list:
+    """(keep, [block per coefs row], index, p) per non-empty character of
+    ``sc``, for operators that commute with the translation and the
+    involutions: ``coefs[o][e]`` is operator o's entry from class
+    representative ``sc.reps[src[e]]`` to state ``tgt[e]``.  An entry adds
+    sqrt(N_src / N_tgt) chi(tgt) coef, one ``np.bincount`` per block, after
+    ``check_sector_size`` has passed every block.  P[s, index[s]] = p[s]."""
+    check_sector_size(max(int(keep.sum()) for keep, _ in sc.chars))
+    row, state_cls = sc.cls[sc.orbit[tgt]], sc.cls[sc.orbit]
+    scale = np.sqrt(sc.n_states[src] / sc.n_states[row])
+    out = []
+    for keep, sign in sc.chars:
+        n, pos = int(keep.sum()), np.cumsum(keep) - 1
+        ok = keep[row] & keep[src]
+        flat = (pos[row] * n + pos[src])[ok]
+        if n:
+            out.append((keep, [np.bincount(flat, (scale * sign[sc.orbit[tgt]] * c)[ok], n * n)
+                               .reshape(n, n) for c in coefs], pos[state_cls],
+                        sign[sc.orbit] * keep[state_cls] / np.sqrt(sc.n_states[state_cls])))
+    return out
 
-    H must commute with the translation ``shift``.  For a dense numpy H the
-    block is read off the orbit representatives t_b (momentum states, as in
-    Sandvik, AIP Conf. Proc. 1297, 2010):
-    (P^T H P)[a, b] = sqrt(|b| / |a|) sum_{s in a} H[s, t_b].
-    A sparse H (RSOS) is multiplied out as (P^T H) P with the sparse P of
-    ``zero_momentum_projector``: orbit sums move the RSOS pairs by rounding.
-    They pass ``EigenPair.check``, but the (6,5), L = 10 vacuum density then
-    misses the 1e-13 bound of ``test_larger_chains_match_dense_loop``.
-    A sector above SECTOR_LIMIT raises ``SizeError``.
+
+def sector_matrix(H: np.ndarray, shift: np.ndarray):
+    """(P^T H P as a dense array, orbit, p): the zero-momentum block of the
+    dense H, with P[s, orbit[s]] = p[s] the only nonzero of row s of P.
+
+    H must commute with the translation ``shift``.  The block is read off
+    the orbit representatives t_b (momentum states, as in Sandvik, AIP Conf.
+    Proc. 1297, 2010): (P^T H P)[a, b] = sqrt(|b| / |a|) sum_{s in a} H[s, t_b].
+    A sector above SECTOR_LIMIT raises ``SizeError`` before H is read.
     """
     orbit, size, reps = _orbits(shift)
     check_sector_size(len(size))
-    if isinstance(H, np.ndarray):
-        # rows sorted by orbit, so each orbit's rows are one run for reduceat
-        sums = np.add.reduceat(H[np.ix_(np.argsort(orbit, kind="stable"), reps)],
-                               np.cumsum(size) - size, axis=0)
-        Hs = sums * np.sqrt(size / size[:, None])
-    else:
-        P = _projector(orbit, size)
-        Hs = ((P.T @ H) @ P).toarray()
-    return Hs, orbit, (1.0 / np.sqrt(size))[orbit]
+    # rows sorted by orbit, so each orbit's rows are one run for reduceat
+    sums = np.add.reduceat(H[np.ix_(np.argsort(orbit, kind="stable"), reps)],
+                           np.cumsum(size) - size, axis=0)
+    return sums * np.sqrt(size / size[:, None]), orbit, (1.0 / np.sqrt(size))[orbit]
 
 
 @dataclass
@@ -295,60 +326,81 @@ class EigenPair:
                 and hl <= tol * np.linalg.norm(self.left) * e)
 
 
-def eigensystem(H, shift: np.ndarray, n_states: int = 6) -> list[EigenPair]:
-    """Lowest-(real part) zero-momentum eigenpairs: ``sector_pairs`` on the
-    block of ``sector_matrix``, ``shift[s]`` the row of s translated by one site."""
-    return sector_pairs(*sector_matrix(H, shift), n_states)
+def eigensystem(H: np.ndarray, shift: np.ndarray, n_states: int = 6) -> list[EigenPair]:
+    """Lowest-(real part) zero-momentum eigenpairs of the dense H: ``sector_pairs``
+    on the one block of ``sector_matrix``, ``shift[s]`` the row of s translated by one site."""
+    return sector_pairs([sector_matrix(H, shift)], n_states)
 
 
-def sector_pairs(Hs: np.ndarray, index: np.ndarray, p: np.ndarray, n_states: int) -> list:
-    """The n_states pairs of lowest real part of the block Hs = P^H H P, where
-    P (orthonormal columns) has one nonzero per row, P[s, index[s]] = p[s].
-    Hs is solved once for right vectors R; the covectors are the rows of
-    W = R^-1, so W R = I also inside degenerate and complex-conjugate
-    clusters.  Each pair is checked, then expanded to r = P R[:, i],
-    w = W[i] P^H: |w| |r| / |w r| > 1e10 or a residual > 1e-10 |v| max(1, |E|)
-    raises ``DefectivePairError``."""
-    evals, R = np.linalg.eig(Hs)
-    try:
-        W = np.linalg.inv(R)
-    except np.linalg.LinAlgError as exc:
-        raise DefectivePairError("singular eigenvector matrix (Jordan block?)") from exc
-    sel = np.argsort(evals.real)[:n_states]
-    energies, R, W = evals[sel], R[:, sel], W[sel]
-    tol = 1e-10 * np.maximum(1.0, np.abs(energies))
-    kappa = (np.linalg.norm(W, axis=1) * np.linalg.norm(R, axis=0)
-             / np.abs(np.sum(W * R.T, axis=1)))
-    res_r = np.linalg.norm(Hs @ R - R * energies, axis=0) / np.linalg.norm(R, axis=0)
-    res_l = np.linalg.norm(W @ Hs - energies[:, None] * W, axis=1) / np.linalg.norm(W, axis=1)
-    bad = np.flatnonzero(~((kappa <= 1e10) & (res_r <= tol) & (res_l <= tol)))
-    if bad.size:
-        i = bad[0]
-        raise DefectivePairError(
-            f"pair at E = {energies[i]:.6g}: condition {kappa[i]:.3g}, residuals "
-            f"{res_r[i]:.1e} (right), {res_l[i]:.1e} (left); Jordan block?")
+def sector_pairs(blocks: list, n_states: int) -> list:
+    """The n_states pairs of lowest real part over ``blocks`` (Hs, index, p),
+    in that order: Hs = P^H H P, P (orthonormal columns) with one nonzero per
+    row, P[s, index[s]] = p[s].  Each Hs is solved once for right vectors R,
+    covectors the rows of W = R^-1, so W R = I also in degenerate and conjugate
+    clusters.  The levels are merged by real part (ties in block order); only
+    the n_states lowest are checked and expanded, r = P R[:, i], w = W[i] P^H:
+    a condition |w||r|/|w r| > 1e10 or a residual > 1e-10 |v| max(1, |E|) raises DefectivePairError."""
+    solved = []
+    for Hs, *_ in blocks:
+        evals, R = np.linalg.eig(Hs)
+        try:
+            W = np.linalg.inv(R)
+        except np.linalg.LinAlgError as exc:
+            raise DefectivePairError("singular eigenvector matrix (Jordan block?)") from exc
+        sel = np.argsort(evals.real)[:n_states]
+        solved.append((evals[sel], R[:, sel], W[sel]))
+    merged = np.concatenate([e for e, *_ in solved])
+    chosen = np.zeros(len(merged), dtype=bool)
+    chosen[np.argsort(merged.real, kind="stable")[:n_states]] = True
+    expanded = []
+    for (Hs, index, p), (energies, R, W), mine in zip(
+            blocks, solved, np.split(chosen, np.cumsum([len(e) for e, *_ in solved])[:-1])):
+        energies, R, W = energies[mine], R[:, mine], W[mine]
+        tol = 1e-10 * np.maximum(1.0, np.abs(energies))
+        kappa = np.linalg.norm(W, axis=1) * np.linalg.norm(R, axis=0) / np.abs(np.sum(W * R.T, axis=1))
+        res_r = np.linalg.norm(Hs @ R - R * energies, axis=0) / np.linalg.norm(R, axis=0)
+        res_l = np.linalg.norm(W @ Hs - energies[:, None] * W, axis=1) / np.linalg.norm(W, axis=1)
+        bad = np.flatnonzero(~((kappa <= 1e10) & (res_r <= tol) & (res_l <= tol)))
+        if bad.size:
+            i = bad[0]
+            raise DefectivePairError(
+                f"pair at E = {energies[i]:.6g}: condition {kappa[i]:.3g}, residuals "
+                f"{res_r[i]:.1e} (right), {res_l[i]:.1e} (left); Jordan block?")
+        expanded.append((R.T[:, index] * p, W[:, index] * p.conj()))
+    # one row per pair, phased so that its largest entry of r is real and positive
+    energies = merged[chosen]
+    rights, lefts = (np.concatenate(v, dtype=complex) for v in zip(*expanded))
+    ph = rights[np.arange(len(rights)), np.argmax(np.abs(rights), axis=1)]
+    ph = (ph / np.abs(ph))[:, None]
+    rights, lefts = rights / ph, lefts * ph
+    real = (np.abs(energies.imag) < 1e-9) & (np.max(np.abs(rights.imag), axis=1)
+                                             < 1e-9 * np.maximum(np.max(np.abs(rights.real), axis=1), 1e-300))
+    rights.imag[real] = lefts.imag[real] = 0.0
+    # last, on the expanded r: w r cancels 1e4-fold, and a plain dot left
+    # |w r - 1| = 1.1e-12 at (4,3), L = 16; np.sum of one row is pairwise
+    lefts /= np.array([np.sum(w * r) for w, r in zip(lefts, rights)])[:, None]
+    # each pair owns its rows: views would keep all n_states rows alive
+    return [EigenPair(complex(energies[i]), rights[i].copy(), lefts[i].copy())
+            for i in np.argsort(energies.real, kind="stable")]
 
-    pairs = []
-    rights, lefts = (V[index] * q[:, None] for V, q in ((R, p), (W.T, p.conj())))
-    for e, r, w in zip(energies, rights.T, lefts.T):
-        big = np.argmax(np.abs(r))
-        ph = r[big] / abs(r[big])
-        r, w = r / ph, w * ph
-        e = complex(e)
-        if abs(e.imag) < 1e-9 and np.max(np.abs(r.imag)) < 1e-9 * max(np.max(np.abs(r.real)), 1e-300):
-            r, w = r.real.astype(complex), w.real.astype(complex)
-        # last, on the expanded r: w r cancels 1e4-fold, and a plain dot
-        # left |w r - 1| = 1.1e-12 at (4,3), L = 16; np.sum is pairwise
-        pairs.append(EigenPair(energy=e, right=r, left=w / np.sum(w * r)))
-    return pairs
+
+def sector_blocks(H, basis: HeightBasis) -> list:
+    """The (reflection, flip) blocks (Hs, index, p) of the zero-momentum sector of
+    the sparse H, read off its columns at the ``basis._classes`` representatives."""
+    sc = basis._classes
+    cols = H.tocsc()[:, sc.reps]
+    src = np.repeat(np.arange(len(sc.reps)), np.diff(cols.indptr))
+    return [(Hs, index, p) for _, (Hs,), index, p
+            in class_blocks(sc, src, cols.indices, [cols.data])]
 
 
 def select_state(H, basis: HeightBasis, which: str) -> EigenPair:
-    """"ground": lowest energy; "vacuum": next real level.  Both are
-    translation invariant, so only the zero-momentum sector is solved."""
+    """"ground": lowest energy; "vacuum": next real level, of the 12 lowest
+    zero-momentum levels of all four ``sector_blocks``.  No parity is
+    assumed: those of the two states vary with the model and with L."""
     if which not in ("ground", "vacuum"):
         raise ValueError("state must be 'ground' or 'vacuum'")
-    pairs = eigensystem(H, _shift(basis), n_states=12)
+    pairs = sector_pairs(sector_blocks(H, basis), 12)
     real_pairs = [p for p in pairs if abs(p.energy.imag) < 1e-8]
     i = 0 if which == "ground" else 1
     if i >= len(real_pairs):

@@ -110,38 +110,26 @@ class ChainSector:
     @cached_property
     def _blocks(self) -> list:
         """(d, base, field, index, p) per non-empty block, even first: M(h) =
-        base + h field, D = diag(d) = (-1)^parity, P[s, index[s]] = p[s].  A
-        block above ``rsos.SECTOR_LIMIT`` raises ``SizeError`` before it is filled."""
+        base + h field, D = diag(d) = (-1)^parity, P[s, index[s]] = p[s], from
+        ``rsos.class_blocks`` with the mirror alone (``SizeError`` before a fill)."""
         L, j = self.L, np.arange(self.L)
         orbit, size, reps = rsos._orbits(_rotation(range(1 << L)))
-        bits = (reps[:, None] >> j) & 1
-        first = np.minimum(np.arange(len(reps)), orbit[bits @ (1 << L - 1 - j)])
-        heads, cls, n_orbits = np.unique(first, return_inverse=True, return_counts=True)
-        paired, n_states = n_orbits == 2, size[heads] * n_orbits
-        parity = bits.sum(axis=1) % 2
+        mirror = orbit[((reps[:, None] >> j) & 1) @ (1 << L - 1 - j)]
+        sc = rsos.symmetry_classes(orbit, size, reps, [mirror])
         # the 2L + 1 targets of H on each class representative t, coefficients of 1 and h
-        t = reps[heads][:, None]
+        t = sc.reps[:, None]
+        down = ((t >> j) & 1).sum(axis=1)
+        parity = down % 2
         flips = np.hstack([t, t ^ (1 << j) ^ (1 << (j + 1) % L), t ^ (1 << j)])
         coef = np.zeros((2,) + flips.shape)
-        coef[0, :, 0] = -0.5 * (L - 2 * bits[heads].sum(axis=1))
+        coef[0, :, 0] = -0.5 * (L - 2 * down)
         coef[0, :, 1:L + 1] = -0.5 * self.lam
-        coef[1, :, L + 1:] = parity[heads, None] - 0.5
-        col, row = np.arange(len(heads))[:, None], cls[orbit[flips]]
-        scale = np.sqrt(n_states[col] / n_states[row])
-        twist = np.where(parity[orbit], 1j, 1.0) / np.sqrt(n_states[cls[orbit]])
-        blocks = []
-        for keep, sign in ((np.ones_like(paired), np.ones(len(reps))),
-                           (paired, np.where(first == np.arange(len(reps)), 1.0, -1.0))):
-            n, pos = int(keep.sum()), np.cumsum(keep) - 1
-            rsos.check_sector_size(n)
-            ok = keep[row] & keep[col]
-            flat = (pos[row] * n + pos[col])[ok]
-            base, field = (np.bincount(flat, (scale * sign[orbit[flips]] * c)[ok], n * n)
-                           .reshape(n, n) for c in coef)
-            if n:
-                blocks.append((1.0 - 2.0 * parity[heads][keep], base, field,
-                               pos[cls[orbit]], twist * sign[orbit] * keep[cls[orbit]]))
-        return blocks
+        coef[1, :, L + 1:] = parity[:, None] - 0.5
+        src = np.repeat(np.arange(len(t)), flips.shape[1])
+        twist = np.where(_down_spins(L) % 2, 1j, 1.0)
+        return [(1.0 - 2.0 * parity[keep], base, field, index, twist * p)
+                for keep, (base, field), index, p
+                in rsos.class_blocks(sc, src, flips.ravel(), coef.reshape(2, -1))]
 
     def blocks(self, h: float) -> list:
         """The real blocks at field h, each checked: P H P = H^dagger and
@@ -171,9 +159,9 @@ class ChainSector:
         return 0.5 * (lo + hi)
 
     def ground_pair(self, h: float) -> EigenPair:
-        """The lower of the blocks' ground pairs, from ``rsos.sector_pairs``."""
-        return _real_ground([rsos.sector_pairs(M, index, p, 1)[0]
-                             for M, (*_, index, p) in zip(self.blocks(h), self._blocks)])
+        """The ground pair over both blocks, from one ``rsos.sector_pairs`` call."""
+        return _real_ground(rsos.sector_pairs(
+            [(M, index, p) for M, (*_, index, p) in zip(self.blocks(h), self._blocks)], 1))
 
 
 def levels_merged(lam: float, h: float, L: int) -> bool:

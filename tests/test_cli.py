@@ -169,7 +169,8 @@ class TestExitCodes:
         assert err.startswith("error: SizeError") and err.count("\n") == 1
 
     def test_sector_limit_is_usage_error(self, monkeypatch, capsys):
-        monkeypatch.setattr(rsos, "SECTOR_LIMIT", 10)
+        # the largest of the four blocks at L = 8 holds 8 classes
+        monkeypatch.setattr(rsos, "SECTOR_LIMIT", 7)
         code = run_cli(["lattice", "--m", "4", "--k", "3", "--L", "8"])
         err = capsys.readouterr().err
         assert code == 2

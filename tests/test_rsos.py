@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from cyclorb import rsos, yanglee_chain as ylc
 
@@ -160,13 +161,28 @@ class TestTemperleyLieb:
             rsos.build_rsos_hamiltonian(5, 2, 4)  # gcd(k, m+1) > 1: sin vanishes
 
 
+def translation_operator(basis):
+    """The translation by one site, a scipy.sparse CSR matrix."""
+    dim = basis.dim
+    return sp.csr_matrix((np.ones(dim), (rsos._shift(basis), np.arange(dim))), shape=(dim, dim))
+
+
+def zero_momentum_projector(shift):
+    """Orthonormal basis P of the zero-momentum sector, one column per orbit,
+    as a scipy.sparse CSR matrix: P[s, orbit(s)] = 1/sqrt(|orbit|), with the
+    orbits of ``rsos._orbits``, labelled by their smallest row."""
+    orbit, size, _ = rsos._orbits(shift)
+    return sp.csr_matrix((1.0 / np.sqrt(size[orbit]), (np.arange(len(orbit)), orbit)),
+                         shape=(len(orbit), len(size)))
+
+
 def full_eigensystem(H, basis, n_states):
     """Reference: the whole space solved densely, covectors as the rows of
     R^-1, each cluster of (near-)degenerate levels resolved into translation
     eigenstates.  Returns (pair, translation eigenvalue) by ascending Re E."""
     evals, R = np.linalg.eig(H.toarray())
     W = np.linalg.inv(R)
-    T = rsos.translation_operator(basis)
+    T = translation_operator(basis)
     sel = np.argsort(evals.real)[: max(4 * n_states, 16)]
     out, done = [], set()
     for j in sel:
@@ -193,7 +209,7 @@ def full_eigensystem(H, basis, n_states):
 class TestEigensystem:
     def test_translation_commutes(self):
         H, basis = rsos.build_rsos_hamiltonian(4, 3, 8)
-        T = rsos.translation_operator(basis)
+        T = translation_operator(basis)
         assert abs(H @ T - T @ H).max() < 1e-12
 
     def test_pairs_check(self):
@@ -238,7 +254,7 @@ class TestEigensystem:
         g = rsos.select_state(H, basis, "ground")
         v = rsos.select_state(H, basis, "vacuum")
         assert g.energy.real < v.energy.real
-        T = rsos.translation_operator(basis)
+        T = translation_operator(basis)
         for p in (g, v):
             assert np.max(np.abs(T @ p.right - p.right)) < 1e-8 * np.max(np.abs(p.right))
         # conformal gap ratio (x_1 - x_phi)/(x_dphi - x_phi) -> (2/5)/1
@@ -270,8 +286,8 @@ class TestSectorSolve:
         H, basis = rsos.build_rsos_hamiltonian(4, 3, 8)
         index = row_index(basis.states)
         shift = [index[np.roll(s, 1).tobytes()] for s in basis.states]
-        P = rsos.zero_momentum_projector(np.array(shift))
-        T = rsos.translation_operator(basis)
+        P = zero_momentum_projector(np.array(shift))
+        T = translation_operator(basis)
         orbits = {min(tuple(np.roll(s, t)) for t in range(8)) for s in basis.states}
         assert P.shape == (basis.dim, len(orbits))
         assert abs(P.T @ P - np.eye(len(orbits))).max() < 1e-15
@@ -289,7 +305,7 @@ class TestSectorSolve:
         else:
             H = ylc.ising_imaginary_chain(0.8, case[1], case[0])
             shift = ylc._rotation(H)
-        P = rsos.zero_momentum_projector(shift)
+        P = zero_momentum_projector(shift)
         want = np.asarray((P.T @ H) @ P)
         got, orbit, p = rsos.sector_matrix(H, shift)
         assert got.shape == want.shape
@@ -313,6 +329,17 @@ class TestSectorSolve:
                 rsos.eigensystem(h, shift)
         with pytest.raises(rsos.SizeError):
             ylc.lowest_levels(H)
+
+        # the four (reflection, flip) blocks at L = 12 hold 26, 5, 21 and 8
+        # classes: the largest is refused before np.bincount fills any block
+        def no_fill(*args, **kwargs):
+            raise AssertionError("block filled")
+
+        monkeypatch.setattr(rsos, "SECTOR_LIMIT", 25)
+        monkeypatch.setattr(np, "bincount", no_fill)
+        for which in ("ground", "vacuum"):
+            with pytest.raises(rsos.SizeError):
+                rsos.select_state(H_rsos, basis, which)
 
     @pytest.mark.parametrize("L", [8, 10, 12])
     def test_matches_full_solve(self, L):
@@ -339,7 +366,7 @@ class TestSectorSolve:
         # degenerate partners included (the sector of (4,3) has no complex
         # levels at these sizes; the chain test covers conjugate pairs)
         H, basis = rsos.build_rsos_hamiltonian(m, k, L)
-        pairs = rsos.eigensystem(H, rsos._shift(basis), n_states=12)
+        pairs = rsos.eigensystem(H.toarray(), rsos._shift(basis), n_states=12)
         assert len(pairs) == 12
         if k == 3:
             assert np.min(np.abs(np.diff([p.energy for p in pairs]))) < 1e-8
@@ -360,7 +387,80 @@ class TestSectorSolve:
                             lambda a: inv(a) * (1 + 1e-6 * np.arange(len(a))))
         H, basis = rsos.build_rsos_hamiltonian(4, 3, 8)
         with pytest.raises(rsos.DefectivePairError):
-            rsos.eigensystem(H, rsos._shift(basis), n_states=4)
+            rsos.eigensystem(H.toarray(), rsos._shift(basis), n_states=4)
+        with pytest.raises(rsos.DefectivePairError):
+            rsos.select_state(H, basis, "ground")
+
+
+def flip_rows(basis):
+    """Row of the height flip a -> m + 1 - a of each state."""
+    index = row_index(basis.states)
+    return np.array([index[(basis.m + 1 - s).tobytes()] for s in basis.states])
+
+
+def oracle_states(H, basis):
+    """Ground and vacuum from the single zero-momentum block of the dense H."""
+    pairs = rsos.eigensystem(H.toarray(), rsos._shift(basis), 12)
+    ground, vacuum = [p for p in pairs if abs(p.energy.imag) < 1e-8][:2]
+    return {"ground": ground, "vacuum": vacuum}
+
+
+PARITY_MODELS = [(4, 3), (4, 1), (5, 1), (3, 3), (6, 4)]
+
+
+class TestParityBlocks:
+    """The four (reflection, flip) blocks against the single zero-momentum
+    block, which assumes no symmetry beyond the translation."""
+
+    @pytest.mark.parametrize("L", [8, 10, 12])
+    @pytest.mark.parametrize("m,k", PARITY_MODELS)
+    def test_states_match_single_block(self, m, k, L):
+        H, basis = rsos.build_rsos_hamiltonian(m, k, L)
+        oracle = oracle_states(H, basis)
+        for which, ref in oracle.items():
+            pair = rsos.select_state(H, basis, which)
+            assert abs(pair.energy - ref.energy) < 1e-10
+            assert pair.check(H)
+            for N, insertion in ((2, 1), (3, "bare")):
+                got, want = (rsos.entropy_curve(m, k, L, N, which, insertion, 0.0,
+                                                pair=p, basis=basis)["trace"]
+                             for p in (pair, ref))
+                assert np.max(np.abs(got - want) / np.abs(want)) < 1e-8
+
+    @pytest.mark.parametrize("m,k,L", [(4, 3, 10), (4, 1, 10), (5, 1, 8), (3, 3, 10),
+                                       (6, 4, 8)])
+    def test_blocks_hold_the_whole_sector(self, m, k, L):
+        # every level of the single block, not only the lowest, is a level
+        # of exactly one of the non-empty blocks (two of them at m = 3)
+        H, basis = rsos.build_rsos_hamiltonian(m, k, L)
+        blocks = rsos.sector_blocks(H, basis)
+        want = np.linalg.eigvals(rsos.sector_matrix(H.toarray(), rsos._shift(basis))[0])
+        got = np.concatenate([np.linalg.eigvals(Hs) for Hs, *_ in blocks])
+        assert len(got) == len(want)
+        for e in want:
+            assert np.min(np.abs(got - e)) < 1e-9 * max(1.0, abs(e))
+        for Hs, index, p in blocks:
+            assert np.all(np.abs(np.bincount(index[p != 0], p[p != 0] ** 2) - 1) < 1e-14)
+
+    @pytest.mark.parametrize("m,k", [(4, 1), (5, 1)])
+    @pytest.mark.parametrize("L", [8, 10, 12])
+    def test_flip_odd_vacuum(self, m, k, L):
+        # a dropped flip-odd block would lose these vacua
+        H, basis = rsos.build_rsos_hamiltonian(m, k, L)
+        v = rsos.select_state(H, basis, "vacuum")
+        flip = flip_rows(basis)
+        assert np.max(np.abs(v.right[flip] + v.right)) < 1e-12 * np.max(np.abs(v.right))
+        assert np.max(np.abs(v.left[flip] + v.left)) < 1e-12 * np.max(np.abs(v.left))
+        assert abs(v.energy - oracle_states(H, basis)["vacuum"].energy) < 1e-10
+
+    def test_pairs_biorthonormal_across_blocks(self):
+        # the 12 merged pairs of (4,3), L = 10, degenerate partners included
+        H, basis = rsos.build_rsos_hamiltonian(4, 3, 10)
+        pairs = rsos.sector_pairs(rsos.sector_blocks(H, basis), 12)
+        assert len(pairs) == 12
+        assert np.all(np.diff([p.energy.real for p in pairs]) >= 0)
+        G = np.array([[pi.left @ pj.right for pj in pairs] for pi in pairs])
+        assert np.max(np.abs(G - np.eye(12))) < 1e-10
 
 
 @pytest.fixture(scope="module")
