@@ -8,14 +8,17 @@ size-dependent threshold h_c the two lowest levels are real; at h_c they
 merge into a complex-conjugate pair (the finite-size shadow of the edge
 singularity).
 
-The threshold search and the crossover solve ``ChainSector``'s real blocks
-and never form H; the dense H, ``lowest_levels``, ``ground_pair`` and
-``renyi2_profile`` are the reference.  rho = r0 w0 (w0 r0 = 1), from
-``rsos.sector_pairs``, has its Renyi-2 traces taken as for an RSOS block.
+The threshold search (regula falsi on the squared gap of the two lowest
+levels, bracketed by the complex-pair verdict) and the crossover solve
+``ChainSector``'s real blocks and never form H; the dense H,
+``lowest_levels``, ``ground_pair`` and ``renyi2_profile`` are the reference.
+rho = r0 w0 (w0 r0 = 1), from ``rsos.sector_pairs``, has its Renyi-2 traces
+taken as for an RSOS block.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -131,31 +134,56 @@ class ChainSector:
                 for keep, (base, field), index, p
                 in rsos.class_blocks(sc, src, flips.ravel(), coef.reshape(2, -1))]
 
+    @cached_property
+    def _residuals(self) -> list:
+        """(res(base), res(field)) per block: M(h) has res <= res(base) + |h| res(field)."""
+        return [(_transpose_residual(base, d), _transpose_residual(field, d))
+                for d, base, field, *_ in self._blocks]
+
     def blocks(self, h: float) -> list:
-        """The real blocks at field h, each checked: P H P = H^dagger and
-        H = H^T become M = D M^T D there, D = diag(d), to 1e-12."""
-        out = []
-        for d, base, field, *_ in self._blocks:
-            out.append(base + h * field)
-            if (residual := _transpose_residual(out[-1], d)) > 1e-12:
-                raise AssertionError(f"M != D M^T D (residual {residual})")
-        return out
+        """The real blocks at field h, checked: P H P = H^dagger and H = H^T
+        become M = D M^T D there, D = diag(d), to 1e-12 through ``_residuals``."""
+        if (residual := max(rb + abs(h) * rf for rb, rf in self._residuals)) > 1e-12:
+            raise AssertionError(f"M != D M^T D (residual up to {residual})")
+        return [base + h * field for _, base, field, *_ in self._blocks]
+
+    def _levels(self, h: float) -> tuple:
+        """One eigensolve round over both blocks: whether the level E_0 of
+        lowest real part is complex, and g = Re((E_1 - E_0)^2), E_1 the next."""
+        ev = np.concatenate([np.linalg.eigvals(M) for M in self.blocks(h)])
+        e0, e1 = ev[np.argsort(ev.real, kind="stable")[:2]]
+        return bool(abs(e0.imag) > _MERGED_TOL), float(((e1 - e0) ** 2).real)
 
     def merged(self, h: float) -> bool:
         """True when the level of lowest real part, over both blocks, is complex."""
-        ev = np.concatenate([np.linalg.eigvals(M) for M in self.blocks(h)])
-        return bool(np.abs(ev[np.argmin(ev.real)].imag) > _MERGED_TOL)
+        return self._levels(h)[0]
 
     def critical_field(self, tol: float = 1e-8) -> float:
-        """Merging threshold h_c by bisection on the complex-pair onset."""
+        """Merging threshold h_c to tol/2: Illinois regula falsi (Dowell &
+        Jarratt, BIT 11, 1971) on g(h) = Re((E_1 - E_0)^2), which crosses 0
+        linearly at h_c.  The bracket starts at [0, 0.25] and doubles; the
+        verdict of ``merged`` moves its ends (lo real, hi merged).  Each step
+        lands at least tol/4 inside, at the midpoint when the secant is
+        undefined, until hi - lo <= tol or lo and hi are adjacent floats."""
+        if not (math.isfinite(tol) and tol > 0):
+            raise ValueError(f"tol = {tol}: need a finite tol > 0")
         lo, hi = 0.0, 0.25
-        while not self.merged(hi):
-            lo, hi = hi, hi * 2.0
+        g_lo = self._levels(lo)[1]
+        while not (probe := self._levels(hi))[0]:
+            lo, g_lo, hi = hi, probe[1], hi * 2.0
             if hi > 64:
                 raise RuntimeError("no merging found below h = 64")
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            lo, hi = (lo, mid) if self.merged(mid) else (mid, hi)
+        g_hi, last = probe[1], None
+        while hi - lo > tol and math.nextafter(lo, hi) < hi:
+            frac = g_lo / (g_lo - g_hi) if g_lo > 0 > g_hi else 0.5
+            h = min(max(lo + frac * (hi - lo), lo + tol / 4, math.nextafter(lo, hi)),
+                    hi - tol / 4, math.nextafter(hi, lo))
+            merged, g = self._levels(h)
+            if merged:      # Illinois: halve g at an end kept twice in a row
+                hi, g_hi, g_lo = h, g, g_lo * (0.5 if last is True else 1.0)
+            else:
+                lo, g_lo, g_hi = h, g, g_hi * (0.5 if last is False else 1.0)
+            last = merged
         return 0.5 * (lo + hi)
 
     def ground_pair(self, h: float) -> EigenPair:
@@ -170,7 +198,7 @@ def levels_merged(lam: float, h: float, L: int) -> bool:
 
 
 def critical_field(lam: float, L: int, tol: float = 1e-8) -> float:
-    """Merging threshold h_c(lambda, L) by bisection on the complex-pair onset."""
+    """Merging threshold h_c(lambda, L) to tol/2, from ``ChainSector.critical_field``."""
     return ChainSector(lam, L).critical_field(tol)
 
 
@@ -216,14 +244,13 @@ def crossover_study(lam: float, L: int, h_fractions) -> dict:
     """
     if L < 4:
         raise ValueError(f"L = {L}: the crossover study needs at least 4 sites")
+    fractions = list(h_fractions)
+    if not all(0 < f < 1 for f in fractions):
+        raise ValueError("fractions must lie in (0, 1)")
     sector = ChainSector(lam, L)
     hc = sector.critical_field()
-    profiles = {}
-    for f in h_fractions:
-        if not 0 < f < 1:
-            raise ValueError("fractions must lie in (0, 1)")
-        profiles[f] = _profile(sector.ground_pair(f * hc), L)
-    return {"h_c": hc, "profiles": profiles}
+    return {"h_c": hc, "profiles": {f: _profile(sector.ground_pair(f * hc), L)
+                                    for f in fractions}}
 
 
 def midpoint_second_difference(profile: np.ndarray) -> float:

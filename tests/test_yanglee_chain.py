@@ -1,5 +1,7 @@
 """Imaginary-field Ising chain: adjointness, level merging, crossover."""
 
+import functools
+import math
 import tracemalloc
 
 import numpy as np
@@ -64,6 +66,35 @@ def loop_chain(lam, h, L):
             f = s ^ (1 << j)
             H[f, s] += -0.5j * h
     return H
+
+
+def bisect_hc(merged, tol=1e-12):
+    """h_c by bisection on the verdict merged(h), from the bracket [0, 0.25]
+    doubled until merged: the search that regula falsi replaced.  Returns the
+    midpoint of the final bracket and the number of verdicts taken."""
+    calls = 1
+    lo, hi = 0.0, 0.25
+    while not merged(hi):
+        lo, hi, calls = hi, 2 * hi, calls + 1
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if merged(mid) else (mid, hi)
+        calls += 1
+    return 0.5 * (lo + hi), calls
+
+
+@functools.cache
+def reference_hc(lam, L):
+    """h_c to 1e-12 by bisection on ``ChainSector.merged``."""
+    return bisect_hc(ylc.ChainSector(lam, L).merged)[0]
+
+
+def counted_search(lam, L, tol):
+    """h_c from ``ChainSector.critical_field`` and the number of ``_levels`` calls."""
+    sector = ylc.ChainSector(lam, L)
+    calls, levels = [], sector._levels
+    sector._levels = lambda h: calls.append(h) or levels(h)
+    return sector.critical_field(tol), len(calls)
 
 
 class TestHamiltonian:
@@ -158,13 +189,7 @@ class TestThreshold:
             ev = eigvals(ylc.ising_imaginary_chain(0.8, h, L))
             return abs(ev[np.argmin(ev.real)].imag) > 1e-9
 
-        lo, hi = 0.0, 0.25
-        while not merged(hi):
-            lo, hi = hi, 2 * hi
-        while hi - lo > 1e-8:
-            mid = 0.5 * (lo + hi)
-            lo, hi = (lo, mid) if merged(mid) else (mid, hi)
-        assert abs(ylc.critical_field(0.8, L) - 0.5 * (lo + hi)) < 1e-12
+        assert abs(ylc.critical_field(0.8, L) - bisect_hc(merged)[0]) <= 1e-8 / 2 + 1e-12
 
     def test_threshold_decreases_with_size(self):
         h6 = ylc.critical_field(0.8, 6)
@@ -239,8 +264,8 @@ class TestGroundPair:
         assert np.max(np.abs(G - np.eye(6))) < 1e-10
 
 
-# h_c(lambda, L) at tol 1e-6 and 1e-8 from the dense bisection that the
-# sector search replaced: the same midpoints, compared with ==
+# h_c(lambda, L) at tol 1e-6 and 1e-8: midpoints of the dense bisection that
+# the sector search replaced, each within tol of ``critical_field`` at that tol
 PINNED_HC = {
     (4, 0.78): (0.10208463668823242, 0.10208446905016899),
     (4, 0.80): (0.09695196151733398, 0.0969519279897213),
@@ -285,8 +310,46 @@ class TestSector:
 
     @pytest.mark.parametrize("L,lam", list(PINNED_HC))
     def test_critical_field_pinned(self, L, lam):
-        for tol, hc in zip((1e-6, 1e-8), PINNED_HC[L, lam]):
-            assert ylc.critical_field(lam, L, tol=tol) == hc
+        for tol, pinned in zip((1e-6, 1e-8), PINNED_HC[L, lam]):
+            hc = ylc.critical_field(lam, L, tol=tol)
+            assert abs(hc - reference_hc(lam, L)) <= tol / 2 + 1e-12
+            assert abs(hc - pinned) <= tol
+
+    @pytest.mark.parametrize("L", [2, 3, 5, 7, 12])
+    @pytest.mark.parametrize("lam", [0.05, 0.5, 0.99])
+    def test_critical_field_within_half_tol(self, L, lam):
+        # odd L and the ends of the coupling range; L = 2 has one block
+        for tol in (1e-6, 1e-8):
+            hc = ylc.critical_field(lam, L, tol=tol)
+            assert abs(hc - reference_hc(lam, L)) <= tol / 2 + 1e-12
+
+    @pytest.mark.parametrize("L", range(4, 13))
+    def test_solve_count(self, L):
+        # regula falsi on the squared gap: at most 14 solves from the default
+        # bracket, and never more than the bisection's verdicts at lambda = 0.05
+        for tol in (1e-6, 1e-8):
+            for lam in (0.78, 0.80, 0.82):
+                assert counted_search(lam, L, tol)[1] <= 14
+            sector = ylc.ChainSector(0.05, L)
+            assert counted_search(0.05, L, tol)[1] <= bisect_hc(sector.merged, tol)[1]
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-8])
+    def test_tol_rejected_before_any_solve(self, tol, monkeypatch):
+        def no_solve(self, h):
+            raise AssertionError("eigensolve reached")
+
+        monkeypatch.setattr(ylc.ChainSector, "_levels", no_solve)
+        with pytest.raises(ValueError, match="tol"):
+            ylc.critical_field(0.8, 4, tol=tol)
+
+    def test_tol_below_float_spacing_ends_at_adjacent_floats(self):
+        # hi - lo never reaches 1e-20 near h_c = 0.097; the search stops
+        # when no float lies between lo and hi
+        hc, calls = counted_search(0.8, 4, 1e-20)
+        assert calls <= 64
+        sector = ylc.ChainSector(0.8, 4)
+        assert not sector.merged(math.nextafter(hc, 0.0))
+        assert sector.merged(math.nextafter(hc, 1.0))
 
     @pytest.mark.parametrize("L", range(4, 13))
     def test_ground_pair_matches_dense(self, L):
@@ -325,6 +388,16 @@ class TestSector:
             sector._blocks[0][1][rc] += 2e-12     # base of the even block
             with pytest.raises(AssertionError, match="D M"):
                 sector.blocks(0.03)
+
+    def test_block_check_bounds_the_field_term_by_h(self):
+        # 1e-13 off the pattern of the even block's field is within 1e-12
+        # at h = 0.03 and beyond it at h = 64: the check scales it by |h|
+        sector = ylc.ChainSector(0.8, 8)
+        F = sector._blocks[0][2]
+        F[tuple(np.argwhere((F == 0) & ~np.eye(len(F), dtype=bool))[0])] += 1e-13
+        sector.blocks(0.03)
+        with pytest.raises(AssertionError, match="D M"):
+            sector.blocks(64.0)
 
     def test_sector_limit_per_block_before_eigensolve(self, monkeypatch):
         assert [len(M) for M in ylc.ChainSector(0.8, 8).blocks(0.02)] == [30, 6]
@@ -397,6 +470,14 @@ class TestCrossover:
     def test_fraction_range(self):
         with pytest.raises(ValueError):
             ylc.crossover_study(0.8, 6, [1.5])
+
+    def test_fractions_checked_before_the_search(self, monkeypatch):
+        def no_search(self, tol=1e-8):
+            raise AssertionError("threshold search reached")
+
+        monkeypatch.setattr(ylc.ChainSector, "critical_field", no_search)
+        with pytest.raises(ValueError, match="fractions"):
+            ylc.crossover_study(0.8, 6, [0.5, 1.5])
 
     @pytest.mark.parametrize("L", [2, 3])
     def test_too_short_for_midpoint_difference(self, L):
