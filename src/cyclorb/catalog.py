@@ -513,13 +513,21 @@ def correlator(model: CorrelatorModel, M: int = 200):
     decomposition (X with the basis about 0), the others the x = 1
     decomposition (Y with the basis about 1), so no series is summed beyond
     |u| = 1/2 on the real segment.  G takes a scalar (returning a float) or
-    an array of points (returning an array of the same shape).
+    an array of points (returning an array of the same shape).  A float64 x
+    in (0, 1) goes straight to its channel's ``G.plan`` when both have one.
     """
     fit, coeffs, b0, b1 = bootstrap(model, M)
     G0 = mn.assemble(model.prefactor_exponents, coeffs.X, b0, coeffs.X_cross)
     G1 = mn.assemble(model.prefactor_exponents, coeffs.Y, b1, coeffs.Y_cross)
+    P0, P1 = G0.plan, G1.plan
 
     def G(x):
+        if P0 and P1 and isinstance(x, float):
+            x = float(x)
+            if 0.0 < x <= mn.CHANNEL_SPLIT:
+                return P0(x, 1.0 - x)
+            if mn.CHANNEL_SPLIT < x < 1.0:
+                return P1(1.0 - x, x)
         if isinstance(x, (int, float, complex, np.number)):
             return G1(x) if x.real > mn.CHANNEL_SPLIT else G0(x)
         x = np.asarray(x)

@@ -470,13 +470,15 @@ def _series_values(alpha: np.ndarray, C: np.ndarray, center: str, x) -> np.ndarr
     The powers u^n are running products, and each block of points is summed
     by one matrix product with C.  Points are taken ``_CHUNK`` at a time, so
     no (points x terms) matrix is held whole; a scalar is a 0-d array of one
-    point.  Raises ``OutOfDiskError`` if any |u| >= 1, and at u = 0 for an
-    exponent that is neither zero nor of positive real part.
+    point.  Raises ``ValueError`` at a NaN, ``OutOfDiskError`` if any |u| >= 1
+    and at u = 0 for an exponent that is neither zero nor of positive real part.
     """
     x = np.asarray(x, dtype=complex)
     u = (x if center == ZERO else 1.0 - x).reshape(-1)
     r = np.abs(u)
-    if np.any(r >= 1.0):
+    if not np.all(r < 1.0):
+        if np.any(np.isnan(u)):
+            raise ValueError("NaN point")
         raise OutOfDiskError(f"|u| = {r.max():.3f} >= 1 outside the convergence disk")
     out = np.empty((len(u), C.shape[1]), dtype=complex)
     pw = np.empty((min(len(u), _CHUNK), len(C)), dtype=complex)

@@ -208,34 +208,40 @@ def assemble(prefactor_exponents: tuple, X: Sequence[float],
     coefficients instead of X.  G takes a scalar (returning a float) or an
     array of points (returning an array of the same shape).
 
-    A float x with u in (0, CHANNEL_SPLIT], on a basis whose exponents and
-    coefficients are all real, is summed by a plan made once per channel
-    from contiguous float64 copies of them: s = u^n @ C over the rows
-    ``_row_cut`` keeps, then c s_i s_j u^e per term, e holding the prefactor
-    exponent at the centre.  Other scalars are one point of the array
-    branch.  A negative prefactor exponent raises ``OutOfDiskError`` at u = 0.
+    On a real basis, ``G.plan`` (else ``None``) is a plan made once from
+    contiguous float64 copies of the exponents and coefficients: plan(u, v),
+    u in (0, CHANNEL_SPLIT], v = 1 - u, is v^(2 p_other) times c s_i s_j u^e
+    summed left to right, uncompensated, with s = ``np.dot(u^n, C)`` over the
+    ``_row_cut`` rows and e holding the centre's prefactor exponent.  G sends
+    such floats to it, other scalars to the array branch.  A negative
+    prefactor exponent raises ``OutOfDiskError`` at u = 0.
     """
     p0, p1 = (2 * float(p) for p in prefactor_exponents)
     X = np.asarray(X, dtype=float)
     cross = dict(cross or {})
     zero = basis.center == ZERO
     pc, po = (p0, p1) if zero else (p1, p0)
-    real = not (np.any(basis._alpha.imag) or np.any(basis._coeffs.imag))
-    if real:
-        # a contiguous copy: a strided view of C.real rounds u ** n @ C differently
+    plan = None
+    if not (np.any(basis._alpha.imag) or np.any(basis._coeffs.imag)):
+        # a contiguous copy: a strided view of C.real rounds the dot product differently
         C = basis._coeffs.real.copy()
         K, a = _row_cut(C), basis._alpha.real.tolist()
         n, C = np.arange(K, dtype=float), C[:K]
         terms = [(i, i, c, pc + 2 * a[i]) for i, c in enumerate(X.tolist())]
         terms += [(i, j, 2.0 * t, pc + a[i] + a[j]) for (i, j), t in cross.items()]
 
+        def plan(u, v):
+            s, tot = np.dot(u ** n, C).tolist(), 0.0
+            for i, j, c, e in terms:
+                tot += c * s[i] * s[j] * u ** e
+            return v ** po * tot
+
     def G(x):
-        if real and isinstance(x, float):
+        if plan and isinstance(x, float):
             x = float(x)
             u, v = (x, 1.0 - x) if zero else (1.0 - x, x)
             if 0.0 < u <= CHANNEL_SPLIT:
-                s = (u ** n @ C).tolist()
-                return v ** po * sum(c * s[i] * s[j] * u ** e for i, j, c, e in terms)
+                return plan(u, v)
         if isinstance(x, (int, float, complex, np.number)):
             return float(G(np.array([x], dtype=complex))[0])
         if pc < 0 and np.any(np.asarray(x) == (0.0 if zero else 1.0)):
@@ -243,6 +249,7 @@ def assemble(prefactor_exponents: tuple, X: Sequence[float],
         tot = block_sum(basis.evaluate(x), X, cross)
         return np.abs(x) ** p0 * np.abs(1 - x) ** p1 * tot
 
+    G.plan = plan
     return G
 
 

@@ -70,12 +70,13 @@ def peval(p, x):
 
 
 def psub_affine(p, a, b):
-    """Return the coefficient list of p(a + b*y) in the variable y."""
-    acc = [0]
-    lin = [a, b]
-    for c in reversed(list(p)):
-        acc = padd(pmul(acc, lin), [c])
-    return trim(acc)
+    """Return the coefficient list of p(a + b*y) in the variable y: a Taylor
+    shift by synthetic division, then coefficient k times b^k."""
+    c = list(p) or [0]
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] = c[j] + a * c[j + 1]
+    return trim([ck * b ** k for k, ck in enumerate(c)])
 
 
 def pmul_trunc(p, q, n):

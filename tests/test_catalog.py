@@ -214,6 +214,57 @@ class TestScalarPlan:
             got = np.array([G(kind(x)) for x in PLAN_GRID])
             assert np.all(np.abs(got - want) <= tol), kind
 
+    @pytest.mark.parametrize("mid,g", PLAN_MODELS)
+    def test_flat_path_is_todays_plan(self, mid, g, monkeypatch):
+        # a float in (0, 1) goes from correlator straight to its channel's
+        # plan: bitwise the sum s = u^n @ C over the row cut of the
+        # contiguous real coefficients, then c s_i s_j u^e left to right
+        model = cy.get_model(mid, g)
+        _, bc, b0, b1 = cy.bootstrap(model)
+        p0, p1 = (2 * float(p) for p in model.prefactor_exponents)
+
+        def reference(basis, X, cross, pc, po):
+            C = basis._coeffs.real.copy()
+            K, a = mn._row_cut(C), basis._alpha.real.tolist()
+            n, C = np.arange(K, dtype=float), C[:K]
+            terms = [(i, i, c, pc + 2 * a[i]) for i, c in enumerate(np.asarray(X).tolist())]
+            terms += [(i, j, 2.0 * t, pc + a[i] + a[j]) for (i, j), t in (cross or {}).items()]
+
+            def plan(u, v):
+                s = (u ** n @ C).tolist()
+                tot = 0.0
+                for i, j, c, e in terms:
+                    tot += c * s[i] * s[j] * u ** e
+                return v ** po * tot
+
+            return plan
+
+        R0 = reference(b0, bc.X, bc.X_cross, p0, p1)
+        R1 = reference(b1, bc.Y, bc.Y_cross, p1, p0)
+        real = mn.assemble
+
+        def entered(*args):
+            raise AssertionError("array path entered")
+
+        def plan_only(*args):
+            def G(x):
+                raise AssertionError("channel G entered")
+
+            G.plan = real(*args).plan
+            return G
+
+        # correlator calls each channel's plan, never the channel's own G
+        monkeypatch.setattr(mn, "assemble", plan_only)
+        G = cy.correlator(model)
+        monkeypatch.setattr(fb, "_series_values", entered)
+        monkeypatch.setattr(mn, "block_sum", entered)
+        for grid in (PLAN_GRID, np.linspace(0.0503, 0.9497, 2000)):
+            want = [R0(x, 1.0 - x) if x <= 0.5 else R1(1.0 - x, x) for x in grid.tolist()]
+            for kind in (float, np.float64):
+                got = [G(kind(x)) for x in grid]
+                assert all(type(v) is float for v in got)
+                assert got == want, kind
+
     @pytest.mark.parametrize("mid,g", [("yl1int_gs", None), ("mm_n3_phi21", F(13, 8))])
     def test_other_scalars_take_the_array_branch(self, mid, g, monkeypatch):
         model = cy.get_model(mid, g)
@@ -303,6 +354,32 @@ class TestScalarPlan:
         model = cy.get_model("yl1int_gs")
         for b in (model.basis0(20), model.basis1(20)):
             assert mn._row_cut(b._coeffs.real) == 21
+
+
+class TestNaNPoints:
+    """A NaN point raises ValueError on every path; an infinite one stays out of the disk."""
+
+    NANS = [float("nan"), np.float64("nan"), np.float32("nan"), np.array([0.3, np.nan])]
+
+    @pytest.mark.parametrize("x", NANS, ids=["float", "float64", "float32", "array"])
+    @pytest.mark.parametrize("mid,g", [("yl2int_vac", None), ("mm_n3_phi21", F(11, 8))])
+    def test_nan_raises(self, mid, g, x):
+        model = cy.get_model(mid, g)
+        _, bc, b0, b1 = cy.bootstrap(model)
+        paths = [cy.correlator(model), b0.evaluate, b1.evaluate,
+                 cy.assemble(model.prefactor_exponents, bc.X, b0, bc.X_cross),
+                 cy.assemble(model.prefactor_exponents, bc.Y, b1, bc.Y_cross)]
+        for f in paths:
+            with pytest.raises(ValueError, match="NaN"):
+                f(x)
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, np.array([0.3, np.inf])])
+    def test_inf_is_out_of_disk(self, x):
+        model = cy.get_model("yl2int_vac")
+        _, _, b0, _ = cy.bootstrap(model)
+        for f in (cy.correlator(model), b0.evaluate):
+            with pytest.raises(cy.OutOfDiskError):
+                f(x)
 
 
 class TestIsingBlocks:

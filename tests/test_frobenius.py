@@ -231,6 +231,53 @@ class TestTruncatedSeries:
             pr.pcompose_trunc(self.P, [F(1), F(1)], 3)
 
 
+def horner_sub_affine(p, a, b):
+    """p(a + b*y) by Horner's rule through pmul/padd (the former psub_affine)."""
+    acc = [0]
+    for c in reversed(list(p)):
+        acc = pr.padd(pr.pmul(acc, [a, b]), [c])
+    return pr.trim(acc)
+
+
+class TestAffineSubstitution:
+    """psub_affine, a Taylor shift then a scaling, against Horner's rule."""
+
+    AB = [(1, -1), (1, 1), (2, 3), (F(1, 2), -1)]
+    POLYS = {
+        "fraction": [F(1), F(-2, 3), F(5, 7), F(0), F(3, 2)],
+        "int": [3, -1, 0, 4, 2, -5],
+        "float": [0.5, -1.25, 2.0, 0.75, -3.5],
+    }
+
+    @pytest.mark.parametrize("kind", sorted(POLYS))
+    @pytest.mark.parametrize("a,b", AB)
+    def test_matches_horner(self, kind, a, b):
+        p = list(self.POLYS[kind])
+        got = pr.psub_affine(p, a, b)
+        assert got == horner_sub_affine(p, a, b)
+        assert p == self.POLYS[kind]   # the input is not shifted in place
+        if kind != "float":
+            for y in (F(1, 3), F(-5, 2), 2):
+                assert pr.peval(got, y) == pr.peval(p, a + b * y)
+
+    @pytest.mark.parametrize("a,b", AB)
+    def test_sympy_symbol(self, a, b):
+        sp = pytest.importorskip("sympy")
+        x = sp.Symbol("x")
+        p = [x, 1, x ** 2, F(-3, 4), 2 * x]
+        got = pr.psub_affine(p, a, b)
+        want = horner_sub_affine(p, a, b)
+        assert len(got) == len(want)
+        assert all(sp.expand(g - w) == 0 for g, w in zip(got, want))
+
+    def test_degenerate_inputs(self):
+        for a, b in self.AB:
+            assert pr.psub_affine([F(7, 3)], a, b) == [F(7, 3)]
+            assert pr.psub_affine([], a, b) == horner_sub_affine([], a, b) == [0]
+        # b = 0 leaves the constant p(a), trailing zeros trimmed
+        assert pr.psub_affine([1, 2, 3], 2, 0) == horner_sub_affine([1, 2, 3], 2, 0) == [17]
+
+
 class TestSeries:
     def test_exact_coefficients(self, gs_ode):
         s = cy.frobenius_series(gs_ode, F(1, 2), 6)
