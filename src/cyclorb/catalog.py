@@ -513,8 +513,11 @@ def correlator(model: CorrelatorModel, M: int = 200):
     decomposition (X with the basis about 0), the others the x = 1
     decomposition (Y with the basis about 1), so no series is summed beyond
     |u| = 1/2 on the real segment.  G takes a scalar (returning a float) or
-    an array of points (returning an array of the same shape).  A float64 x
-    in (0, 1) goes straight to its channel's ``G.plan`` when both have one.
+    an array of points (returning an array of the same shape).  When both
+    channels have a ``G.plan``, a float64 x in (0, 1) goes straight to its
+    channel's plan, and a float64 array whose points all lie in (0, 1) is
+    split by one mask between the plans' array forms; all other input goes
+    through the channels' G.
     """
     fit, coeffs, b0, b1 = bootstrap(model, M)
     G0 = mn.assemble(model.prefactor_exponents, coeffs.X, b0, coeffs.X_cross)
@@ -533,8 +536,12 @@ def correlator(model: CorrelatorModel, M: int = 200):
         x = np.asarray(x)
         far = x.real > mn.CHANNEL_SPLIT
         out = np.empty(x.shape)
-        out[~far] = G0(x[~far])
-        out[far] = G1(x[far])
+        if P0 and P1 and x.dtype == np.float64 and np.all((x > 0.0) & (x < 1.0)):
+            lo, hi = x[~far], x[far]
+            out[~far], out[far] = P0.array(lo, 1.0 - lo), P1.array(1.0 - hi, hi)
+        else:
+            out[~far] = G0(x[~far])
+            out[far] = G1(x[far])
         return out
 
     return G
@@ -708,9 +715,12 @@ def torus_block_expansions(order: int = 4):
     integer.
     """
     n = 2 * order + 2  # series order in u = sqrt(q)
-    x_over = [1]  # x / (16 u) = prod_k (1 + u^k)^(8 (-1)^k)
+    x_over = [1]  # x / (16 u) = prod_k (1 + u^k)^(8 (-1)^k), in integers
     for k in range(1, n + 1):
-        factor = ppow_trunc([1] + [0] * (k - 1) + [1], 8 * (-1) ** k, n)
+        # (1 + y)^8 = sum C(8, m) y^m; (1 + y)^-8 = sum (-1)^m C(m + 7, 7) y^m
+        factor = [0] * (n + 1)
+        for m in range(n // k + 1):
+            factor[k * m] = math.comb(8, m) if k % 2 == 0 else (-1) ** m * math.comb(m + 7, 7)
         x_over = pmul_trunc(x_over, factor, n)
     x_series = pmul_trunc([0, 16], x_over, n)
     dressing = ppow_trunc(padd([1], pscale(x_series, -1)), F(11, 30), n)  # (1-x)^(11/30)

@@ -90,8 +90,7 @@ def cmd_blocks(args) -> int:
         basis1 = model.basis1(args.terms)
         A = mn.fit_connection(basis, basis1).A
         vals[far] = (basis1.evaluate(grid[far]) @ A.T).real
-    for x, v in zip(grid, vals):
-        rows.append(",".join([repr(float(x))] + [repr(float(u)) for u in v]))
+    rows += [",".join(map(repr, r)) for r in np.column_stack([grid, vals]).tolist()]
     _write(args, "\n".join(rows) + "\n")
     return EXIT_OK
 
@@ -137,9 +136,7 @@ def cmd_correlator(args) -> int:
     grid = _parse_grid(args.grid)
     G = cat.correlator(model, M=args.terms)
     rows = ["x,G"]
-    vals = G(grid)
-    for x, v in zip(grid, vals):
-        rows.append(f"{float(x)!r},{float(v)!r}")
+    rows += [f"{x!r},{v!r}" for x, v in zip(grid.tolist(), G(grid).tolist())]
     _write(args, "\n".join(rows) + "\n")
     return EXIT_OK
 
@@ -180,8 +177,7 @@ def cmd_ope(args) -> int:
 def cmd_ward(args) -> int:
     x = args.x
     d = cat.ward_taylor(Fraction(0), Fraction(0), Fraction(-5, 2), x, "d", 4)
-    _write(args, "p,d_p\n" + "\n".join(f"{p},{float(v)!r}" for p, v in enumerate(d)))
-    sys.stdout.write("\n")
+    _write(args, "p,d_p\n" + "".join(f"{p},{float(v)!r}\n" for p, v in enumerate(d)))
     if args.selftest:
         want = [x, -(1 + x), 1.0, 0.0, 0.0]
         dev = max(abs(float(a) - b) for a, b in zip(d, want))

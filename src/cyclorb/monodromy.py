@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .frobenius import ZERO, FrobeniusBasis, OutOfDiskError
+from .frobenius import _CHUNK, ZERO, FrobeniusBasis, OutOfDiskError
 
 
 class FitError(RuntimeError):
@@ -212,9 +212,12 @@ def assemble(prefactor_exponents: tuple, X: Sequence[float],
     contiguous float64 copies of the exponents and coefficients: plan(u, v),
     u in (0, CHANNEL_SPLIT], v = 1 - u, is v^(2 p_other) times c s_i s_j u^e
     summed left to right, uncompensated, with s = ``np.dot(u^n, C)`` over the
-    ``_row_cut`` rows and e holding the centre's prefactor exponent.  G sends
-    such floats to it, other scalars to the array branch.  A negative
-    prefactor exponent raises ``OutOfDiskError`` at u = 0.
+    ``_row_cut`` rows and e holding the centre's prefactor exponent.
+    ``plan.array(u, v)`` is the same sum over 1-d float64 arrays, with u^n @ C
+    taken ``_CHUNK`` points at a time.  G sends such floats to the plan, a
+    float64 array whose every u lies there to ``plan.array``, and all other
+    input to the series kernel.  A negative prefactor exponent raises
+    ``OutOfDiskError`` at u = 0.
     """
     p0, p1 = (2 * float(p) for p in prefactor_exponents)
     X = np.asarray(X, dtype=float)
@@ -236,12 +239,27 @@ def assemble(prefactor_exponents: tuple, X: Sequence[float],
                 tot += c * s[i] * s[j] * u ** e
             return v ** po * tot
 
+        def array(u, v):
+            s = np.empty((len(u), C.shape[1]))
+            for lo in range(0, len(u), _CHUNK):
+                s[lo: lo + _CHUNK] = u[lo: lo + _CHUNK, None] ** n @ C
+            s, tot = s.T, 0.0
+            for i, j, c, e in terms:
+                tot += c * s[i] * s[j] * u ** e
+            return v ** po * tot
+
+        plan.array = array
+
     def G(x):
         if plan and isinstance(x, float):
             x = float(x)
             u, v = (x, 1.0 - x) if zero else (1.0 - x, x)
             if 0.0 < u <= CHANNEL_SPLIT:
                 return plan(u, v)
+        if plan and isinstance(x, np.ndarray) and x.dtype == np.float64:
+            u, v = (x, 1.0 - x) if zero else (1.0 - x, x)
+            if np.all((u > 0.0) & (u <= CHANNEL_SPLIT)):
+                return plan.array(u.ravel(), v.ravel()).reshape(x.shape)
         if isinstance(x, (int, float, complex, np.number)):
             return float(G(np.array([x], dtype=complex))[0])
         if pc < 0 and np.any(np.asarray(x) == (0.0 if zero else 1.0)):

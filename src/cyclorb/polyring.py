@@ -109,13 +109,15 @@ def ppow_trunc(p, s, n):
 
 
 def pcompose_trunc(p, inner, n):
-    """Coefficients 0..n of p(inner) for inner[0] = 0, by Horner's rule."""
+    """Coefficients 0..n of p(inner) for inner[0] = 0: sum c_k inner^k over
+    running powers of inner, which stay in inner's ring (integers stay ints)."""
     if inner[0] != 0:
         raise ValueError("pcompose_trunc needs inner[0] == 0")
-    acc = [0] * (n + 1)
-    for c in reversed(p[: n + 1]):
-        acc = pmul_trunc(acc, inner, n)
-        acc[0] = acc[0] + c
+    acc, power = [0] * (n + 1), [1] + [0] * n
+    for k, c in enumerate(p[: n + 1]):
+        if k:
+            power = pmul_trunc(power, inner, n)
+        acc = [a + c * b for a, b in zip(acc, power)]
     return acc
 
 

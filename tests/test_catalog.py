@@ -13,7 +13,7 @@ import cyclorb as cy
 from cyclorb import catalog as cat
 from cyclorb import frobenius as fb
 from cyclorb import monodromy as mn
-from cyclorb.polyring import pmul, psub_affine
+from cyclorb.polyring import pmul, pmul_trunc, psub_affine
 
 
 ALL_MODELS = [("yl2int_vac", None), ("yl1int_vac", None), ("yl1int_gs", None),
@@ -289,17 +289,83 @@ class TestScalarPlan:
         assert len(calls) == n
 
     def test_scalar_path_skips_the_series_kernel(self, monkeypatch):
-        model = cy.get_model("mm_n2_phi21", F(11, 8))
-        cy.correlator(model)
+        model, gs = cy.get_model("mm_n2_phi21", F(11, 8)), cy.get_model("yl1int_gs")
+        cy.correlator(model), cy.correlator(gs)
+        calls = []
+        kernel = fb._series_values
+
+        def counted(*args):
+            calls.append(args)
+            return kernel(*args)
+
+        monkeypatch.setattr(fb, "_series_values", counted)
+        G = cy.correlator(model)
+        assert isinstance(G(0.3), float) and isinstance(G(0.8), float)
+        # a float64 array in (0, 1) is summed by the channel plans
+        assert G(np.array([0.3])).shape == (1,)
+        assert G(np.array([[0.2, 0.7], [0.5, 0.9]])).shape == (2, 2)
+        assert calls == []
+        # complex, float32, int and out-of-(0, 1) arrays take the series kernel
+        for f, x in ((G, np.array([0.3 + 0j])), (G, np.array([0.3, 0.8], dtype=np.float32)),
+                     (G, np.array([-0.2, 0.3])), (G, np.array([0.3, 1.2])),
+                     (cy.correlator(gs), np.array([0, 1]))):
+            n = len(calls)
+            f(x)
+            assert len(calls) > n, x
+
+    @pytest.mark.parametrize("mid,g", PLAN_MODELS)
+    def test_array_plan_matches_scalars_and_kernel(self, mid, g):
+        model = cy.get_model(mid, g)
+        G = cy.correlator(model)
+        got = G(PLAN_GRID)
+        tol = 1e-14 * _abs_sum_scale(model, PLAN_GRID)
+        assert np.all(np.abs(got - [G(float(x)) for x in PLAN_GRID]) <= tol)
+        # a complex grid takes the series kernel, the path of every array before
+        assert np.all(np.abs(got - G(PLAN_GRID + 0j)) <= tol)
+        # a point past x = 1 sends the far half through the kernel
+        assert np.all(np.abs(G(np.r_[PLAN_GRID, 1.2])[:-1] - got) <= tol)
+        empty = G(np.array([]))
+        assert empty.shape == (0,) and empty.dtype == np.float64
+
+    def test_arrays_go_straight_to_the_plans(self, monkeypatch):
+        model = cy.get_model("mm_n3_phi21", F(11, 8))
+        want = cy.correlator(model)(PLAN_GRID)
+        real = mn.assemble
+
+        def plan_only(*args):
+            def G(x):
+                raise AssertionError("channel G entered")
+
+            G.plan = real(*args).plan
+            return G
+
+        monkeypatch.setattr(mn, "assemble", plan_only)
+        assert np.array_equal(cy.correlator(model)(PLAN_GRID), want)
+
+    @pytest.mark.parametrize("mid,g", END_MODELS)
+    def test_channel_arrays_use_the_plan_up_to_the_split(self, mid, g, monkeypatch):
+        model = cy.get_model(mid, g)
+        _, bc, b0, b1 = cy.bootstrap(model)
+        G0 = cy.assemble(model.prefactor_exponents, bc.X, b0, bc.X_cross)
+        G1 = cy.assemble(model.prefactor_exponents, bc.Y, b1, bc.Y_cross)
+        # more points than one power-matrix chunk, u = 1/2 included
+        xs = np.linspace(1e-3, 0.5, 3 * fb._CHUNK + 5)
+        want = [(G0, xs, G0(xs + 0j), 1e-14 * _abs_sum_scale(model, xs)),
+                (G1, 1.0 - xs, G1(1.0 - xs + 0j), 1e-14 * _abs_sum_scale(model, 1.0 - xs))]
+        past = [G0(np.r_[xs, 0.6]), G1(np.r_[0.4, 1.0 - xs])]
 
         def kernel(*args):
             raise AssertionError("series kernel entered")
 
         monkeypatch.setattr(fb, "_series_values", kernel)
-        G = cy.correlator(model)
-        assert isinstance(G(0.3), float) and isinstance(G(0.8), float)
-        with pytest.raises(AssertionError):
-            G(np.array([0.3]))
+        for Gc, pts, ref, tol in want:
+            got = Gc(pts)
+            assert np.all(np.abs(got - ref) <= tol)
+            assert np.array_equal(Gc(pts.reshape(-1, 1)), got.reshape(-1, 1))
+        # one point past the split sends the whole array to the series kernel
+        monkeypatch.undo()
+        assert np.array_equal(past[0], G0(np.r_[xs, 0.6] + 0j))
+        assert np.array_equal(past[1], G1(np.r_[0.4, 1.0 - xs] + 0j))
 
     @pytest.mark.parametrize("mid,g", END_MODELS)
     def test_plan_ends_at_the_channel_split(self, mid, g, monkeypatch):
@@ -482,6 +548,18 @@ class TestTorus:
             idc, phic = cy.torus_block_expansions(order)
             assert idc == cy.character_coeffs(cy.CharacterSpec(5, 2, 1, 1), order)
             assert phic == cy.character_coeffs(cy.CharacterSpec(5, 2, 1, 2), order)
+
+    def test_expansions_match_horner_composition(self, monkeypatch):
+        def horner(p, inner, n):
+            acc = [0] * (n + 1)
+            for c in reversed(p[: n + 1]):
+                acc = pmul_trunc(acc, inner, n)
+                acc[0] = acc[0] + c
+            return acc
+
+        got = [cy.torus_block_expansions(order) for order in (4, 6, 8)]
+        monkeypatch.setattr(cat, "pcompose_trunc", horner)
+        assert got == [cy.torus_block_expansions(order) for order in (4, 6, 8)]
 
 
 class TestWardTaylor:

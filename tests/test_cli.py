@@ -137,6 +137,18 @@ class TestReports:
         out = capsys.readouterr().out
         assert "0,0.3" in out and "1,-1.3" in out and "2,1.0" in out
 
+    def test_ward_file_ends_in_newline(self, capsys, tmp_path):
+        table = "p,d_p\n0,0.3\n1,-1.3\n2,1.0\n3,0.0\n4,0.0\n"
+        report = "PASS weight vector [x, -(1+x), 1]: max dev 0.00e+00\n"
+        assert run_cli(["ward", "--x", "0.3", "--selftest"]) == 0
+        assert capsys.readouterr().out == table + report
+        out = tmp_path / "ward.csv"
+        assert run_cli(["ward", "--x", "0.3", "--selftest", "--out", str(out)]) == 0
+        assert out.read_text() == table
+        assert capsys.readouterr().out == report
+        assert run_cli(["ward", "--x", "0.3", "--out", str(out)]) == 0
+        assert out.read_text() == table and capsys.readouterr().out == ""
+
 
 class TestExitCodes:
     def test_fit_error_is_tolerance_failure(self, capsys):
