@@ -513,11 +513,9 @@ def correlator(model: CorrelatorModel, M: int = 200):
     decomposition (X with the basis about 0), the others the x = 1
     decomposition (Y with the basis about 1), so no series is summed beyond
     |u| = 1/2 on the real segment.  G takes a scalar (returning a float) or
-    an array of points (returning an array of the same shape).  When both
-    channels have a ``G.plan``, a float64 x in (0, 1) goes straight to its
-    channel's plan, and a float64 array whose points all lie in (0, 1) is
-    split by one mask between the plans' array forms; all other input goes
-    through the channels' G.
+    an array of points (returning an array of the same shape).  A float64 x
+    in (0, 1) goes straight to its channel's ``G.plan`` when both have one;
+    an array is split by one mask between the channels' G.
     """
     fit, coeffs, b0, b1 = bootstrap(model, M)
     G0 = mn.assemble(model.prefactor_exponents, coeffs.X, b0, coeffs.X_cross)
@@ -536,12 +534,8 @@ def correlator(model: CorrelatorModel, M: int = 200):
         x = np.asarray(x)
         far = x.real > mn.CHANNEL_SPLIT
         out = np.empty(x.shape)
-        if P0 and P1 and x.dtype == np.float64 and np.all((x > 0.0) & (x < 1.0)):
-            lo, hi = x[~far], x[far]
-            out[~far], out[far] = P0.array(lo, 1.0 - lo), P1.array(1.0 - hi, hi)
-        else:
-            out[~far] = G0(x[~far])
-            out[far] = G1(x[far])
+        out[~far] = G0(x[~far])
+        out[far] = G1(x[far])
         return out
 
     return G

@@ -327,21 +327,6 @@ class TestScalarPlan:
         empty = G(np.array([]))
         assert empty.shape == (0,) and empty.dtype == np.float64
 
-    def test_arrays_go_straight_to_the_plans(self, monkeypatch):
-        model = cy.get_model("mm_n3_phi21", F(11, 8))
-        want = cy.correlator(model)(PLAN_GRID)
-        real = mn.assemble
-
-        def plan_only(*args):
-            def G(x):
-                raise AssertionError("channel G entered")
-
-            G.plan = real(*args).plan
-            return G
-
-        monkeypatch.setattr(mn, "assemble", plan_only)
-        assert np.array_equal(cy.correlator(model)(PLAN_GRID), want)
-
     @pytest.mark.parametrize("mid,g", END_MODELS)
     def test_channel_arrays_use_the_plan_up_to_the_split(self, mid, g, monkeypatch):
         model = cy.get_model(mid, g)
