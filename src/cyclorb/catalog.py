@@ -513,14 +513,15 @@ def correlator(model: CorrelatorModel, M: int = 200):
     decomposition (X with the basis about 0), the others the x = 1
     decomposition (Y with the basis about 1), so no series is summed beyond
     |u| = 1/2 on the real segment.  G takes a scalar (returning a float) or
-    an array of points (returning an array of the same shape).  A float64 x
-    in (0, 1) goes straight to its channel's ``G.plan`` when both have one;
-    an array is split by one mask between the channels' G.
+    an array of points (returning an array of the same shape).  On real bases,
+    a float or float64 array in (0, 1) goes to ``monodromy.channel_plan``'s
+    P0(x, 1 - x) or P1(1 - x, x), and other input to ``monodromy.assemble``.
     """
     fit, coeffs, b0, b1 = bootstrap(model, M)
-    G0 = mn.assemble(model.prefactor_exponents, coeffs.X, b0, coeffs.X_cross)
-    G1 = mn.assemble(model.prefactor_exponents, coeffs.Y, b1, coeffs.Y_cross)
-    P0, P1 = G0.plan, G1.plan
+    args0 = (model.prefactor_exponents, coeffs.X, b0, coeffs.X_cross)
+    args1 = (model.prefactor_exponents, coeffs.Y, b1, coeffs.Y_cross)
+    G0, G1 = mn.assemble(*args0), mn.assemble(*args1)
+    (P0, A0), (P1, A1) = mn.channel_plan(*args0), mn.channel_plan(*args1)
 
     def G(x):
         if P0 and P1 and isinstance(x, float):
@@ -533,9 +534,11 @@ def correlator(model: CorrelatorModel, M: int = 200):
             return G1(x) if x.real > mn.CHANNEL_SPLIT else G0(x)
         x = np.asarray(x)
         far = x.real > mn.CHANNEL_SPLIT
-        out = np.empty(x.shape)
-        out[~far] = G0(x[~far])
-        out[far] = G1(x[far])
+        out, near, past = np.empty(x.shape), x[~far], x[far]
+        if P0 and P1 and x.dtype == np.float64 and np.all((x > 0.0) & (x < 1.0)):
+            out[~far], out[far] = A0(near, 1.0 - near), A1(1.0 - past, past)
+        else:
+            out[~far], out[far] = G0(near), G1(past)
         return out
 
     return G

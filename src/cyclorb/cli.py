@@ -51,6 +51,14 @@ def _parse_grid(spec: str):
     return np.clip(np.linspace(a, b, n), eps, 1 - eps)
 
 
+def fraction(text: str) -> Fraction:
+    """A rational flag value such as 11/8; a zero denominator is a usage error."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{text!r} has a zero denominator") from None
+
+
 def _write(args, text: str):
     if args.out:
         with open(args.out, "w") as fh:
@@ -203,11 +211,13 @@ def cmd_lattice(args) -> int:
 def cmd_compare(args) -> int:
     # a one-row file reads as a 0-d array
     data = np.atleast_1d(np.genfromtxt(args.lattice_csv, delimiter=",", names=True))
+    if not data.size:
+        raise ValueError(f"{args.lattice_csv} holds no rows")
     L = int(data["L"][0])
     s = data["ell"] / L
     model = cat.get_model(args.model, args.g)
     pred = cat.predict_on_circle(model, s, M=args.terms,
-                                 dressing_power=float(Fraction(args.dressing)))
+                                 dressing_power=float(args.dressing))
     const, rms = rsos.overlay_fit(data["trace_re"], pred)
     rows = ["ell,lattice,prediction,fitted_constant,rms_rel_dev"]
     for i in range(len(s)):
@@ -235,7 +245,7 @@ def cmd_chain(args) -> int:
 
 def _add_model(p):
     p.add_argument("--model", required=True, choices=cat.MODEL_IDS)
-    p.add_argument("--g", type=Fraction, default=None,
+    p.add_argument("--g", type=fraction, default=None,
                    help="coupling of the mm_* families, a fraction such as 11/8")
 
 
@@ -308,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="overlay a lattice CSV against a model")
     p.add_argument("lattice_csv")
     _add_model(p)
-    p.add_argument("--dressing", default="0", help="extra (1-x) power, rational")
+    p.add_argument("--dressing", type=fraction, default="0", help="extra (1-x) power, rational")
     _add(p, "--out", "--terms")
     p.set_defaults(fn=cmd_compare)
 

@@ -114,14 +114,6 @@ class FrobeniusSeries:
     def evaluate(self, x):
         return evaluate(self, x)
 
-    def tail_estimate_at(self, radius: float) -> float:
-        """Crude relative tail bound from the last retained term."""
-        a = np.abs(self.coeffs)
-        n = len(a) - 1
-        if a[0] == 0:
-            return 0.0
-        return float(a[n] * radius**n / max(a[0], 1.0))
-
     def derivative_values(self, x: complex, n_der: int) -> list[complex]:
         """Values (f, f', ..., f^(n_der)) at x, from term-wise differentiation.
 

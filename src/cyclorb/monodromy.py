@@ -12,8 +12,8 @@ physical correlator is assembled as
     G(x, xbar) = |x|^(2 p0) |1-x|^(2 p1) sum_ij X_ij conj(I_i(x)) I_j(x),
 
 with X diagonal except for cross terms on integer-spaced exponent pairs;
-``block_sum`` is that sum, on the real axis and on the circle alike, and
-``assemble`` sums a real scalar point from a plan of rows and exponents.
+``block_sum`` is that sum on the real axis and on the circle; ``assemble``
+returns G at any x, and ``channel_plan`` a row-cut sum of it near a centre.
 ``continue_blocks`` carries the blocks off the real axis by Taylor steps at
 regular points of the ODE.
 """
@@ -205,70 +205,62 @@ def assemble(prefactor_exponents: tuple, X: Sequence[float],
     ``X`` holds the diagonal coefficients; ``cross`` optional symmetric
     off-diagonal amplitudes for integer-spaced exponent pairs.  Valid on the
     physical slice xbar = conj(x); for the basis centered at 1 pass the Y
-    coefficients instead of X.  G takes a scalar (returning a float) or an
-    array of points (returning an array of the same shape).
-
-    On a real basis, ``G.plan`` (else ``None``) is a plan made once from
-    contiguous float64 copies of the exponents and coefficients: plan(u, v),
-    u in (0, CHANNEL_SPLIT], v = 1 - u, is v^(2 p_other) times c s_i s_j u^e
-    summed left to right, uncompensated, with s = ``np.dot(u^n, C)`` over the
-    ``_row_cut`` rows and e holding the centre's prefactor exponent.
-    ``plan.array(u, v)`` is the same sum over 1-d float64 arrays, with u^n @ C
-    taken ``_CHUNK`` points at a time.  G sends such floats to the plan, a
-    float64 array whose every u lies there to ``plan.array``, and all other
-    input to the series kernel.  A negative prefactor exponent raises
-    ``OutOfDiskError`` at u = 0.
+    coefficients instead of X.  G sums ``block_sum`` over ``basis.evaluate`` at
+    a scalar (a float, bitwise that point of a complex array) or an array (of
+    the same shape).  A negative prefactor exponent raises ``OutOfDiskError``
+    at the basis centre.
     """
     p0, p1 = (2 * float(p) for p in prefactor_exponents)
-    X = np.asarray(X, dtype=float)
-    cross = dict(cross or {})
-    zero = basis.center == ZERO
-    pc, po = (p0, p1) if zero else (p1, p0)
-    plan = None
-    if not (np.any(basis._alpha.imag) or np.any(basis._coeffs.imag)):
-        # a contiguous copy: a strided view of C.real rounds the dot product differently
-        C = basis._coeffs.real.copy()
-        K, a = _row_cut(C), basis._alpha.real.tolist()
-        n, C = np.arange(K, dtype=float), C[:K]
-        terms = [(i, i, c, pc + 2 * a[i]) for i, c in enumerate(X.tolist())]
-        terms += [(i, j, 2.0 * t, pc + a[i] + a[j]) for (i, j), t in cross.items()]
-
-        def plan(u, v):
-            s, tot = np.dot(u ** n, C).tolist(), 0.0
-            for i, j, c, e in terms:
-                tot += c * s[i] * s[j] * u ** e
-            return v ** po * tot
-
-        def array(u, v):
-            s = np.empty((len(u), C.shape[1]))
-            for lo in range(0, len(u), _CHUNK):
-                s[lo: lo + _CHUNK] = u[lo: lo + _CHUNK, None] ** n @ C
-            s, tot = s.T, 0.0
-            for i, j, c, e in terms:
-                tot += c * s[i] * s[j] * u ** e
-            return v ** po * tot
-
-        plan.array = array
+    X, cross = np.asarray(X, dtype=float), dict(cross or {})
+    centre, pc = (0.0, p0) if basis.center == ZERO else (1.0, p1)
 
     def G(x):
-        if plan and isinstance(x, float):
-            x = float(x)
-            u, v = (x, 1.0 - x) if zero else (1.0 - x, x)
-            if 0.0 < u <= CHANNEL_SPLIT:
-                return plan(u, v)
-        if plan and isinstance(x, np.ndarray) and x.dtype == np.float64:
-            u, v = (x, 1.0 - x) if zero else (1.0 - x, x)
-            if np.all((u > 0.0) & (u <= CHANNEL_SPLIT)):
-                return plan.array(u.ravel(), v.ravel()).reshape(x.shape)
         if isinstance(x, (int, float, complex, np.number)):
             return float(G(np.array([x], dtype=complex))[0])
-        if pc < 0 and np.any(np.asarray(x) == (0.0 if zero else 1.0)):
+        if pc < 0 and np.any(np.asarray(x) == centre):
             raise OutOfDiskError(f"G diverges at its centre: prefactor exponent {pc:g} < 0")
         tot = block_sum(basis.evaluate(x), X, cross)
         return np.abs(x) ** p0 * np.abs(1 - x) ** p1 * tot
 
-    G.plan = plan
     return G
+
+
+def channel_plan(prefactor_exponents: tuple, X: Sequence[float],
+                 basis: FrobeniusBasis, cross: Optional[dict] = None) -> tuple:
+    """(plan, array): :func:`assemble`'s G at distance u from the basis centre,
+    for a float u and a 1-d float64 array u in (0, CHANNEL_SPLIT], v = 1 - u; or
+    (None, None) on a complex basis.  Both sum s = u^n @ C over the ``_row_cut``
+    rows (``_CHUNK`` points at a time), then c s_i s_j u^e left to right,
+    uncompensated, e holding the centre's prefactor exponent, times v^(2 p_other).
+    """
+    if np.any(basis._alpha.imag) or np.any(basis._coeffs.imag):
+        return None, None
+    p0, p1 = (2 * float(p) for p in prefactor_exponents)
+    pc, po = (p0, p1) if basis.center == ZERO else (p1, p0)
+    # a contiguous copy: a strided view of C.real rounds the dot product differently
+    C = basis._coeffs.real.copy()
+    K, a = _row_cut(C), basis._alpha.real.tolist()
+    n, C = np.arange(K, dtype=float), C[:K]
+    terms = [(i, i, c, pc + 2 * a[i]) for i, c in enumerate(np.asarray(X, dtype=float).tolist())]
+    terms += [(i, j, 2.0 * t, pc + a[i] + a[j]) for (i, j), t in (cross or {}).items()]
+
+    # two closures, not one with a type test: the scalar one runs once per point
+    def plan(u, v):
+        s, tot = np.dot(u ** n, C).tolist(), 0.0
+        for i, j, c, e in terms:
+            tot += c * s[i] * s[j] * u ** e
+        return v ** po * tot
+
+    def array(u, v):
+        s = np.empty((len(u), C.shape[1]))
+        for lo in range(0, len(u), _CHUNK):
+            s[lo: lo + _CHUNK] = u[lo: lo + _CHUNK, None] ** n @ C
+        s, tot = s.T, 0.0
+        for i, j, c, e in terms:
+            tot += c * s[i] * s[j] * u ** e
+        return v ** po * tot
+
+    return plan, array
 
 
 # ---------------------------------------------------------------------------

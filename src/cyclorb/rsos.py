@@ -208,9 +208,12 @@ def temperley_lieb_generator(basis: HeightBasis, k: int, i: int):
 def build_rsos_hamiltonian(m: int, k: int, L: int):
     """H = -sum_i e_i on the periodic chain; returns (H, basis), H a
     scipy.sparse CSR matrix."""
-    import scipy.sparse as sp
     if not 1 <= k <= m:
         raise ValueError("require 1 <= k <= m")
+    # a class holds at most 4 orbits of at most L states, and the trivial block every class
+    if (dim := basis_count(m, L)) > 4 * L * SECTOR_LIMIT:
+        raise SizeError(f"{dim} states at L = {L}: more than {SECTOR_LIMIT} classes to solve")
+    import scipy.sparse as sp
     basis = enumerate_heights(m, L)
     rows, cols, vals = (np.concatenate(parts)
                         for parts in zip(*(_tl_entries(basis, k, i) for i in range(L))))

@@ -130,12 +130,12 @@ class TestCorrelatorChannels:
     @pytest.mark.parametrize("mid,g", ALL_MODELS)
     def test_channels_agree_at_half(self, mid, g):
         model = cy.get_model(mid, g)
-        _, bc, b0, b1 = cy.bootstrap(model)
-        G0 = cy.assemble(model.prefactor_exponents, bc.X, b0, bc.X_cross)
-        G1 = cy.assemble(model.prefactor_exponents, bc.Y, b1, bc.Y_cross)
+        args0, args1 = _channel_args(model)
+        G0, G1 = cy.assemble(*args0), cy.assemble(*args1)
         assert abs(G0(0.5) - G1(0.5)) < 1e-11 * abs(G0(0.5))
+        (P0, _), (P1, _) = mn.channel_plan(*args0), mn.channel_plan(*args1)
         G = cy.correlator(model)
-        assert G(0.5) == G0(0.5) and G(0.6) == G1(0.6)
+        assert G(0.5) == P0(0.5, 0.5) and G(0.6) == P1(1.0 - 0.6, 0.6)
 
     @pytest.mark.parametrize("mid,g", [("yl1int_vac", None), ("mm_n3_phi21", F(11, 8))])
     def test_scalar_matches_array(self, mid, g):
@@ -174,6 +174,13 @@ class TestCorrelatorChannels:
         assert len(calls) == 2
 
 
+def _channel_args(model):
+    """assemble's and channel_plan's arguments for the x = 0 and the x = 1 channel."""
+    _, bc, b0, b1 = cy.bootstrap(model)
+    return ((model.prefactor_exponents, bc.X, b0, bc.X_cross),
+            (model.prefactor_exponents, bc.Y, b1, bc.Y_cross))
+
+
 PLAN_MODELS = [(m, None) for m in ("yl2int_vac", "yl1int_vac", "yl1int_gs", "ising2int_vac")] + [
     (f, g) for f in ("mm_n2_phi21", "mm_n3_phi21") for g in (F(4, 3), F(11, 8), F(13, 8))]
 PLAN_GRID = np.r_[1e-10, np.linspace(1e-3, 1 - 1e-3, 1997), 0.5, 1 - 1e-10]
@@ -202,7 +209,7 @@ def _abs_sum_scale(model, xs):
 
 
 class TestScalarPlan:
-    """The scalar branch of ``assemble`` against the unchanged array kernel."""
+    """``correlator``'s channel plans against ``assemble``'s series kernel."""
 
     @pytest.mark.parametrize("mid,g", PLAN_MODELS)
     def test_plan_matches_array_kernel(self, mid, g):
@@ -241,20 +248,18 @@ class TestScalarPlan:
 
         R0 = reference(b0, bc.X, bc.X_cross, p0, p1)
         R1 = reference(b1, bc.Y, bc.Y_cross, p1, p0)
-        real = mn.assemble
 
         def entered(*args):
             raise AssertionError("array path entered")
 
-        def plan_only(*args):
+        def raising_G(*args):
             def G(x):
                 raise AssertionError("channel G entered")
 
-            G.plan = real(*args).plan
             return G
 
         # correlator calls each channel's plan, never the channel's own G
-        monkeypatch.setattr(mn, "assemble", plan_only)
+        monkeypatch.setattr(mn, "assemble", raising_G)
         G = cy.correlator(model)
         monkeypatch.setattr(fb, "_series_values", entered)
         monkeypatch.setattr(mn, "block_sum", entered)
@@ -322,7 +327,7 @@ class TestScalarPlan:
         assert np.all(np.abs(got - [G(float(x)) for x in PLAN_GRID]) <= tol)
         # a complex grid takes the series kernel, the path of every array before
         assert np.all(np.abs(got - G(PLAN_GRID + 0j)) <= tol)
-        # a point past x = 1 sends the far half through the kernel
+        # a point past x = 1 sends the whole array through the kernel
         assert np.all(np.abs(G(np.r_[PLAN_GRID, 1.2])[:-1] - got) <= tol)
         empty = G(np.array([]))
         assert empty.shape == (0,) and empty.dtype == np.float64
@@ -330,46 +335,76 @@ class TestScalarPlan:
     @pytest.mark.parametrize("mid,g", END_MODELS)
     def test_channel_arrays_use_the_plan_up_to_the_split(self, mid, g, monkeypatch):
         model = cy.get_model(mid, g)
-        _, bc, b0, b1 = cy.bootstrap(model)
-        G0 = cy.assemble(model.prefactor_exponents, bc.X, b0, bc.X_cross)
-        G1 = cy.assemble(model.prefactor_exponents, bc.Y, b1, bc.Y_cross)
+        args0, args1 = _channel_args(model)
+        G0, G1 = cy.assemble(*args0), cy.assemble(*args1)
+        (_, A0), (_, A1) = mn.channel_plan(*args0), mn.channel_plan(*args1)
+        G = cy.correlator(model)
         # more points than one power-matrix chunk, u = 1/2 included
-        xs = np.linspace(1e-3, 0.5, 3 * fb._CHUNK + 5)
-        want = [(G0, xs, G0(xs + 0j), 1e-14 * _abs_sum_scale(model, xs)),
-                (G1, 1.0 - xs, G1(1.0 - xs + 0j), 1e-14 * _abs_sum_scale(model, 1.0 - xs))]
-        past = [G0(np.r_[xs, 0.6]), G1(np.r_[0.4, 1.0 - xs])]
+        u = np.linspace(1e-3, 0.5, 3 * fb._CHUNK + 5)
+        x = 1.0 - u
+        ref0, tol0 = G0(u + 0j), 1e-14 * _abs_sum_scale(model, u)
+        ref1, tol1 = G1(x + 0j), 1e-14 * _abs_sum_scale(model, x)
 
         def kernel(*args):
             raise AssertionError("series kernel entered")
 
         monkeypatch.setattr(fb, "_series_values", kernel)
-        for Gc, pts, ref, tol in want:
-            got = Gc(pts)
-            assert np.all(np.abs(got - ref) <= tol)
-            assert np.array_equal(Gc(pts.reshape(-1, 1)), got.reshape(-1, 1))
-        # one point past the split sends the whole array to the series kernel
-        monkeypatch.undo()
-        assert np.array_equal(past[0], G0(np.r_[xs, 0.6] + 0j))
-        assert np.array_equal(past[1], G1(np.r_[0.4, 1.0 - xs] + 0j))
+        near = A0(u, 1.0 - u)
+        assert np.all(np.abs(near - ref0) <= tol0)
+        assert np.all(np.abs(A1(1.0 - x, x) - ref1) <= tol1)
+        # correlator sends each half of a grid to its array form and keeps a 2-D shape
+        past = x[x > 0.5]
+        want = np.r_[near, A1(1.0 - past, past)].reshape(-1, 1)
+        assert np.array_equal(G(np.r_[u, past].reshape(-1, 1)), want)
 
     @pytest.mark.parametrize("mid,g", END_MODELS)
     def test_plan_ends_at_the_channel_split(self, mid, g, monkeypatch):
-        # past the split a float is one point of the array branch, bitwise;
-        # up to it (x = 1/2 included) correlator returns the plan's value
+        # assemble's G is the series kernel at every u: a float is one point of an array,
+        # bitwise; correlator takes the x = 0 plan up to x = 1/2 and the x = 1 plan past it
         model = cy.get_model(mid, g)
-        _, bc, b0, b1 = cy.bootstrap(model)
-        G0 = cy.assemble(model.prefactor_exponents, bc.X, b0, bc.X_cross)
-        G1 = cy.assemble(model.prefactor_exponents, bc.Y, b1, bc.Y_cross)
-        for u in (0.51, 0.6, 0.7, 0.9, 0.99):
+        args0, args1 = _channel_args(model)
+        G0, G1 = cy.assemble(*args0), cy.assemble(*args1)
+        for u in (1e-3, 0.3, 0.5, 0.51, 0.6, 0.7, 0.9, 0.99):
             assert G0(u) == G0(np.array([u]))[0]
             assert G1(1.0 - u) == G1(np.array([1.0 - u]))[0]
+        (P0, _), (P1, _) = mn.channel_plan(*args0), mn.channel_plan(*args1)
         G = cy.correlator(model)
 
         def kernel(*args):
             raise AssertionError("series kernel entered")
 
         monkeypatch.setattr(fb, "_series_values", kernel)
-        assert G(0.5) == G0(0.5)
+        past = math.nextafter(0.5, 1.0)
+        assert G(0.5) == P0(0.5, 0.5) and G(past) == P1(1.0 - past, past)
+
+    @pytest.mark.parametrize("mid,g", END_MODELS)
+    def test_assemble_builds_no_plan(self, mid, g, monkeypatch):
+        model = cy.get_model(mid, g)
+        args0, args1 = _channel_args(model)
+
+        def no_plan(*args):
+            raise AssertionError("plan built")
+
+        monkeypatch.setattr(mn, "_row_cut", no_plan)
+        G0, G1 = cy.assemble(*args0), cy.assemble(*args1)
+        xs = np.linspace(0.05, 0.95, 19)
+        assert np.array_equal(G0(xs), G0(xs + 0j)) and np.array_equal(G1(xs), G1(xs + 0j))
+        assert G0(0.3) == G0(np.array([0.3 + 0j]))[0] and G1(0.7) == G1(np.array([0.7]))[0]
+        # the plans are built by correlator alone
+        with pytest.raises(AssertionError, match="plan built"):
+            cy.correlator(model)
+
+    @pytest.mark.parametrize("mid,g", END_MODELS)
+    def test_array_outside_the_unit_interval_takes_the_kernel(self, mid, g):
+        # one point outside (0, 1) sends the whole array to the channels' G, bitwise
+        model = cy.get_model(mid, g)
+        args0, args1 = _channel_args(model)
+        G0, G1, G = cy.assemble(*args0), cy.assemble(*args1), cy.correlator(model)
+        for xs in (np.r_[PLAN_GRID, 1.2], np.r_[-0.2, PLAN_GRID]):
+            far = xs > 0.5
+            got = G(xs)
+            assert np.array_equal(got[~far], G0(xs[~far]))
+            assert np.array_equal(got[far], G1(xs[far]))
 
     @pytest.mark.parametrize("mid,g", END_MODELS)
     @pytest.mark.parametrize("x", [0.0, 1.0, 0, 1])

@@ -236,6 +236,23 @@ class TestExitCodes:
         if "usage:" not in err:     # a library error, not an argparse message
             assert re.fullmatch(r"error: \w+: [^\n]+\n", err), err
 
+    @pytest.mark.parametrize("argv", [
+        "correlator --model mm_n2_phi21 --g 1/0",
+        "--config g.cfg correlator --model mm_n2_phi21",
+        "compare lat.csv --model yl1int_gs --dressing=1/0",
+        "compare lat.csv --model yl1int_gs",
+    ])
+    def test_zero_denominator_and_empty_csv_are_usage_errors(self, monkeypatch, tmp_path,
+                                                             capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "g.cfg").write_text("g=1/0\n")
+        (tmp_path / "lat.csv").write_text("L,ell,N,q_or_bare,trace_re,trace_im,entropy_re,"
+                                          "entropy_im,rescaled\n")
+        assert run_cli(argv.split()) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+
     # flags a subcommand does not read, and the exclusive twist pair
     @pytest.mark.parametrize("argv", [
         *(f"{cmd} --threads 2" for cmd in (

@@ -355,7 +355,8 @@ class TestEvaluate:
         s2 = cy.frobenius_series(gs_ode, F(1, 2), 200, exact=False)
         for x in (0.3, 0.5, 0.64):
             v1, v2 = s1.evaluate(x), s2.evaluate(x)
-            assert abs(v1 - v2) <= max(s1.tail_estimate_at(abs(x)), 1e-15) * 10 + 1e-13
+            # the last retained term at M = 100 is below 4e-23 here: the bound is rounding
+            assert abs(v1 - v2) <= 1.1e-13
 
     def test_out_of_disk(self, gs_ode):
         s = cy.frobenius_series(gs_ode, F(1, 2), 20)

@@ -341,6 +341,18 @@ class TestSectorSolve:
             with pytest.raises(rsos.SizeError):
                 rsos.select_state(H_rsos, basis, which)
 
+    def test_size_guard_runs_before_the_basis(self, monkeypatch):
+        # 542886 states at L = 26: the trivial block holds at least 542886 / (4 L) > 4000
+        # classes, while L = 24 (207364 states, 2359 classes) passes the guard
+        def no_basis(*args):
+            raise AssertionError("basis enumerated")
+
+        monkeypatch.setattr(rsos, "enumerate_heights", no_basis)
+        with pytest.raises(rsos.SizeError):
+            rsos.build_rsos_hamiltonian(4, 3, 26)
+        with pytest.raises(AssertionError, match="basis enumerated"):
+            rsos.build_rsos_hamiltonian(4, 3, 24)
+
     @pytest.mark.parametrize("L", [8, 10, 12])
     def test_matches_full_solve(self, L):
         H, basis = rsos.build_rsos_hamiltonian(4, 3, L)
