@@ -1,9 +1,10 @@
 """Solving the monodromy problem: connection matrices and block weights.
 
 The physical correlator G(x, xbar) = sum_i X_i |I_i(x)|^2 must be
-single-valued in both channels.  Fitting the change of basis between the
-Frobenius solutions about 0 and about 1 turns that requirement into a
-linear nullspace problem for the weights X (and Y in the crossed channel).
+single-valued in both channels.  Matching the change of basis between the
+Frobenius solutions about 0 and about 1 at x = 1/2 turns that requirement
+into a linear nullspace problem for the weights X (and Y in the crossed
+channel).
 """
 
 from fractions import Fraction as F
@@ -19,7 +20,7 @@ model = cy.get_model("yl1int_gs")
 fit, bc, b0, b1 = cy.bootstrap(model)
 print("connection matrix A (I_i = sum_j A_ij J_j):")
 print(fit.A)
-print(f"fit residual {fit.residual:.2e}, condition {fit.condition:.1f}")
+print(f"match residual {fit.residual:.2e}, condition {fit.condition:.1f}")
 print("weights about 0 (exponent: X):")
 for e, v in zip(model.block_exponents_0, bc.X):
     print(f"  {str(e):>5s}: {v:+.6f}")

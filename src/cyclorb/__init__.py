@@ -48,7 +48,6 @@ from .monodromy import (
     ConnectionFit,
     DegeneracyError,
     assemble,
-    chebyshev_points,
     continue_blocks,
     correlator_on_circle,
     diagonal_invariants,

@@ -681,6 +681,7 @@ def torus_check(q_points: Sequence[float]) -> dict:
     out = {"q": [], "char_id_residual": [], "char_phi_residual": [], "z_residual": []}
     s11 = sf.CharacterSpec(5, 2, 1, 1)
     s12 = sf.CharacterSpec(5, 2, 1, 2)
+    model = get_model("yl2int_vac")
     for q in q_points:
         if not 0 < q < 0.2:
             raise ValueError("q must lie in (0, 0.2)")
@@ -693,8 +694,7 @@ def torus_check(q_points: Sequence[float]) -> dict:
         c1 = sf.kac_character(s11, q).real
         c2 = sf.kac_character(s12, q).real
         z = c1 ** 2 + c2 ** 2
-        g2 = closed_form_eval("yl2int_vac", x)
-        zr = 2 ** (-44 / 15) * (x * (1 - x)) ** (-11 / 30) * g2
+        zr = 2 ** (-44 / 15) * (x * (1 - x)) ** (-11 / 30) * model.closed_form(x)
         out["q"].append(q)
         out["char_id_residual"].append(abs(rhs1 - c1) / abs(c1))
         out["char_phi_residual"].append(abs(rhs2 - c2) / abs(c2))

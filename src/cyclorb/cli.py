@@ -110,7 +110,7 @@ def cmd_monodromy(args) -> int:
     out.append(f"# model {model.id}: connection matrix (6 significant digits)")
     for row in fit.A:
         out.append("  " + "  ".join(f"{v:.6g}" for v in row))
-    out.append(f"# fit residual {fit.residual:.3g}, condition {fit.condition:.3g}")
+    out.append(f"# match residual {fit.residual:.3g}, condition {fit.condition:.3g}")
     out.append("# block coefficients, zero channel (exponent: value)")
     for e, v in zip(model.block_exponents_0, coeffs.X):
         out.append(f"  {e}: {v:.6g}")

@@ -8,8 +8,9 @@ with theta = x d/dx.  The roots of the indicial polynomial P_0 are the local
 exponents at the expansion point, and each root alpha yields one solution
 x^alpha * sum_n a_n x^n whose coefficients follow a linear recursion.
 
-Coefficients are exact ``Fraction``s whenever the input is rational, and
-complex floats otherwise.
+``frobenius_series`` runs the recursion in ``Fraction``s for a rational ODE
+and exponent unless given ``exact=False``, and in complex floats otherwise;
+``basis_for``, which builds every basis the pipeline sums, passes ``exact=False``.
 """
 
 from __future__ import annotations
@@ -114,26 +115,6 @@ class FrobeniusSeries:
     def evaluate(self, x):
         return evaluate(self, x)
 
-    def derivative_values(self, x: complex, n_der: int) -> list[complex]:
-        """Values (f, f', ..., f^(n_der)) at x, from term-wise differentiation.
-
-        Only meaningful for a series centered at zero evaluated inside the disk;
-        used to seed numerical continuation.
-        """
-        if self.center != ZERO:
-            raise ValueError("derivative seeding expects a series centered at 0")
-        alpha = float(self.exponent) if _is_rational(self.exponent) else self.exponent
-        out = []
-        n = np.arange(len(self.coeffs))
-        for d in range(n_der + 1):
-            fac = np.ones(len(self.coeffs))
-            for i in range(d):
-                fac = fac * (alpha + n - i)
-            expo = alpha - d
-            val = np.sum(self.coeffs * fac * np.power(complex(x), n + expo))
-            out.append(complex(val))
-        return out
-
 
 @dataclass(frozen=True)
 class FrobeniusBasis:
@@ -165,6 +146,22 @@ class FrobeniusBasis:
         """Complex values of every series at x: shape (size,) for a scalar x,
         else x.shape + (size,)."""
         return _series_values(self._alpha, self._coeffs, self.center, x)
+
+    def jet(self, x: float, order: int) -> np.ndarray:
+        """W[i, d], the d-th x-derivative of series i at a real x, for d <= order:
+        u^alpha_i sum_n C[n, i] (alpha_i+n)(alpha_i+n-1)...(alpha_i+n-d+1) u^(n-d)
+        term by term, with u = x about 0; about 1, u = 1 - x and the d-th
+        derivative takes a factor (-1)^d.  Each sum over n is pairwise (numpy's
+        sum along a contiguous axis).
+        """
+        u, sign = (float(x), 1.0) if self.center == ZERO else (1.0 - float(x), -1.0)
+        if not 0.0 < u < 1.0:
+            raise OutOfDiskError(f"jet needs 0 < u < 1, got u = {u}")
+        d, n = np.arange(order + 1)[:, None], np.arange(len(self._coeffs))
+        p = self._alpha[:, None, None] + n                       # alpha_i + n
+        ff = np.cumprod(np.concatenate([np.ones_like(p), p - d[:-1]], axis=1), axis=1)
+        W = np.sum(self._coeffs.T[:, None] * ff * u ** (n - d), axis=-1)
+        return W * np.exp(self._alpha * np.log(u))[:, None] * sign ** d.T
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +493,7 @@ def _at_center(alpha: np.ndarray, s: np.ndarray) -> np.ndarray:
 
 
 def basis_for(ode: ThetaOde, exponents: Sequence, M: int = 200) -> FrobeniusBasis:
-    """Frobenius basis in the given exponent order."""
+    """Frobenius basis in the given exponent order; float coefficients even for a rational ODE."""
     return FrobeniusBasis(
         center=ode.variable_center,
         series=tuple(frobenius_series(ode, a, M, exact=False) for a in exponents),

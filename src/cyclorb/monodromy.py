@@ -1,8 +1,8 @@
 """Numerical solution of the bootstrap/monodromy problem.
 
 Given Frobenius bases {I_i} about x = 0 and {J_j} about x = 1 of one Fuchsian
-ODE, fit the change of basis I_i = sum_j A_ij J_j on an overlap interval,
-then solve the single-valuedness constraints
+ODE, match the change of basis I_i = sum_j A_ij J_j in value and derivatives
+at x = CHANNEL_SPLIT = 1/2, then solve the single-valuedness constraints
 
     A^T diag(X) A = diag(Y)
 
@@ -15,7 +15,7 @@ with X diagonal except for cross terms on integer-spaced exponent pairs;
 ``block_sum`` is that sum on the real axis and on the circle; ``assemble``
 returns G at any x, and ``channel_plan`` a row-cut sum of it near a centre.
 ``continue_blocks`` carries the blocks off the real axis by Taylor steps at
-regular points of the ODE.
+regular points of the ODE, seeded by the same jets at x = 1/2.
 """
 
 from __future__ import annotations
@@ -44,10 +44,9 @@ class DegeneracyError(RuntimeError):
 
 @dataclass(frozen=True)
 class ConnectionFit:
-    """Least-squares fit of I_i = sum_j A_ij J_j with diagnostics."""
+    """I_i = sum_j A_ij J_j, matched at x = 1/2, with its residual and condition."""
 
     A: np.ndarray
-    sample_points: tuple
     residual: float
     condition: float
 
@@ -62,54 +61,35 @@ class BlockCoefficients:
     Y_cross: dict = None
 
 
-_OVERLAP = (0.38, 0.62)   # sample interval of the connection fit
 _GAP_FACTOR = 1e6         # least ratio of the two smallest singular values
 CHANNEL_SPLIT = 0.5       # x up to which a real point is summed about 0; past it, about 1
 _ROW_TOL = 2.0 ** -60     # largest dropped tail at |u| = CHANNEL_SPLIT, relative to C_0
 
 
-def chebyshev_points(n: int) -> list[float]:
-    """n Chebyshev-spaced sample points in the overlap interval [0.38, 0.62]."""
-    lo, hi = _OVERLAP
-    k = np.arange(n)
-    nodes = np.cos((2 * k + 1) * np.pi / (2 * n))
-    pts = 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes
-    return sorted(float(p) for p in pts)
+def fit_connection(basis0: FrobeniusBasis, basis1: FrobeniusBasis) -> ConnectionFit:
+    """Match the real connection matrix between bases at 0 and 1 at x = 1/2.
 
-
-def fit_connection(basis0: FrobeniusBasis, basis1: FrobeniusBasis,
-                   points: Optional[Sequence[float]] = None) -> ConnectionFit:
-    """Fit the real connection matrix between bases at 0 and 1.
-
-    Points default to 2n Chebyshev nodes in [0.38, 0.62], where both series
-    converge fast.  The fit is rejected if the relative residual exceeds 1e-8;
-    the condition number of the sample matrix is reported.
+    From the ``FrobeniusBasis.jet``s W0, W1 of orders 0..n at ``CHANNEL_SPLIT``,
+    A = W0[:, :n] W1[:, :n]^-1 matches values and n - 1 derivatives.  The ODE
+    fixes order n from those, so the residual max |W0[:, n] - A W1[:, n]| /
+    |W0[:, n]| measures the series' truncation; above 1e-8, or for a singular
+    W1, the match raises ``FitError``.  cond(W1[:, :n]) is reported.
     """
     n = basis0.size
     if basis1.size != n:
         raise ValueError("bases must have equal size")
-    if points is None:
-        points = chebyshev_points(2 * n)
-    points = list(points)
-    if len(points) < n:
-        raise ValueError(f"need at least {n} sample points")
-
-    V0 = basis0.evaluate(np.array(points))
-    V1 = basis1.evaluate(np.array(points))
-    if max(np.max(np.abs(V0.imag)), np.max(np.abs(V1.imag))) > 1e-9 * np.max(np.abs(V0)):
-        raise FitError("complex basis values on the real overlap; real-A assumption violated")
-    V0, V1 = V0.real, V1.real
-
-    A = np.empty((n, n))
-    for i in range(n):
-        sol, *_ = np.linalg.lstsq(V1, V0[:, i], rcond=None)
-        A[i] = sol
-    resid = np.max(np.abs(V0.T - A @ V1.T) / np.maximum(np.abs(V0.T), 1e-300))
-    cond = float(np.linalg.cond(V1))
-    if resid > 1e-8:
-        raise FitError(f"connection fit residual {resid:.3e} > 1e-8")
-    return ConnectionFit(A=A, sample_points=tuple(points), residual=float(resid),
-                         condition=cond)
+    W0, W1 = basis0.jet(CHANNEL_SPLIT, n), basis1.jet(CHANNEL_SPLIT, n)
+    if max(np.max(np.abs(W0.imag)), np.max(np.abs(W1.imag))) > 1e-9 * np.max(np.abs(W0)):
+        raise FitError("complex basis jets at x = 1/2; real-A assumption violated")
+    W0, W1 = W0.real, W1.real
+    try:
+        A = np.linalg.solve(W1[:, :n].T, W0[:, :n].T).T
+    except np.linalg.LinAlgError as err:
+        raise FitError(f"connection match at x = 1/2: {err}") from None
+    resid = float(np.max(np.abs(W0[:, n] - A @ W1[:, n]) / np.maximum(np.abs(W0[:, n]), 1e-300)))
+    if not resid <= 1e-8:
+        raise FitError(f"connection match residual {resid:.3e} > 1e-8")
+    return ConnectionFit(A=A, residual=resid, condition=float(np.linalg.cond(W1[:, :n])))
 
 
 def diagonal_invariants(fit: ConnectionFit, norm_channel: int = 0,
@@ -268,12 +248,11 @@ def channel_plan(prefactor_exponents: tuple, X: Sequence[float],
 
 _TAYLOR_TERMS = 80   # Taylor coefficients per continuation step
 _TAIL_TOL = 1e-15    # largest ratio of a step's weighted last terms to its first terms
-_X_START = 0.5       # where the series seed the continuation
 
 
 def continue_blocks(standard_coeffs, basis: FrobeniusBasis, targets: Sequence[complex]
                     ) -> np.ndarray:
-    """Continue all basis solutions from x = 1/2 to complex targets.
+    """Continue all basis solutions from x = CHANNEL_SPLIT = 1/2 to complex targets.
 
     Targets in the closed upper half plane are reached along straight
     segments through the upper half plane, visited counterclockwise (by
@@ -282,7 +261,7 @@ def continue_blocks(standard_coeffs, basis: FrobeniusBasis, targets: Sequence[co
     (``FitError`` when its tail, weighted as in the derivative read-out,
     exceeds 1e-15).  Each step is a transition
     matrix of the values (f, f', ..., f^(order-1)), and the blocks, seeded
-    by their series at x = 1/2, are carried through them all at once.
+    by ``basis.jet`` at x = 1/2, are carried through them all at once.
     Returns an array B[t, i] = I_i(targets[t]).
     """
     targets = [complex(t) for t in targets]
@@ -291,10 +270,9 @@ def continue_blocks(standard_coeffs, basis: FrobeniusBasis, targets: Sequence[co
     if any(min(abs(t), abs(t - 1)) < 1e-12 for t in targets):
         raise ValueError("targets must avoid the singular points 0 and 1")
     order = len(standard_coeffs) - 1
-    x0, h, reached = _route(complex(_X_START), targets)
+    x0, h, reached = _route(complex(CHANNEL_SPLIT), targets)
     T = _transitions(standard_coeffs, x0, h) if len(x0) else []
-    Y = np.array([s.derivative_values(_X_START, order - 1) for s in basis.series]).T
-    states = [Y]
+    states = [basis.jet(CHANNEL_SPLIT, order - 1).T]
     for Ts in T:
         states.append(Ts @ states[-1])
     return np.array([states[k][0] for k in reached]).reshape(len(targets), basis.size)
@@ -404,11 +382,9 @@ def _transitions(standard_coeffs, x0: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 def _falling(p: np.ndarray, r: int) -> np.ndarray:
-    """p (p-1) ... (p-k+1) for k = 0..r, along a new last axis."""
-    out = np.ones(np.shape(p) + (r + 1,))
-    for k in range(1, r + 1):
-        out[..., k] = out[..., k - 1] * (p - (k - 1))
-    return out
+    """p (p-1) ... (p-k+1) for k = 0..r, along a new last axis, by one running product."""
+    p = np.asarray(p, dtype=float)[..., None]
+    return np.cumprod(np.concatenate([np.ones_like(p), p - np.arange(r)], axis=-1), axis=-1)
 
 
 def correlator_on_circle(standard_coeffs, basis: FrobeniusBasis, X: Sequence[float],

@@ -174,6 +174,34 @@ class TestCorrelatorChannels:
         assert len(calls) == 2
 
 
+CATALOG_G = ("8/7", "15/11", "13/12", "17/12", "9/8", "10/7", "16/13",
+             "16/11", "13/8", "11/7", "6/5", "8/5", "17/11")
+CATALOG_CASES = [(m, None) for m in ("yl2int_vac", "yl1int_vac", "yl1int_gs", "ising2int_vac")] + [
+    (f, F(g)) for f in ("mm_n2_phi21", "mm_n3_phi21") for g in CATALOG_G]
+
+
+class TestConnectionMatch:
+    """The connection matrix matched in value and derivatives at x = 1/2."""
+
+    @pytest.mark.parametrize("mid,g", CATALOG_CASES)
+    def test_matched_at_full_order(self, mid, g):
+        fit = cy.bootstrap(cy.get_model(mid, g))[0]
+        assert fit.condition < 1e3 and fit.residual <= 1e-12
+
+    @pytest.mark.parametrize("mid", ["yl2int_vac", "yl1int_vac", "ising2int_vac"])
+    def test_short_series_raise_or_meet_the_closed_form(self, mid):
+        # every order the match residual accepts gives G within 1e-8
+        model = cy.get_model(mid)
+        xs = np.linspace(0.001, 0.999, 997)
+        want = np.array([model.closed_form(x) for x in xs])
+        for M in range(20, 61):
+            try:
+                got = cy.correlator(model, M)(xs)
+            except mn.FitError:
+                continue
+            assert np.max(np.abs(got - want) / np.abs(want)) < 1e-8, M
+
+
 def _channel_args(model):
     """assemble's and channel_plan's arguments for the x = 0 and the x = 1 channel."""
     _, bc, b0, b1 = cy.bootstrap(model)

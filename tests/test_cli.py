@@ -152,10 +152,12 @@ class TestReports:
 
 class TestExitCodes:
     def test_fit_error_is_tolerance_failure(self, capsys):
-        code = run_cli(["monodromy", "--model", "yl1int_gs", "--terms", "3"])
-        err = capsys.readouterr().err
-        assert code == 4
-        assert err.startswith("error: FitError") and err.count("\n") == 1
+        # at M = 32 the largest order-n match residual of yl2int_vac is 1.5e-8
+        for argv in ("monodromy --model yl1int_gs --terms 3", "correlator --model yl2int_vac --terms 32"):
+            code = run_cli(argv.split())
+            err = capsys.readouterr().err
+            assert code == 4
+            assert err.startswith("error: FitError") and err.count("\n") == 1
 
     def test_compare_reads_terms(self, tmp_path, capsys):
         lat = tmp_path / "lat.csv"

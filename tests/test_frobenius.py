@@ -472,6 +472,28 @@ class TestKernel:
             assert abs(V[p, 0] - i1) <= 1e-12 * abs(i1)
             assert abs(V[p, 1] - i2) <= 1e-12 * abs(i2)
 
+    @pytest.mark.parametrize("model_id,g", [("yl2int_vac", None), ("mm_n2_phi21", F(8, 7))])
+    def test_jet_against_mpmath_derivatives(self, model_id, g):
+        # W[i, d] at x = 1/2 against mpmath derivatives of the 2F1 forms of
+        # I_i about 0 and J_j about 1, where d/dx = -d/du takes a factor -1
+        mp = pytest.importorskip("mpmath")
+        model = cy.get_model(model_id, g)
+        a, b, c = ((F(7, 10), F(11, 10), F(7, 5)) if g is None
+                   else (2 - 3 * g, F(3, 2) - 2 * g, F(3, 2) - g))
+        with mp.workdps(40):
+            A, B, C = (mp.mpf(v.numerator) / v.denominator for v in (a, b, c))
+            D = C - A - B
+            forms = {(0, 0): lambda x: mp.hyp2f1(A, B, C, x),
+                     (0, 1 - c): lambda x: x ** (1 - C) * mp.hyp2f1(A - C + 1, B - C + 1, 2 - C, x),
+                     (1, 0): lambda x: mp.hyp2f1(A, B, A + B - C + 1, 1 - x),
+                     (1, c - a - b): lambda x: (1 - x) ** D * mp.hyp2f1(C - A, C - B, D + 1, 1 - x)}
+            for centre, basis in enumerate((model.basis0(), model.basis1())):
+                W = basis.jet(0.5, 2)
+                for i, e in enumerate(basis.exponents):
+                    for d in range(3):
+                        ref = complex(mp.diff(forms[centre, e], mp.mpf(1) / 2, d))
+                        assert abs(W[i, d] - ref) <= 1e-13 * abs(ref)
+
     def test_indicial_roots_solved_once_per_basis(self, monkeypatch):
         calls = []
         real = pr.rational_roots

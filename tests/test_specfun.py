@@ -146,13 +146,16 @@ class TestConnection2x2:
             cy.connection_2x2(cy.HypParams(0.25, 0.25, 1.5))  # d = 1
 
     def test_matches_numerical_fit(self):
-        a, b, c = F(7, 10), F(11, 10), F(7, 5)
-        ode = cy.theta_form([[a * b], [-c, a + b + 1], [F(0), F(-1), F(1)]])
-        b0 = cy.basis_for(ode, [F(0), 1 - c], M=200)
-        b1 = cy.basis_for(cy.recenter_to_one(ode), [F(0), c - a - b], M=200)
-        fit = cy.fit_connection(b0, b1)
-        A, _ = cy.connection_2x2(cy.HypParams(0.7, 1.1, 1.4))
-        assert np.max(np.abs(fit.A - A)) < 1e-9
+        # yl2int_vac, yl1int_vac, and mm_n2_phi21 at g = 8/7, 13/8 and 17/11
+        cases = [(F(7, 10), F(11, 10), F(7, 5)), (F(4, 5), F(7, 10), F(11, 10))]
+        cases += [(2 - 3 * g, F(3, 2) - 2 * g, F(3, 2) - g) for g in (F(8, 7), F(13, 8), F(17, 11))]
+        for a, b, c in cases:
+            ode = cy.theta_form([[a * b], [-c, a + b + 1], [F(0), F(-1), F(1)]])
+            b0 = cy.basis_for(ode, [F(0), 1 - c], M=200)
+            b1 = cy.basis_for(cy.recenter_to_one(ode), [F(0), c - a - b], M=200)
+            fit = cy.fit_connection(b0, b1)
+            A, _ = cy.connection_2x2(cy.HypParams(float(a), float(b), float(c)))
+            assert np.max(np.abs(fit.A - A)) < 1e-13 * np.max(np.abs(A)), (a, b, c)
 
 
 class TestCharacters:
