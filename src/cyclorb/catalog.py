@@ -102,16 +102,8 @@ class CorrelatorModel:
         return fb.basis_for(self.ode_at_1, self.block_exponents_1, M)
 
 
-MODEL_IDS = ("yl2int_vac", "yl1int_vac", "yl1int_gs", "ising2int_vac",
-             "mm_n2_phi21", "mm_n3_phi21")
-
 _YL_C = F(-22, 5)
 _YL_HPHI = F(-1, 5)
-
-
-def _hyp_theta_ode(a: Fraction, b: Fraction, c: Fraction) -> fb.ThetaOde:
-    """theta(theta + c - 1) - x (theta + a)(theta + b), canonical theta form."""
-    return fb.theta_form([[a * b], [-c, a + b + 1], [F(0), F(-1), F(1)]])
 
 
 def _gamma_X_pair(a, b, c):
@@ -127,6 +119,34 @@ def _gamma_X_pair(a, b, c):
     return complex(X1).real, complex(X2).real
 
 
+def _gauss_model(model_id, abc, prefactor, scheme, physics, closed_form, **extra):
+    """A model whose blocks ODE is theta(theta + c - 1) - x (theta + a)(theta + b),
+    with the Gauss bases (0, 1-c) about 0 and (0, c-a-b) about 1, identity first."""
+    a, b, c = abc
+    return CorrelatorModel(
+        id=model_id, ode=fb.theta_form([[a * b], [-c, a + b + 1], [F(0), F(-1), F(1)]]),
+        prefactor_exponents=prefactor, scheme=scheme,
+        block_exponents_0=(F(0), 1 - c), block_exponents_1=(F(0), c - a - b),
+        norm_channel=0, physics=physics, closed_form=closed_form,
+        hyp=sf.HypParams(float(a), float(b), float(c)), **extra)
+
+
+def _gauss_closed_at_0(abc, prefactor, X1, X2):
+    """G(x) = |x|^(2 p0) |1-x|^(2 p1) (X1 |I_1|^2 + X2 |I_2|^2) on the Gauss basis
+    I_1 = 2F1(a, b; c | x), I_2 = x^(1-c) 2F1(b-c+1, a-c+1; 2-c | x)."""
+    a, b, c = abc
+    hyp1 = sf.HypParams(float(a), float(b), float(c))
+    hyp2 = sf.HypParams(float(b - c + 1), float(a - c + 1), float(2 - c))
+    e, q0, q1 = float(1 - c), float(2 * prefactor[0]), float(2 * prefactor[1])
+
+    def closed(x):
+        h1, h2 = sf.hyp2f1(hyp1, x), sf.hyp2f1(hyp2, x)
+        pref = abs(x) ** q0 * abs(1 - x) ** q1
+        return float(pref * (X1 * abs(h1) ** 2 + X2 * abs(complex(x) ** e * h2) ** 2))
+
+    return closed
+
+
 # ---------------------------------------------------------------------------
 # the six models
 
@@ -137,34 +157,17 @@ def _yl2int_vac() -> CorrelatorModel:
     c2 = pscale(_mul(_poly(0, 0, 1), xm1, xm1), F(400))
     c1 = pscale(_mul(_poly(0, 1), xm1, _poly(-3, 6)), F(40))
     c0 = _poly(33)
-    full = fb.theta_form([c0, c1, c2])
-    a, b, c = F(7, 10), F(11, 10), F(7, 5)
-    ode = _hyp_theta_ode(a, b, c)
-    p0 = p1 = F(11, 20)
-    scheme = fb.RiemannScheme((F(3, 20), F(11, 20)), (F(3, 20), F(11, 20)), (F(0), F(-2, 5)))
+    abc, p = (F(7, 10), F(11, 10), F(7, 5)), (F(11, 20), F(11, 20))
     X2 = 2 ** (16 / 5)
-
-    def closed(x):
-        h1 = sf.hyp2f1(sf.HypParams(float(a), float(b), float(c)), x)
-        h2 = sf.hyp2f1(sf.HypParams(0.7, 0.3, 0.6), x)
-        pref = abs(x) ** 1.1 * abs(1 - x) ** 1.1
-        return float(pref * (abs(h1) ** 2 + X2 * abs(complex(x) ** (-0.4) * h2) ** 2))
-
-    return CorrelatorModel(
-        id="yl2int_vac",
-        ode=ode,
-        prefactor_exponents=(p0, p1),
-        scheme=scheme,
-        block_exponents_0=(F(0), F(-2, 5)),
-        block_exponents_1=(F(0), F(-2, 5)),
-        norm_channel=0,
-        physics=Physics(c=_YL_C, N=2, h_external=F(0), h_twist=F(-11, 40),
-                        description="two-interval vacuum twist four-point, Yang-Lee"),
-        closed_form=closed,
+    return _gauss_model(
+        "yl2int_vac", abc, p,
+        fb.RiemannScheme((F(3, 20), F(11, 20)), (F(3, 20), F(11, 20)), (F(0), F(-2, 5))),
+        Physics(c=_YL_C, N=2, h_external=F(0), h_twist=F(-11, 40),
+                description="two-interval vacuum twist four-point, Yang-Lee"),
+        _gauss_closed_at_0(abc, p, 1.0, X2),
         expected_X={F(0): 1.0, F(-2, 5): X2},
         expected_Y={F(0): 1.0, F(-2, 5): X2},
-        hyp=sf.HypParams(float(a), float(b), float(c)),
-        full_ode=full,
+        full_ode=fb.theta_form([c0, c1, c2]),
     )
 
 
@@ -174,34 +177,17 @@ def _yl1int_vac() -> CorrelatorModel:
     c2 = pscale(_mul(_poly(0, 0, 1), omx, omx), F(10))
     c1 = _mul(_poly(0, 1), omx, _poly(3, -1))
     c0 = pscale(_poly(3, 0, 5), F(2, 5))
-    full = fb.theta_form([c0, c1, c2])
-    a, b, c = F(4, 5), F(7, 10), F(11, 10)
-    ode = _hyp_theta_ode(a, b, c)
-    p0, p1 = F(2, 5), F(4, 5)
-    scheme = fb.RiemannScheme((F(2, 5), F(3, 10)), (F(4, 5), F(2, 5)), (F(-2, 5), F(-1, 2)))
-    X1, X2 = _gamma_X_pair(a, b, c)
-
-    def closed(x):
-        h1 = sf.hyp2f1(sf.HypParams(float(a), float(b), float(c)), x)
-        h2 = sf.hyp2f1(sf.HypParams(0.6, 0.7, 0.9), x)
-        pref = abs(x) ** 0.8 * abs(1 - x) ** 1.6
-        return float(pref * (X1 * abs(h1) ** 2 + X2 * abs(complex(x) ** (-0.1) * h2) ** 2))
-
-    return CorrelatorModel(
-        id="yl1int_vac",
-        ode=ode,
-        prefactor_exponents=(p0, p1),
-        scheme=scheme,
-        block_exponents_0=(F(0), F(-1, 10)),
-        block_exponents_1=(F(0), F(-2, 5)),
-        norm_channel=0,
-        physics=Physics(c=_YL_C, N=2, h_external=_YL_HPHI, h_twist=F(-11, 40),
-                        description="one-interval vacuum-twist four-point in the "
-                                    "doubled-ground-state background, Yang-Lee"),
-        closed_form=closed,
+    abc, p = (F(4, 5), F(7, 10), F(11, 10)), (F(2, 5), F(4, 5))
+    X1, X2 = _gamma_X_pair(*abc)
+    return _gauss_model(
+        "yl1int_vac", abc, p,
+        fb.RiemannScheme((F(2, 5), F(3, 10)), (F(4, 5), F(2, 5)), (F(-2, 5), F(-1, 2))),
+        Physics(c=_YL_C, N=2, h_external=_YL_HPHI, h_twist=F(-11, 40),
+                description="one-interval vacuum-twist four-point in the "
+                            "doubled-ground-state background, Yang-Lee"),
+        _gauss_closed_at_0(abc, p, X1, X2),
         expected_X={F(0): X1, F(-1, 10): X2},
-        hyp=sf.HypParams(float(a), float(b), float(c)),
-        full_ode=full,
+        full_ode=fb.theta_form([c0, c1, c2]),
     )
 
 
@@ -294,13 +280,10 @@ def kac_h21(g: Fraction) -> Fraction:
 def _check_columns(g: Fraction, columns):
     notes = []
     for col in columns:
-        for i in range(len(col)):
-            for j in range(i + 1, len(col)):
-                diff = col[i] - col[j]
-                if diff == 0:
-                    raise ValueError(f"exponent collision in scheme column {col} at g = {g}")
-                if diff.denominator == 1:
-                    notes.append(f"integer exponent difference {diff} within column {col}")
+        if len(set(col)) < len(col):
+            raise ValueError(f"exponent collision in scheme column {col} at g = {g}")
+        notes += [f"integer exponent difference {col[i] - col[j]} within column {col}"
+                  for i, j in integer_spaced_pairs(col)]
     return tuple(notes)
 
 
@@ -315,8 +298,6 @@ def _mm_n2(g) -> CorrelatorModel:
     col1 = ((6 * g**2 - 13 * g + 6) / (8 * g), (38 * g**2 - 29 * g + 6) / (8 * g))
     colinf = ((-6 + 17 * g - 10 * g**2) / (8 * g), (-18 * g**2 + 21 * g - 6) / (8 * g))
     notes = _check_columns(g, (col0, col1, colinf))
-    scheme = fb.RiemannScheme(col0, col1, colinf)
-    ode = _hyp_theta_ode(a, b, c)
     p0, p1 = -2 * h21, (6 * g**2 - 13 * g + 6) / (8 * g)  # (-2 h_21, -2 h_twist(orb))
     # crossed-channel coefficient with the identity channel normalized to one:
     # Y2 = -[Gamma(1-d)/Gamma(1+d)]^2 g(1-a) g(1-b) g(c-a) g(c-b)
@@ -331,26 +312,19 @@ def _mm_n2(g) -> CorrelatorModel:
     af, bf, cf, df = float(a), float(b), float(c), float(d)
 
     def closed(x):
+        # summed about x = 1: hyp2f1's connection formula degenerates at integer d
         j1 = sf._hyp_series(af, bf, 1 - df, 1 - x)
         j2 = sf._hyp_series(cf - af, cf - bf, 1 + df, 1 - x)
         pref = abs(x) ** float(2 * p0) * abs(1 - x) ** float(2 * p1)
         return float(pref * (abs(j1) ** 2
                              + X_cross * abs(complex(1 - x) ** df * j2) ** 2))
 
-    return CorrelatorModel(
-        id="mm_n2_phi21",
-        ode=ode,
-        prefactor_exponents=(p0, p1),
-        scheme=scheme,
-        block_exponents_0=(F(0), 1 - c),
-        block_exponents_1=(F(0), d),
-        norm_channel=0,
-        physics=Physics(c=c_charge, N=2, h_external=h21, h_twist=h_twist,
-                        description=f"level-2-degenerate excited-state twist "
-                                    f"four-point at g = {g}"),
-        closed_form=closed,
+    return _gauss_model(
+        "mm_n2_phi21", (a, b, c), (p0, p1), fb.RiemannScheme(col0, col1, colinf),
+        Physics(c=c_charge, N=2, h_external=h21, h_twist=h_twist,
+                description=f"level-2-degenerate excited-state twist four-point at g = {g}"),
+        closed,
         expected_Y={F(0): 1.0, d: X_cross},
-        hyp=sf.HypParams(af, bf, cf),
         notes=notes,
     )
 
@@ -432,24 +406,32 @@ def _mm_n3(g) -> CorrelatorModel:
     )
 
 
+# model id -> (builder, whether it is a family parametrised by the coupling g);
+# the order is the CLI's --model choices
+_MODELS = {
+    "yl2int_vac": (_yl2int_vac, False),
+    "yl1int_vac": (_yl1int_vac, False),
+    "yl1int_gs": (_yl1int_gs, False),
+    "ising2int_vac": (_ising2int_vac, False),
+    "mm_n2_phi21": (_mm_n2, True),
+    "mm_n3_phi21": (_mm_n3, True),
+}
+MODEL_IDS = tuple(_MODELS)
+
+
 def get_model(model_id: str, g=None) -> CorrelatorModel:
     """Build a catalog model; parametric families require the coupling g."""
-    if model_id == "yl2int_vac":
-        return _yl2int_vac()
-    if model_id == "yl1int_vac":
-        return _yl1int_vac()
-    if model_id == "yl1int_gs":
-        return _yl1int_gs()
-    if model_id == "ising2int_vac":
-        return _ising2int_vac()
-    if model_id in ("mm_n2_phi21", "mm_n3_phi21"):
-        if g is None:
-            raise ValueError(f"{model_id} requires g")
-        g = F(g)
-        if not F(1, 2) < g < F(5, 2):   # checked before any division by g
-            raise ValueError(f"g = {g} outside the validity window (1/2, 5/2)")
-        return (_mm_n2 if model_id == "mm_n2_phi21" else _mm_n3)(g)
-    raise KeyError(f"unknown model id {model_id!r}; choose from {MODEL_IDS}")
+    if model_id not in _MODELS:
+        raise KeyError(f"unknown model id {model_id!r}; choose from {MODEL_IDS}")
+    build, family = _MODELS[model_id]
+    if not family:
+        return build()
+    if g is None:
+        raise ValueError(f"{model_id} requires g")
+    g = F(g)
+    if not F(1, 2) < g < F(5, 2):   # checked before any division by g
+        raise ValueError(f"g = {g} outside the validity window (1/2, 5/2)")
+    return build(g)
 
 
 def validate_scheme(model: CorrelatorModel) -> bool:
@@ -626,32 +608,25 @@ def ope_table() -> dict:
     c_tauphi = -c_tauphi_abs
     c_tau1_phi = c_phi3 / 2 ** (6 * h)
     c_desc = 2.0 ** (4 * h + 2) / 5
-    t = {
-        "C_phi_phi_phi": OpeConstant(
-            "C_phi_phi_phi", c_phi3,
-            "gamma closed form for the minimal-model three-point constant"),
-        "C_Phi_Phi_Phi": OpeConstant(
-            "C_Phi_Phi_Phi", big_phi3,
-            "untwisted three-point factorizes over the two copies"),
-        "C_Phi_tau1_tau1": OpeConstant(
-            "C_Phi_tau1_tau1", c_tau_id,
-            "two-point function on the unfolded double cover: 2^(-8 h_phi)"),
-        "C_phi1_tauphi_tauphi": OpeConstant(
-            "C_phi1_tauphi_tauphi", c_mixed,
-            "unfolded three-point, symmetrized single-copy insertion"),
-        "C_Phi_tauphi_tauphi": OpeConstant(
-            "C_Phi_tauphi_tauphi", c_tauphi,
-            "unfolded four-point at the coincident limit; sign fixed by the "
-            "bootstrap data, modulus by the gamma closed form",
-            closed_form_abs=c_tauphi_abs),
-        "C_tauphi_Phi_tau1": OpeConstant(
-            "C_tauphi_Phi_tau1", c_tau1_phi,
-            "unfolded three-point: C_phi_phi_phi / 2^(6 h_phi)"),
-        "C_tauphi_Phi_Lhalf_tauphi": OpeConstant(
-            "C_tauphi_Phi_Lhalf_tauphi", c_desc,
-            "normalized descendant three-point: 2^(4 h_phi + 2) / 5"),
-    }
-    return t
+    consts = (
+        OpeConstant("C_phi_phi_phi", c_phi3,
+                    "gamma closed form for the minimal-model three-point constant"),
+        OpeConstant("C_Phi_Phi_Phi", big_phi3,
+                    "untwisted three-point factorizes over the two copies"),
+        OpeConstant("C_Phi_tau1_tau1", c_tau_id,
+                    "two-point function on the unfolded double cover: 2^(-8 h_phi)"),
+        OpeConstant("C_phi1_tauphi_tauphi", c_mixed,
+                    "unfolded three-point, symmetrized single-copy insertion"),
+        OpeConstant("C_Phi_tauphi_tauphi", c_tauphi,
+                    "unfolded four-point at the coincident limit; sign fixed by the "
+                    "bootstrap data, modulus by the gamma closed form",
+                    closed_form_abs=c_tauphi_abs),
+        OpeConstant("C_tauphi_Phi_tau1", c_tau1_phi,
+                    "unfolded three-point: C_phi_phi_phi / 2^(6 h_phi)"),
+        OpeConstant("C_tauphi_Phi_Lhalf_tauphi", c_desc,
+                    "normalized descendant three-point: 2^(4 h_phi + 2) / 5"),
+    )
+    return {const.name: const for const in consts}
 
 
 def ope_table_csv() -> str:
@@ -686,7 +661,7 @@ def torus_check(q_points: Sequence[float]) -> dict:
         if not 0 < q < 0.2:
             raise ValueError("q must lie in (0, 0.2)")
         x = sf.x_from_nome(q)
-        i1 = sf.hyp2f1(sf.HypParams(0.7, 1.1, 1.4), x).real
+        i1 = sf.hyp2f1(model.hyp, x).real
         i2 = (complex(x) ** (-0.4) * sf.hyp2f1(sf.HypParams(0.7, 0.3, 0.6), x)).real
         pref = (x * (1 - x)) ** (11 / 30)
         rhs1 = 2 ** (-22 / 15) * pref * i1

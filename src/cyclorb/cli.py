@@ -194,12 +194,10 @@ def cmd_ward(args) -> int:
 
 
 def cmd_lattice(args) -> int:
-    H, basis = rsos.build_rsos_hamiltonian(args.m, args.k, args.L)
-    pair = rsos.select_state(H, basis, args.state)
     insertion = "bare" if args.q is None else args.q
     htw = args.h_twist if args.h_twist is not None else 0.0
     curve = rsos.entropy_curve(args.m, args.k, args.L, args.N, args.state,
-                               insertion, h_twist=htw, pair=pair, basis=basis)
+                               insertion, h_twist=htw)
     _write(args, rsos.curve_csv(curve, insertion))
     if args.selftest:
         tr = curve["trace"].real
@@ -307,9 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--L", type=int, required=True)
     p.add_argument("--N", type=int, default=2)
-    twist = p.add_mutually_exclusive_group()
-    twist.add_argument("--q", type=int, default=None)
-    twist.add_argument("--bare", action="store_true", help="the bare twist (the default)")
+    p.add_argument("--q", type=int, default=None,
+                   help="the dressed twist t_q (default: the bare twist)")
     p.add_argument("--state", choices=("ground", "vacuum"), default="ground")
     p.add_argument("--h-twist", type=float, default=None)
     _add(p, "--out", "--selftest")
@@ -346,7 +343,7 @@ def _apply_config(argv):
             key, _, val = line.partition("=")
             key = "--" + key.strip().replace("_", "-")
             val = val.strip()
-            if val.lower() in ("true", "yes", "1") and key in ("--bare", "--selftest"):
+            if val.lower() in ("true", "yes", "1") and key == "--selftest":
                 inject.append(key)
             else:
                 inject.extend([key, val])

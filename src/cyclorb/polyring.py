@@ -52,13 +52,7 @@ def pscale(p, c):
 
 
 def pmul(p, q):
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return out
+    return pmul_trunc(p, q, len(p) + len(q) - 2)
 
 
 def peval(p, x):
@@ -198,13 +192,9 @@ def _divide_out(p, roots, candidates):
 def _primitive_integer(p):
     """Integer coefficients of the Fraction polynomial p, cleared of
     denominators and divided by their common factor."""
-    den_lcm = 1
-    for c in p:
-        den_lcm = den_lcm * c.denominator // _gcd(den_lcm, c.denominator)
+    den_lcm = math.lcm(*(c.denominator for c in p))
     ip = [int(c * den_lcm) for c in p]
-    g = 0
-    for c in ip:
-        g = _gcd(g, abs(c))
+    g = math.gcd(*ip)
     return [c // g for c in ip] if g > 1 else ip
 
 
@@ -225,12 +215,6 @@ def _convergents(x: float, const: int, lead: int):
         if x == a:
             return
         x = 1.0 / (x - a)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n):

@@ -485,10 +485,10 @@ def twist_weights(m: int, k: int, q: int, n: int) -> np.ndarray:
     """w[a] = sin(pi q a / (m+1)) / sin(lambda a)^n on a = 1..m (index 0 unused)."""
     if not 1 <= q <= m:
         raise ValueError("1 <= q <= m required")
-    lam = math.pi * k / (m + 1)
+    w = _weights(m, k).tolist()
     out = np.zeros(m + 1)
     for a in range(1, m + 1):
-        out[a] = math.sin(math.pi * q * a / (m + 1)) / math.sin(lam * a) ** n
+        out[a] = math.sin(math.pi * q * a / (m + 1)) / w[a] ** n
     return out
 
 
@@ -498,12 +498,12 @@ def bare_weights(m: int, k: int, n: int) -> np.ndarray:
     Discrete sine transform of sin(lambda a)^n; with the 2/(m+1)
     normalization the round trip sum_q x_q w_q(a) = 1 is exact.
     """
-    lam = math.pi * k / (m + 1)
+    w = _weights(m, k).tolist()
     out = np.zeros(m + 1)
     for q in range(1, m + 1):
         acc = 0.0
         for a in range(1, m + 1):
-            acc += math.sin(lam * a) ** n * math.sin(math.pi * q * a / (m + 1))
+            acc += w[a] ** n * math.sin(math.pi * q * a / (m + 1))
         out[q] = 2.0 / (m + 1) * acc
     return out
 
@@ -545,8 +545,9 @@ def entropy_curve(m: int, k: int, L: int, N: int, state: str, insertion,
     """Sweep ell = 1..L-1 (branch points at sites 0 and ell).
 
     Returns columns (ell, trace, entropy, rescaled) where rescaled is
-    trace * L^(4 N h_twist / N ... ) -- concretely trace * L^(4 h_twist)
-    with h_twist the continuum dimension of the inserted twist operator.
+    trace * L^(4 h_twist), with h_twist the continuum dimension of the
+    inserted twist operator.  H, the basis and the pair are built here
+    unless both ``pair`` and ``basis`` are given.
     """
     if basis is None or pair is None:
         H, basis = build_rsos_hamiltonian(m, k, L)

@@ -56,9 +56,13 @@ _LANCZOS_C = [
 ]
 
 
+def _is_int(z, tol=1e-12) -> bool:
+    z = complex(z)
+    return abs(z.imag) < tol and abs(z.real - round(z.real)) < tol
+
+
 def _is_nonpositive_int(z: complex, tol: float = 1e-12) -> bool:
-    zr = complex(z)
-    return abs(zr.imag) < tol and zr.real <= 0.5 and abs(zr.real - round(zr.real)) < tol
+    return complex(z).real <= 0.5 and _is_int(z, tol)
 
 
 def gamma(z) -> complex:
@@ -111,11 +115,6 @@ class HypParams:
     @property
     def d(self) -> complex:
         return complex(self.c) - complex(self.a) - complex(self.b)
-
-
-def _is_int(z, tol=1e-12) -> bool:
-    z = complex(z)
-    return abs(z.imag) < tol and abs(z.real - round(z.real)) < tol
 
 
 def _hyp_series(a, b, c, x, max_terms=4000) -> complex:

@@ -50,6 +50,27 @@ class TestModels:
         with pytest.raises(ValueError):
             cy.get_model("mm_n3_phi21", F(3))
 
+    @pytest.mark.parametrize("mid", ["mm_n2_phi21", "mm_n3_phi21"])
+    def test_family_requires_g(self, mid):
+        with pytest.raises(ValueError, match="requires g"):
+            cy.get_model(mid)
+
+    # g = 3/2 repeats 1/3 in the column about 0, g = 2 repeats 3/4 about 1
+    @pytest.mark.parametrize("g,column", [
+        (F(3, 2), cat.mm_n3_scheme_columns(F(3, 2))[0]),
+        (F(2), cat.mm_n3_scheme_columns(F(2))[1]),
+    ])
+    def test_exponent_collision_names_the_column(self, g, column):
+        assert len(set(column)) < len(column)
+        with pytest.raises(ValueError, match="exponent collision") as err:
+            cy.get_model("mm_n3_phi21", g)
+        assert str(column) in str(err.value)
+
+    def test_model_ids_order(self):
+        # the CLI's --model choices, in this order
+        assert cat.MODEL_IDS == ("yl2int_vac", "yl1int_vac", "yl1int_gs", "ising2int_vac",
+                                 "mm_n2_phi21", "mm_n3_phi21")
+
     def test_degeneracy_warning_attached(self):
         model = cy.get_model("mm_n3_phi21", F(11, 8))
         assert any("integer exponent difference" in n for n in model.notes)

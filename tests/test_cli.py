@@ -255,7 +255,7 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert len([line for line in err.splitlines() if "error:" in line]) == 1
 
-    # flags a subcommand does not read, and the exclusive twist pair
+    # flags a subcommand does not read
     @pytest.mark.parametrize("argv", [
         *(f"{cmd} --threads 2" for cmd in (
             "blocks --model yl2int_vac", "monodromy --model yl1int_gs", "torus", "ope",
@@ -265,7 +265,7 @@ class TestExitCodes:
         *(f"{cmd} --terms 3" for cmd in ("torus", "ope", "ward",
                                          "lattice --m 4 --k 3 --L 8", "chain")),
         "compare lat.csv --model yl1int_gs --selftest", "chain --selftest",
-        "lattice --m 4 --k 3 --L 8 --q 3 --bare",
+        "lattice --m 4 --k 3 --L 8 --bare",
     ])
     def test_unread_flag_is_usage_error(self, monkeypatch, tmp_path, capsys, argv):
         monkeypatch.chdir(tmp_path)

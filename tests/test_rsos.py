@@ -692,6 +692,13 @@ class TestTwistWeights:
                           for q in range(1, m + 1))
                 assert abs(tot - 1.0) < 1e-12
 
+    def test_singular_weights_raise(self):
+        # (m, k) = (3, 2): sin(lambda a) = sin(pi a / 2) vanishes at a = 2
+        with pytest.raises(rsos.SingularWeightError):
+            rsos.twist_weights(3, 2, 1, 2)
+        with pytest.raises(rsos.SingularWeightError):
+            rsos.bare_weights(3, 2, 2)
+
 
 class TestRenyiTraces:
     def test_bare_decomposition_exact(self, yl_chain_16):
