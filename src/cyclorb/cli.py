@@ -343,10 +343,12 @@ def _apply_config(argv):
             key, _, val = line.partition("=")
             key = "--" + key.strip().replace("_", "-")
             val = val.strip()
-            if val.lower() in ("true", "yes", "1") and key == "--selftest":
-                inject.append(key)
-            else:
+            if key != "--selftest":
                 inject.extend([key, val])
+            elif val.lower() in ("true", "yes", "1"):
+                inject.append(key)
+            elif val.lower() not in ("false", "no", "0"):
+                raise ValueError(f"selftest = {val!r} is not true/yes/1 or false/no/0")
     head = argv[: i] + argv[i + 2:]
     # place injected options right after the subcommand
     for j, a in enumerate(head):

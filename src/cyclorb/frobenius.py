@@ -8,9 +8,12 @@ with theta = x d/dx.  The roots of the indicial polynomial P_0 are the local
 exponents at the expansion point, and each root alpha yields one solution
 x^alpha * sum_n a_n x^n whose coefficients follow a linear recursion.
 
-``frobenius_series`` runs the recursion in ``Fraction``s for a rational ODE
-and exponent unless given ``exact=False``, and in complex floats otherwise;
-``basis_for``, which builds every basis the pipeline sums, passes ``exact=False``.
+The ODEs come from minimal-model Kac data, so every coefficient and every
+local exponent is rational: ``ThetaOde`` rejects any other coefficient, and an
+indicial polynomial with an irrational root raises ``ValueError``.
+``frobenius_series`` runs the recursion in ``Fraction``s, or in real floats
+given ``exact=False``; ``basis_for``, which builds every basis the pipeline
+sums, passes ``exact=False``.
 """
 
 from __future__ import annotations
@@ -41,10 +44,7 @@ ZERO, ONE = "zero", "one"
 
 _RES_TOL = 1e-10   # relative tolerance for a vanishing resonance numerator
 _CHUNK = 256       # points per power matrix in array evaluation
-
-
-def _is_rational(x) -> bool:
-    return isinstance(x, (int, Fraction))
+_RATIONAL = (int, Fraction)   # the types of every ODE coefficient and exponent
 
 
 @dataclass(frozen=True)
@@ -56,15 +56,13 @@ class ThetaOde:
     variable_center: str = ZERO
 
     def __post_init__(self):
+        if not all(isinstance(c, _RATIONAL) for p in self.polys for c in p):
+            raise ValueError("ThetaOde coefficients must be int or Fraction")
         if pr.degree(self.polys[0]) != self.order:
             raise ValueError(
                 f"indicial polynomial has degree {pr.degree(self.polys[0])}, "
                 f"expected the ODE order {self.order}"
             )
-
-    @property
-    def is_rational(self) -> bool:
-        return all(_is_rational(c) for p in self.polys for c in p)
 
     def indicial_poly(self):
         return list(self.polys[0])
@@ -89,10 +87,7 @@ class RiemannScheme:
             raise ValueError("scheme columns must all have length = order")
         total = sum(self.exponents_at_0) + sum(self.exponents_at_1) + sum(self.exponents_at_inf)
         expected = Fraction(n * (n - 1), 2)  # 3 singular points
-        if all(_is_rational(e) for col in self.columns() for e in col):
-            if total != expected:
-                raise ValueError(f"Fuchs relation violated: sum {total} != {expected}")
-        elif abs(complex(total) - float(expected)) > 1e-12:
+        if total != expected:
             raise ValueError(f"Fuchs relation violated: sum {total} != {expected}")
 
     def columns(self):
@@ -106,11 +101,11 @@ class RiemannScheme:
 class FrobeniusSeries:
     """One solution x^alpha * sum a_n x^n with a_0 = 1 about ``center``."""
 
-    exponent: object                       # Fraction or float
-    coeffs: np.ndarray                     # complex, length M+1
+    exponent: Fraction
+    coeffs: np.ndarray                     # float64, length M+1
     center: str = ZERO
     resonant_orders: tuple = ()
-    exact_coeffs: Optional[list] = None    # Fractions when available
+    exact_coeffs: Optional[list] = None    # Fractions from the exact recursion
 
     def evaluate(self, x):
         return evaluate(self, x)
@@ -122,7 +117,7 @@ class FrobeniusBasis:
 
     center: str
     series: tuple
-    # complex exponents and coefficient matrix C[n, i] = a_n of series i, zero-padded
+    # float64 exponents and coefficient matrix C[n, i] = a_n of series i, zero-padded
     _alpha: np.ndarray = field(init=False, repr=False, compare=False)
     _coeffs: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -135,11 +130,13 @@ class FrobeniusBasis:
         return tuple(s.exponent for s in self.series)
 
     def __post_init__(self):
+        if any(np.iscomplexobj(s.coeffs) for s in self.series):
+            raise ValueError("a Frobenius basis takes real series coefficients")
         n_max = max(len(s.coeffs) for s in self.series)
-        C = np.zeros((n_max, len(self.series)), dtype=complex)
+        C = np.zeros((n_max, len(self.series)))
         for i, s in enumerate(self.series):
             C[: len(s.coeffs), i] = s.coeffs
-        object.__setattr__(self, "_alpha", np.array([_exponent(s) for s in self.series]))
+        object.__setattr__(self, "_alpha", np.array([float(s.exponent) for s in self.series]))
         object.__setattr__(self, "_coeffs", C)
 
     def evaluate(self, x) -> np.ndarray:
@@ -148,7 +145,7 @@ class FrobeniusBasis:
         return _series_values(self._alpha, self._coeffs, self.center, x)
 
     def jet(self, x: float, order: int) -> np.ndarray:
-        """W[i, d], the d-th x-derivative of series i at a real x, for d <= order:
+        """Real W[i, d], the d-th x-derivative of series i at a real x, for d <= order:
         u^alpha_i sum_n C[n, i] (alpha_i+n)(alpha_i+n-1)...(alpha_i+n-d+1) u^(n-d)
         term by term, with u = x about 0; about 1, u = 1 - x and the d-th
         derivative takes a factor (-1)^d.  Each sum over n is pairwise (numpy's
@@ -201,16 +198,10 @@ def theta_form(standard_coeffs: Sequence[Sequence], variable_center: str = ZERO)
     return ThetaOde(order=order, polys=tuple(polys), variable_center=variable_center)
 
 
-def _vanishes(a) -> bool:
-    if isinstance(a, (float, complex)):
-        return abs(a) < 1e-13
-    return a == 0
-
-
 def _ord_of(p) -> int:
     """Index of the first non-vanishing coefficient (= len(p) for the zero poly)."""
     for i, a in enumerate(p):
-        if not _vanishes(a):
+        if a != 0:
             return i
     return len(p)
 
@@ -223,7 +214,7 @@ def _check_fuchsian(coeffs):
     t = 0
     while pr.degree(work) >= 1:
         quot, rem = pr.divide_out_root(work, 1)
-        if not _vanishes(rem):
+        if rem != 0:
             roots = np.roots(np.array([complex(c) for c in reversed(work)]))
             bad = [r for r in roots if abs(r) > 1e-9 and abs(r - 1) > 1e-9]
             raise NonFuchsianError(
@@ -280,33 +271,26 @@ def recenter_to_one(ode: ThetaOde) -> ThetaOde:
 
 
 def indicial_exponents(ode: ThetaOde) -> list:
-    """Roots of P_0 with multiplicity, sorted ascending.
+    """Roots of P_0 with multiplicity, as ``Fraction``s sorted ascending.
 
-    Exact rational roots come from ``polyring.rational_roots`` (numerical
-    candidates confirmed exactly, then the rational-root theorem on what is
-    left); any non-rational remainder is resolved numerically.
+    They come from ``polyring.rational_roots`` (numerical candidates confirmed
+    exactly, then the rational-root theorem on what is left); a root that is
+    not rational raises ``ValueError``.
     """
     return list(ode.indicial_roots)
 
 
 def _poly_roots(poly) -> list:
-    if all(_is_rational(c) for c in poly):
-        roots, rest = pr.rational_roots(poly)
-        if pr.degree(rest) >= 1:
-            num = np.roots(np.array([float(c) for c in reversed(rest)]))
-            roots = sorted(roots, key=float) + sorted(
-                (complex(r) for r in num), key=lambda z: (z.real, z.imag)
-            )
-        return list(roots)
-    num = np.roots(np.array([complex(c) for c in reversed(pr.trim(poly))]))
-    return sorted((complex(r) for r in num), key=lambda z: (z.real, z.imag))
+    roots, rest = pr.rational_roots(poly)
+    if pr.degree(rest) >= 1:
+        raise ValueError(f"the factor {[str(c) for c in rest]} (low degree first) "
+                         "has irrational roots")
+    return roots
 
 
 def exponents_at_infinity(ode: ThetaOde) -> list:
     """Exponents rho at x = oo (solutions ~ x^-rho): negated roots of P_K."""
-    top = ode.polys[-1]
-    return sorted((-r for r in _poly_roots(top)),
-                  key=lambda v: float(v) if _is_rational(v) else (v.real, v.imag))
+    return sorted(-r for r in _poly_roots(ode.polys[-1]))
 
 
 def scheme_of(ode: ThetaOde) -> RiemannScheme:
@@ -321,41 +305,33 @@ def scheme_of(ode: ThetaOde) -> RiemannScheme:
 # series
 
 
-def frobenius_series(ode: ThetaOde, alpha, M: int, exact: Optional[bool] = None) -> FrobeniusSeries:
-    """Series solution for indicial root alpha, truncated at order M.
+def frobenius_series(ode: ThetaOde, alpha, M: int, exact: bool = True) -> FrobeniusSeries:
+    """Series solution for the indicial root alpha (an int or a ``Fraction``),
+    truncated at order M.
 
-    At a resonance (P_0(alpha+n) = 0 for n > 0) the free coefficient is set to
-    zero when the recursion numerator vanishes; otherwise the solution needs a
-    logarithm and ``LogarithmicCaseError`` is raised.
+    The recursion runs in ``Fraction``s, which are kept as ``exact_coeffs``,
+    or given ``exact=False`` in float64.  At a resonance (P_0(alpha+n) = 0 for
+    n > 0) the free coefficient is set to zero when the recursion numerator
+    vanishes; otherwise the solution needs a logarithm and
+    ``LogarithmicCaseError`` is raised.
     """
     if M < 2:
         raise ValueError("M >= 2 required")
-    p0 = ode.indicial_poly()
-    rational = ode.is_rational and _is_rational(alpha)
-    if exact is None:
-        exact = rational
-    if exact and not rational:
-        raise ValueError("exact mode requires a rational ODE and a rational exponent")
-
-    if rational:
-        if pr.peval(p0, Fraction(alpha)) != 0:
-            raise ValueError(f"alpha = {alpha} is not a root of the indicial polynomial")
-    else:
-        scale = max(abs(complex(c)) for c in p0)
-        if abs(complex(pr.peval(p0, complex(alpha)))) > 1e-8 * scale:
-            raise ValueError(f"alpha = {alpha} is not a root of the indicial polynomial")
+    if not isinstance(alpha, _RATIONAL):
+        raise ValueError(f"alpha = {alpha!r} must be an int or a Fraction")
+    alpha = Fraction(alpha)
+    if pr.peval(ode.indicial_poly(), alpha) != 0:
+        raise ValueError(f"alpha = {alpha} is not a root of the indicial polynomial")
 
     if exact:
-        a_exact = _run_recursion_exact(ode, Fraction(alpha), M)
-        coeffs = np.array([complex(a) for a in a_exact[0]], dtype=complex)
-        resonant = a_exact[1]
-        exact_list = a_exact[0]
+        exact_list, resonant = _run_recursion_exact(ode, alpha, M)
+        coeffs = np.array([float(a) for a in exact_list])
     else:
-        coeffs, resonant = _run_recursion_float(ode, alpha, M)
         exact_list = None
+        coeffs, resonant = _run_recursion_float(ode, alpha, M)
 
     return FrobeniusSeries(
-        exponent=Fraction(alpha) if rational else alpha,
+        exponent=alpha,
         coeffs=coeffs,
         center=ode.variable_center,
         resonant_orders=tuple(resonant),
@@ -387,59 +363,49 @@ def _run_recursion_exact(ode: ThetaOde, alpha: Fraction, M: int):
     return a, resonant
 
 
-def _run_recursion_float(ode: ThetaOde, alpha, M: int):
+def _run_recursion_float(ode: ThetaOde, alpha: Fraction, M: int):
     K = len(ode.polys) - 1
-    alpha = complex(alpha)
     # w[j][n] = P_j(alpha + n - j), by Horner over all n at once
-    shifts = alpha + np.arange(M + 1)
-    w = [np.polyval(np.array([complex(c) for c in reversed(p)]), shifts - j).tolist()
+    shifts = float(alpha) + np.arange(M + 1)
+    w = [np.polyval(np.array([float(c) for c in reversed(p)]), shifts - j).tolist()
          for j, p in enumerate(ode.polys)]
     # a resonance happens exactly when alpha + n is another indicial root
-    resonances = set()
-    for r in ode.indicial_roots:
-        d = complex(r) - alpha
-        n = round(d.real)
-        if n >= 1 and abs(d - n) < 1e-9:
-            resonances.add(n)
-    a = [1.0 + 0j]
+    resonances = {int(r - alpha) for r in ode.indicial_roots
+                  if r > alpha and (r - alpha).denominator == 1}
+    a = [1.0]
     resonant = []
     for n in range(1, M + 1):
-        num = 0j
+        num = 0.0
         for j in range(1, min(n, K) + 1):
             num += w[j][n] * a[n - j]
         if n in resonances:
             scale = max((abs(w[j][n]) * max(1.0, abs(a[n - j]))
                          for j in range(1, min(n, K) + 1)), default=0.0)
             if abs(num) <= _RES_TOL * max(1.0, scale):
-                a.append(0j)
+                a.append(0.0)
                 resonant.append(n)
                 continue
             raise LogarithmicCaseError(
                 f"resonance at n={n} (alpha={alpha}) with non-vanishing numerator"
             )
-        # times the reciprocal, the rounding of numpy's complex division
+        # times the reciprocal, not divided: the recorded outputs carry this rounding
         a.append(-num * (1.0 / w[0][n]))
-    return np.array(a, dtype=complex), resonant
+    return np.array(a), resonant
 
 
 def recursion_residual(ode: ThetaOde, series: FrobeniusSeries) -> float:
     """Max re-substitution residual |sum_j P_j(alpha+n) a_(n-j)| / max(1, |a_n|)."""
-    polys = [[complex(c) for c in p] for p in ode.polys]
+    polys = [[float(c) for c in p] for p in ode.polys]
     K = len(polys) - 1
-    alpha = complex(series.exponent)
+    alpha = float(series.exponent)
     a = series.coeffs
     worst = 0.0
     for n in range(len(a)):
-        tot = 0j
+        tot = 0.0
         for j in range(0, min(n, K) + 1):
             tot += pr.peval(polys[j], alpha + n - j) * a[n - j]
         worst = max(worst, abs(tot) / max(1.0, abs(a[n])))
     return worst
-
-
-def _exponent(series: FrobeniusSeries) -> complex:
-    e = series.exponent
-    return complex(float(e)) if _is_rational(e) else complex(e)
 
 
 def evaluate(series: FrobeniusSeries, x):
@@ -448,7 +414,7 @@ def evaluate(series: FrobeniusSeries, x):
     ``x`` is the physical coordinate; for a series centered at one the
     expansion variable is u = 1 - x.  Principal branch for the power.
     """
-    vals = _series_values(np.array([_exponent(series)]), series.coeffs[:, None],
+    vals = _series_values(np.array([float(series.exponent)]), series.coeffs[:, None],
                           series.center, x)
     return complex(vals[0]) if vals.ndim == 1 else vals[..., 0]
 
@@ -460,7 +426,7 @@ def _series_values(alpha: np.ndarray, C: np.ndarray, center: str, x) -> np.ndarr
     by one matrix product with C.  Points are taken ``_CHUNK`` at a time, so
     no (points x terms) matrix is held whole; a scalar is a 0-d array of one
     point.  Raises ``ValueError`` at a NaN, ``OutOfDiskError`` if any |u| >= 1
-    and at u = 0 for an exponent that is neither zero nor of positive real part.
+    and at u = 0 for a negative exponent.
     """
     x = np.asarray(x, dtype=complex)
     u = (x if center == ZERO else 1.0 - x).reshape(-1)
@@ -487,13 +453,13 @@ def _series_values(alpha: np.ndarray, C: np.ndarray, center: str, x) -> np.ndarr
 
 def _at_center(alpha: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Series values at u = 0 from their sums s (the power factor taken as 1)."""
-    if np.any((alpha != 0) & (alpha.real <= 0)):
-        raise OutOfDiskError("series is singular at its own center for Re(alpha) < 0")
+    if np.any(alpha < 0):
+        raise OutOfDiskError("series is singular at its own center for alpha < 0")
     return np.where(alpha == 0, s, 0j)
 
 
 def basis_for(ode: ThetaOde, exponents: Sequence, M: int = 200) -> FrobeniusBasis:
-    """Frobenius basis in the given exponent order; float coefficients even for a rational ODE."""
+    """Frobenius basis in the given exponent order, from the float recursion."""
     return FrobeniusBasis(
         center=ode.variable_center,
         series=tuple(frobenius_series(ode, a, M, exact=False) for a in exponents),

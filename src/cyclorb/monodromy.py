@@ -79,9 +79,6 @@ def fit_connection(basis0: FrobeniusBasis, basis1: FrobeniusBasis) -> Connection
     if basis1.size != n:
         raise ValueError("bases must have equal size")
     W0, W1 = basis0.jet(CHANNEL_SPLIT, n), basis1.jet(CHANNEL_SPLIT, n)
-    if max(np.max(np.abs(W0.imag)), np.max(np.abs(W1.imag))) > 1e-9 * np.max(np.abs(W0)):
-        raise FitError("complex basis jets at x = 1/2; real-A assumption violated")
-    W0, W1 = W0.real, W1.real
     try:
         A = np.linalg.solve(W1[:, :n].T, W0[:, :n].T).T
     except np.linalg.LinAlgError as err:
@@ -208,19 +205,15 @@ def assemble(prefactor_exponents: tuple, X: Sequence[float],
 def channel_plan(prefactor_exponents: tuple, X: Sequence[float],
                  basis: FrobeniusBasis, cross: Optional[dict] = None) -> tuple:
     """(plan, array): :func:`assemble`'s G at distance u from the basis centre,
-    for a float u and a 1-d float64 array u in (0, CHANNEL_SPLIT], v = 1 - u; or
-    (None, None) on a complex basis.  Both sum s = u^n @ C over the ``_row_cut``
-    rows (``_CHUNK`` points at a time), then c s_i s_j u^e left to right,
+    for a float u and a 1-d float64 array u in (0, CHANNEL_SPLIT], v = 1 - u.
+    Both sum s = u^n @ C over the ``_row_cut`` rows of the basis' real
+    coefficients (``_CHUNK`` points at a time), then c s_i s_j u^e left to right,
     uncompensated, e holding the centre's prefactor exponent, times v^(2 p_other).
     """
-    if np.any(basis._alpha.imag) or np.any(basis._coeffs.imag):
-        return None, None
     p0, p1 = (2 * float(p) for p in prefactor_exponents)
     pc, po = (p0, p1) if basis.center == ZERO else (p1, p0)
-    # a contiguous copy: a strided view of C.real rounds the dot product differently
-    C = basis._coeffs.real.copy()
-    K, a = _row_cut(C), basis._alpha.real.tolist()
-    n, C = np.arange(K, dtype=float), C[:K]
+    K = _row_cut(basis._coeffs)
+    n, C, a = np.arange(K, dtype=float), basis._coeffs[:K], basis._alpha.tolist()
     terms = [(i, i, c, pc + 2 * a[i]) for i, c in enumerate(np.asarray(X, dtype=float).tolist())]
     terms += [(i, j, 2.0 * t, pc + a[i] + a[j]) for (i, j), t in (cross or {}).items()]
 

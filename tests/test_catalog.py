@@ -12,7 +12,7 @@ import pytest
 import cyclorb as cy
 from cyclorb import catalog as cat
 from cyclorb import frobenius as fb
-from cyclorb import monodromy as mn
+from cyclorb import monodromy as mn, specfun as sf
 from cyclorb.polyring import pmul, pmul_trunc, psub_affine
 
 
@@ -134,6 +134,32 @@ class TestClosedForms:
     def test_domain_rejected(self):
         with pytest.raises(ValueError):
             cy.closed_form_eval("yl2int_vac", 1.5)
+
+    @pytest.mark.parametrize("g", [F(8, 7), F(13, 8)])
+    def test_mm_n2_small_x_against_mpmath(self, g):
+        # the series about x = 1 down to x = 1e-3, against 40-digit 2F1s
+        mp = pytest.importorskip("mpmath")
+        model = cy.get_model("mm_n2_phi21", g)
+        with mp.workdps(40):
+            a, b, c, p0, p1 = (mp.mpf(v.numerator) / v.denominator
+                               for v in (2 - 3 * g, F(3, 2) - 2 * g, F(3, 2) - g,
+                                         *model.prefactor_exponents))
+            d = c - a - b
+
+            def gr(z):
+                return mp.gamma(z) / mp.gamma(1 - z)
+
+            X = -(mp.gamma(1 - d) / mp.gamma(1 + d)) ** 2 * gr(1 - a) * gr(1 - b) * gr(c - a) * gr(c - b)
+            for x in ("1e-3", "2e-3", "4e-3"):
+                x = mp.mpf(x)
+                ref = x ** (2 * p0) * (1 - x) ** (2 * p1) * (
+                    mp.hyp2f1(a, b, 1 - d, 1 - x) ** 2
+                    + X * ((1 - x) ** d * mp.hyp2f1(c - a, c - b, 1 + d, 1 - x)) ** 2)
+                got = cy.closed_form_eval("mm_n2_phi21", float(x), g)
+                assert abs(got - ref) <= 1e-12 * abs(ref), float(x)
+        # below the documented edge the series about 1 does not converge
+        with pytest.raises(sf.DomainError, match="did not converge"):
+            cy.closed_form_eval("mm_n2_phi21", 1e-4, g)
 
 
 class TestCorrelatorChannels:

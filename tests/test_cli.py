@@ -324,6 +324,26 @@ class TestConfig:
         assert code == 0
         assert len(out.read_text().strip().splitlines()) == 3  # explicit flag wins
 
+    @pytest.mark.parametrize("val,code,selftest", [
+        ("true", 0, True), ("Yes", 0, True), ("1", 0, True),
+        ("false", 0, False), ("No", 0, False), ("0", 0, False),
+        ("maybe", 2, False), ("", 2, False),
+    ])
+    def test_config_boolean(self, tmp_path, capsys, val, code, selftest):
+        # a true value injects --selftest, a false one nothing, any other is a
+        # usage error; the selftest writes no CSV
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"model = yl2int_vac\nselftest = {val}\n")
+        out = tmp_path / "o.csv"
+        assert run_cli(["correlator", "--config", str(cfg), "--out", str(out)]) == code
+        std = capsys.readouterr()
+        assert ("PASS assembled vs closed form" in std.out) == selftest
+        if code == 2:
+            assert re.fullmatch(r"error: ValueError: [^\n]+\n", std.err)
+        assert out.exists() == (code == 0 and not selftest)
+        if out.exists():
+            assert len(out.read_text().splitlines()) == 20   # header and 19 grid rows
+
     def test_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "cyclorb.cli", "ward",
                                "--x", "0.25"], capture_output=True, text=True)

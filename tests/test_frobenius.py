@@ -136,6 +136,22 @@ class TestIndicial:
         ode = cy.ThetaOde(order=2, polys=((0, -1, 1), (1,)))  # theta(theta-1) + x
         assert cy.indicial_exponents(ode) == [0, 1]
 
+    @pytest.mark.parametrize("polys", [((0, -1, 1.0), (1,)), ((0, -1, 1), (0.5,)),
+                                       ((0, -1, 1), (1j,))])
+    def test_non_rational_coefficient_rejected(self, polys):
+        with pytest.raises(ValueError, match="int or Fraction"):
+            cy.ThetaOde(order=2, polys=polys)
+
+    def test_irrational_root_rejected(self):
+        # theta^2 - 2 + x: P_0 has the roots +-sqrt(2)
+        with pytest.raises(ValueError, match="irrational"):
+            cy.indicial_exponents(cy.ThetaOde(order=2, polys=((-2, 0, 1), (1,))))
+        # theta(theta - 1) + x (theta^2 - 2): rational at 0, +-sqrt(2) at infinity
+        ode = cy.ThetaOde(order=2, polys=((0, -1, 1), (-2, 0, 1)))
+        assert cy.indicial_exponents(ode) == [0, 1]
+        with pytest.raises(ValueError, match="irrational"):
+            cy.exponents_at_infinity(ode)
+
     def test_ground_state_roots(self, gs_ode):
         assert cy.indicial_exponents(gs_ode) == [F(2, 5), F(1, 2), F(9, 10)]
 
@@ -320,6 +336,20 @@ class TestSeries:
         with pytest.raises(ValueError):
             cy.frobenius_series(gs_ode, F(1, 3), 10)
 
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_float_exponent_rejected(self, exact):
+        # 1/2 is a root of theta(theta - 1/2), but exponents are int or Fraction
+        ode = cy.ThetaOde(order=2, polys=((0, F(-1, 2), 1), (1,)))
+        assert cy.frobenius_series(ode, F(1, 2), 10, exact=exact).exponent == F(1, 2)
+        with pytest.raises(ValueError, match="int or a Fraction"):
+            cy.frobenius_series(ode, 0.5, 10, exact=exact)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_real_coefficients_either_way(self, gs_ode, exact):
+        s = cy.frobenius_series(gs_ode, F(1, 2), 40, exact=exact)
+        assert s.coeffs.dtype == np.float64
+        assert (s.exact_coeffs is not None) == exact
+
     def test_resonance_free_coefficient(self):
         model = cy.get_model("ising2int_vac")
         s = cy.frobenius_series(model.ode, F(-1, 16), 40)
@@ -393,8 +423,8 @@ class TestKernel:
                     assert abs(basis.evaluate(complex(x))[i] - ref) <= 1e-13 * abs(ref)
 
     def test_real_scalar_path(self, gs_ode):
-        # a real scalar agrees with the array route, on a real basis and on a
-        # basis with a complex entry alike
+        # a real scalar agrees with the array route; a basis takes only real
+        # series coefficients
         b0 = cy.basis_for(gs_ode, cy.indicial_exponents(gs_ode), 200)
         for x in (0.05, 0.3, np.float64(0.5), 0.62):
             v = b0.evaluate(x)
@@ -405,10 +435,9 @@ class TestKernel:
         ode1 = cy.recenter_to_one(gs_ode)
         b1 = cy.basis_for(ode1, cy.indicial_exponents(ode1), 200)
         assert abs(b1.evaluate(0.7) - b1.evaluate(0.7 + 0j)).max() <= 1e-14
-        bc = cy.FrobeniusBasis(b0.center, (b0.series[0],
-                                           cy.FrobeniusSeries(F(1, 2), np.array([1, 0.5j, 0.1]))))
-        assert bc.evaluate(0.3).dtype == complex
-        assert abs(bc.evaluate(0.3)[1] - 0.3 ** 0.5 * (1 + 0.15j + 0.009)) <= 1e-15
+        with pytest.raises(ValueError, match="real series coefficients"):
+            cy.FrobeniusBasis(b0.center, (b0.series[0],
+                                          cy.FrobeniusSeries(F(1, 2), np.array([1, 0.5j, 0.1]))))
 
     @pytest.mark.parametrize("kind", [float, np.float64, np.float32, int, complex])
     def test_scalar_is_one_point_of_the_array_kernel(self, kind):

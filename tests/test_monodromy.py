@@ -290,6 +290,23 @@ class TestContinuation:
         assert abs(mn.block_sum(V[2], X, cross) - want[2]) <= tol
 
 
+class TestArgumentChecks:
+    @pytest.mark.parametrize("call,match", [
+        (lambda m: mn.fit_connection(m.basis0(60), cy.get_model("yl1int_gs").basis1(60)),
+         "equal size"),
+        (lambda m: mn.continue_blocks(m.standard_coeffs(), m.basis0(60), [0.3j, 0.3 - 0.1j]),
+         "upper half plane"),
+        (lambda m: mn.correlator_on_circle(m.standard_coeffs(), m.basis0(60), [1.0, 1.0],
+                                           [0.25, 1.0]), "inside"),
+        (lambda m: mn.correlator_on_circle(m.standard_coeffs(), m.basis0(60), [1.0, 1.0],
+                                           [0.0, 0.5]), "inside"),
+    ], ids=["unequal_bases", "lower_half_plane", "fraction_one", "fraction_zero"])
+    def test_rejected(self, call, match):
+        model = cy.get_model("yl2int_vac")
+        with pytest.raises(ValueError, match=match):
+            call(model)
+
+
 # ---------------------------------------------------------------------------
 # independent continuation references
 
@@ -328,7 +345,8 @@ def _dop853_blocks(standard_coeffs, basis, targets):
         top = -sum(np.polyval(polys[k], x) * Y[k] for k in range(r)) / np.polyval(polys[r], x)
         return d * np.concatenate([Y[1:], top[None]]).ravel()
 
-    Y = basis.jet(0.5, r - 1).T
+    # complex seeds: solve_ivp keeps the dtype of y0, and the targets are complex
+    Y = basis.jet(0.5, r - 1).T.astype(complex)
     out, cur = [], 0.5
     for x in targets:
         sol = solve_ivp(rhs, (0.0, 1.0), Y.ravel(), args=(cur, x - cur),

@@ -772,3 +772,14 @@ class TestCurveCsv:
         assert lines[0].startswith("L,ell,N,q_or_bare")
         assert len(lines) == 16
         assert lines[1].split(",")[0] == "16"
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("call,exc", [
+        (lambda: rsos.enumerate_heights(1, 8), rsos.BasisError),
+        (lambda: rsos.build_rsos_hamiltonian(4, 5, 8), ValueError),
+        (lambda: rsos.select_state(*rsos.build_rsos_hamiltonian(4, 3, 8), "excited"), ValueError),
+    ], ids=["height_m_1", "twist_k_above_m", "state_excited"])
+    def test_rejected(self, call, exc):
+        with pytest.raises(exc):
+            call()

@@ -231,3 +231,18 @@ class TestNomeMap:
             cy.x_from_nome(1.5)
         with pytest.raises(sf.DomainError):
             cy.nome_from_x(1.5)
+
+
+class TestArgumentChecks:
+    @pytest.mark.parametrize("call,exc", [
+        (lambda: cy.HypParams(0.5, 0.25, -1), ValueError),
+        (lambda: cy.character_coeffs(cy.CharacterSpec(5, 2, 1, 1), 51), ValueError),
+        (lambda: cy.kac_character(cy.CharacterSpec(5, 2, 1, 1), 1.0), sf.DomainError),
+        (lambda: cy.kac_character(cy.CharacterSpec(5, 2, 1, 1), 0.6 + 0.8j), sf.DomainError),
+        (lambda: cy.dedekind_eta(1.0), sf.DomainError),
+        (lambda: cy.dedekind_eta(-1.5j), sf.DomainError),
+    ], ids=["hyp_c_negative_integer", "character_order_51", "character_q_1",
+            "character_unit_circle", "eta_q_1", "eta_outside_disk"])
+    def test_rejected(self, call, exc):
+        with pytest.raises(exc):
+            call()
