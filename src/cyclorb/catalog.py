@@ -83,17 +83,22 @@ class CorrelatorModel:
 
     @cached_property
     def ode_at_1(self) -> fb.ThetaOde:
-        """The blocks ODE about 1, recentred once per model, so its indicial
-        roots are solved once too."""
-        return fb.recenter_to_one(self.ode)
+        """The blocks ODE about 1, recentred once per model from the model's
+        standard form, so its indicial roots are solved once too."""
+        return fb.theta_form_at_one(self.standard_coeffs())
 
     @cached_property
     def _bootstraps(self) -> dict:
         # bootstrap() results, keyed by M
         return {}
 
-    def standard_coeffs(self):
-        return fb.to_standard_coeffs(self.ode)
+    @cached_property
+    def _standard(self) -> tuple:
+        return tuple(tuple(c) for c in fb.to_standard_coeffs(self.ode))
+
+    def standard_coeffs(self) -> tuple:
+        """The blocks ODE as sum_k c_k(x) d^k, a tuple c_k per k, expanded once."""
+        return self._standard
 
     def basis0(self, M: int = 200) -> fb.FrobeniusBasis:
         return fb.basis_for(self.ode, self.block_exponents_0, M)

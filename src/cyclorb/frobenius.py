@@ -72,6 +72,13 @@ class ThetaOde:
         """Roots of P_0, solved once per ODE; see :func:`indicial_exponents`."""
         return tuple(_poly_roots(self.indicial_poly()))
 
+    @cached_property
+    def _horner(self) -> np.ndarray:
+        """Row j: P_j's float64 coefficients, high degree first, zero-padded in front."""
+        width = max(map(len, self.polys))
+        return np.array([[0.0] * (width - len(p)) + [float(c) for c in reversed(p)]
+                         for p in self.polys])
+
 
 @dataclass(frozen=True)
 class RiemannScheme:
@@ -168,11 +175,17 @@ class FrobeniusBasis:
 def theta_form(standard_coeffs: Sequence[Sequence], variable_center: str = ZERO) -> ThetaOde:
     """Convert sum_k c_k(x) d^k/dx^k into theta form.
 
-    ``standard_coeffs[k]`` is the polynomial c_k(x), low degree first.  The
-    operator must be Fuchsian with singular points only in {0, 1, oo}; the
-    offending roots are reported otherwise.
+    ``standard_coeffs[k]`` is the polynomial c_k(x), low degree first, with int
+    or ``Fraction`` coefficients.  The operator must be Fuchsian with singular
+    points only in {0, 1, oo}; the offending roots are reported otherwise.
     """
-    coeffs = [pr.trim(list(c)) for c in standard_coeffs]
+    coeffs, L = pr.clear_denominators([pr.trim(list(c)) for c in standard_coeffs])
+    return _theta_form_cleared(coeffs, L, variable_center)
+
+
+def _theta_form_cleared(coeffs, L: int, variable_center: str) -> ThetaOde:
+    """:func:`theta_form` of sum_k (c_k / L) d^k for integer lists c_k: the algebra runs
+    on integers (an ODE is fixed only up to a scale) and divides by L once, at the end."""
     order = len(coeffs) - 1
     while order > 0 and pr.is_zero(coeffs[order]):
         coeffs.pop()
@@ -186,16 +199,11 @@ def theta_form(standard_coeffs: Sequence[Sequence], variable_center: str = ZERO)
     for k, c in enumerate(coeffs):
         ff = pr.falling_factorial(k)
         for j, cj in enumerate(c):
-            if cj == 0:
-                continue
-            m = j - k
-            terms[m] = pr.padd(terms.get(m, [0]), pr.pscale(ff, cj))
-    m_min = min(terms)
-    m_max = max(terms)
-    polys = []
-    for m in range(m_min, m_max + 1):
-        polys.append(tuple(pr.trim(terms.get(m, [0]))))
-    return ThetaOde(order=order, polys=tuple(polys), variable_center=variable_center)
+            if cj != 0:
+                terms[j - k] = pr.padd(terms.get(j - k, [0]), pr.pscale(ff, cj))
+    polys = tuple(tuple(Fraction(v, L) for v in pr.trim(terms.get(m, [0])))
+                  for m in range(min(terms), max(terms) + 1))
+    return ThetaOde(order=order, polys=polys, variable_center=variable_center)
 
 
 def _ord_of(p) -> int:
@@ -207,21 +215,17 @@ def _ord_of(p) -> int:
 
 
 def _check_fuchsian(coeffs):
-    """Regular-singular conditions at 0, 1, oo for polynomial coefficients c_k."""
+    """Regular-singular conditions at 0, 1, oo for integer polynomial coefficients c_k."""
     order = len(coeffs) - 1
     s = _ord_of(coeffs[order])
     work = pr.trim(list(coeffs[order])[s:])
     t = 0
-    while pr.degree(work) >= 1:
-        quot, rem = pr.divide_out_root(work, 1)
-        if rem != 0:
-            roots = np.roots(np.array([complex(c) for c in reversed(work)]))
-            bad = [r for r in roots if abs(r) > 1e-9 and abs(r - 1) > 1e-9]
-            raise NonFuchsianError(
-                f"leading coefficient vanishes away from {{0,1}}: roots ~ {bad}"
-            )
-        work = pr.trim(quot)
-        t += 1
+    while len(work) > 1 and (quot := pr.deflate(work, 1, 1)) is not None:
+        work, t = quot, t + 1
+    if len(work) > 1:
+        roots = np.roots(np.array([complex(c) for c in reversed(work)]))
+        bad = [r for r in roots if abs(r) > 1e-9 and abs(r - 1) > 1e-9]
+        raise NonFuchsianError(f"leading coefficient vanishes away from {{0,1}}: roots ~ {bad}")
     deg_lead = s + t
     for k, c in enumerate(coeffs[:-1]):
         if pr.is_zero(c):
@@ -235,11 +239,13 @@ def _check_fuchsian(coeffs):
 
 
 def to_standard_coeffs(ode: ThetaOde) -> list:
-    """Inverse of :func:`theta_form`: coefficients c_k(x) of sum_k c_k d^k."""
+    """Inverse of :func:`theta_form`: coefficients c_k(x) of sum_k c_k d^k,
+    expanded on the integer-cleared theta polynomials."""
+    polys, L = pr.clear_denominators(ode.polys)
     n = ode.order
-    s2 = pr.stirling2_table(max(n, max(pr.degree(p) for p in ode.polys)))
+    s2 = pr.stirling2_table(max(n, max(pr.degree(p) for p in polys)))
     out = {}
-    for m, poly in enumerate(ode.polys):
+    for m, poly in enumerate(polys):
         for j, pj in enumerate(poly):
             if pj == 0:
                 continue
@@ -250,24 +256,23 @@ def to_standard_coeffs(ode: ThetaOde) -> list:
                     continue
                 out.setdefault(k, {})
                 out[k][m + k] = out[k].get(m + k, 0) + pj * coef
-    coeffs = []
-    for k in range(n + 1):
-        d = out.get(k, {0: 0})
-        top = max(d)
-        coeffs.append(pr.trim([d.get(j, 0) for j in range(top + 1)]))
-    return coeffs
+    return [pr.trim([Fraction(d.get(j, 0), L) for j in range(max(d) + 1)])
+            for d in (out.get(k, {0: 0}) for k in range(n + 1))]
 
 
 def recenter_to_one(ode: ThetaOde) -> ThetaOde:
     """Theta form of the same ODE in the variable y = 1 - x."""
     if ode.variable_center != ZERO:
         raise ValueError("ode already centered at one")
-    coeffs = to_standard_coeffs(ode)
-    flipped = []
-    for k, c in enumerate(coeffs):
-        sub = pr.psub_affine(c, 1, -1)   # c(1 - y)
-        flipped.append(pr.pscale(sub, (-1) ** k))
-    return theta_form(flipped, variable_center=ONE)
+    return theta_form_at_one(to_standard_coeffs(ode))
+
+
+def theta_form_at_one(standard_coeffs: Sequence[Sequence]) -> ThetaOde:
+    """Theta form in y = 1 - x of sum_k c_k(x) d^k/dx^k, from the c_k about 0:
+    the operator's coefficients (-1)^k c_k(1 - y), on integers."""
+    coeffs, L = pr.clear_denominators(standard_coeffs)
+    flipped = [pr.pscale(pr.psub_affine(c, 1, -1), (-1) ** k) for k, c in enumerate(coeffs)]
+    return _theta_form_cleared(flipped, L, ONE)
 
 
 def indicial_exponents(ode: ThetaOde) -> list:
@@ -320,7 +325,7 @@ def frobenius_series(ode: ThetaOde, alpha, M: int, exact: bool = True) -> Froben
     if not isinstance(alpha, _RATIONAL):
         raise ValueError(f"alpha = {alpha!r} must be an int or a Fraction")
     alpha = Fraction(alpha)
-    if pr.peval(ode.indicial_poly(), alpha) != 0:
+    if (pr.peval(ode.indicial_poly(), alpha) != 0 if exact else alpha not in ode.indicial_roots):
         raise ValueError(f"alpha = {alpha} is not a root of the indicial polynomial")
 
     if exact:
@@ -365,22 +370,26 @@ def _run_recursion_exact(ode: ThetaOde, alpha: Fraction, M: int):
 
 def _run_recursion_float(ode: ThetaOde, alpha: Fraction, M: int):
     K = len(ode.polys) - 1
-    # w[j][n] = P_j(alpha + n - j), by Horner over all n at once
-    shifts = float(alpha) + np.arange(M + 1)
-    w = [np.polyval(np.array([float(c) for c in reversed(p)]), shifts - j).tolist()
-         for j, p in enumerate(ode.polys)]
+    # w[j, n] = P_j(alpha + n - j), by Horner over every j and n at once
+    x = float(alpha) + np.arange(M + 1) - np.arange(K + 1)[:, None]
+    w = np.zeros_like(x)
+    for col in ode._horner.T:
+        w = w * x + col[:, None]
+    w0, rows = w[0].tolist(), w[1:].T.tolist()   # rows[n][j - 1] = w[j, n]
     # a resonance happens exactly when alpha + n is another indicial root
     resonances = {int(r - alpha) for r in ode.indicial_roots
                   if r > alpha and (r - alpha).denominator == 1}
     a = [1.0]
     resonant = []
     for n in range(1, M + 1):
-        num = 0.0
-        for j in range(1, min(n, K) + 1):
-            num += w[j][n] * a[n - j]
+        # sum over j = 1..min(n, K) of w[j, n] a[n - j], in that order
+        num, i = 0.0, n
+        for wj in rows[n][:n]:
+            i -= 1
+            num += wj * a[i]
         if n in resonances:
-            scale = max((abs(w[j][n]) * max(1.0, abs(a[n - j]))
-                         for j in range(1, min(n, K) + 1)), default=0.0)
+            scale = max((abs(wj) * max(1.0, abs(a[n - j])) for j, wj in enumerate(rows[n][:n], 1)),
+                        default=0.0)
             if abs(num) <= _RES_TOL * max(1.0, scale):
                 a.append(0.0)
                 resonant.append(n)
@@ -389,7 +398,7 @@ def _run_recursion_float(ode: ThetaOde, alpha: Fraction, M: int):
                 f"resonance at n={n} (alpha={alpha}) with non-vanishing numerator"
             )
         # times the reciprocal, not divided: the recorded outputs carry this rounding
-        a.append(-num * (1.0 / w[0][n]))
+        a.append(-num * (1.0 / w0[n]))
     return np.array(a), resonant
 
 

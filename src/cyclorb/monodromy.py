@@ -73,7 +73,9 @@ def fit_connection(basis0: FrobeniusBasis, basis1: FrobeniusBasis) -> Connection
     A = W0[:, :n] W1[:, :n]^-1 matches values and n - 1 derivatives.  The ODE
     fixes order n from those, so the residual max |W0[:, n] - A W1[:, n]| /
     |W0[:, n]| measures the series' truncation; above 1e-8, or for a singular
-    W1, the match raises ``FitError``.  cond(W1[:, :n]) is reported.
+    W1, the match raises ``FitError``.  A row whose W0[i, n] is exactly 0 (a
+    polynomial series of degree below n) is scaled by its largest jet entry
+    instead.  cond(W1[:, :n]) is reported.
     """
     n = basis0.size
     if basis1.size != n:
@@ -83,7 +85,8 @@ def fit_connection(basis0: FrobeniusBasis, basis1: FrobeniusBasis) -> Connection
         A = np.linalg.solve(W1[:, :n].T, W0[:, :n].T).T
     except np.linalg.LinAlgError as err:
         raise FitError(f"connection match at x = 1/2: {err}") from None
-    resid = float(np.max(np.abs(W0[:, n] - A @ W1[:, n]) / np.maximum(np.abs(W0[:, n]), 1e-300)))
+    scale = np.where(W0[:, n] == 0.0, np.max(np.abs(W0), axis=1), np.abs(W0[:, n]))
+    resid = float(np.max(np.abs(W0[:, n] - A @ W1[:, n]) / np.maximum(scale, 1e-300)))
     if not resid <= 1e-8:
         raise FitError(f"connection match residual {resid:.3e} > 1e-8")
     return ConnectionFit(A=A, residual=resid, condition=float(np.linalg.cond(W1[:, :n])))

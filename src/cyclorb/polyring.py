@@ -2,10 +2,12 @@
 
 Polynomials and power series are plain lists of coefficients, low degree
 first.  The truncated-series functions (``pmul_trunc``, ``ppow_trunc``,
-``pcompose_trunc``) return the coefficients 0..n of the exact result.  All
+``pcompose_trunc``) return the coefficients 0..n of the exact result.  Most
 operations are duck-typed: they work equally well with ``fractions.Fraction``
-(exact mode: exact inputs give exact outputs), ``float``/``complex``
+(exact mode: exact inputs give exact outputs), ``int``, ``float``/``complex``
 (numeric mode) or sympy expressions (symbolic checks in the tests).
+``clear_denominators`` and ``rational_roots`` take rationals only (``int`` or
+``Fraction``) and run on integers; ``deflate`` takes an integer polynomial.
 """
 
 from __future__ import annotations
@@ -133,29 +135,18 @@ def stirling2_table(n):
     return table
 
 
-def divide_out_root(p, r):
-    """Divide p by (x - r); returns (quotient, remainder_value)."""
-    p = list(p)
-    quot = [0] * (len(p) - 1)
-    acc = p[-1]
-    for i in range(len(p) - 2, -1, -1):
-        quot[i] = acc
-        acc = p[i] + r * acc
-    return quot, acc
-
-
 def rational_roots(p):
     """All rational roots of a Fraction-coefficient polynomial, with multiplicity.
 
-    Candidates come from the floating-point roots of the integer-cleared
+    Candidates come from the floating-point roots of the primitive integer
     polynomial: each real one contributes the continued-fraction convergents
     whose numerator divides the constant and whose denominator divides the
-    leading coefficient.  Every candidate is confirmed by exact evaluation
-    and divided out.  Whatever is left of degree >= 1 (roots the floats
-    missed, such as close or multiple ones) gets the rational-root theorem's
-    divisor search, so the result is exact and complete for rational roots.
-    Returns (roots, deflated) where ``deflated`` is the remaining polynomial
-    with no rational roots.
+    leading coefficient.  Every candidate is confirmed and divided out in
+    integers (see ``deflate``).  Whatever is left of degree >= 1 (roots the
+    floats missed, such as close or multiple ones) gets the rational-root
+    theorem's divisor search, so the result is exact and complete for
+    rational roots.  Returns (roots, deflated) where ``deflated`` is the
+    primitive polynomial divided by every (x - root), with no rational roots.
     """
     p = trim([Fraction(c) for c in p])
     roots = []
@@ -168,32 +159,56 @@ def rational_roots(p):
     ip = _primitive_integer(p)
     real = [z.real for z in np.roots(np.array(ip[::-1], dtype=float))
             if abs(z.imag) <= _REAL_TOL * max(1.0, abs(z))]
-    p = _divide_out([Fraction(c) for c in ip], roots,
-                    (r for x in real for r in _convergents(x, ip[0], ip[-1])))
-    if degree(p) >= 1:
-        ip = _primitive_integer(p)
-        p = _divide_out(p, roots, sorted({Fraction(sign * num, den)
-                                          for num in _divisors(abs(ip[0]))
-                                          for den in _divisors(abs(ip[-1]))
-                                          for sign in (1, -1)}))
-    return sorted(roots), trim(p)
+    ip = _divide_out(ip, roots, (r for x in real for r in _convergents(x, ip[0], ip[-1])))
+    if len(ip) > 1:   # still primitive, by Gauss's lemma
+        ip = _divide_out(ip, roots, sorted({Fraction(sign * num, den)
+                                            for num in _divisors(abs(ip[0]))
+                                            for den in _divisors(abs(ip[-1]))
+                                            for sign in (1, -1)}))
+    # p / (x - h/k) = k p / (k x - h): the k's (1 for x = 0) give the quotient by monic factors
+    return sorted(roots), [Fraction(c * math.prod(r.denominator for r in roots)) for c in ip]
 
 
-def _divide_out(p, roots, candidates):
-    """Divide every candidate that is an exact root out of p, as often as it
-    divides, appending it to ``roots``; returns the quotient."""
+def _divide_out(ip, roots, candidates):
+    """Divide every candidate that is a root out of the primitive integer
+    polynomial ip, as often as it divides, appending it to ``roots``; returns
+    the integer quotient."""
     for r in candidates:
-        while degree(p) >= 1 and peval(p, r) == 0:
+        while len(ip) > 1 and (q := deflate(ip, r.numerator, r.denominator)) is not None:
             roots.append(r)
-            p, _ = divide_out_root(p, r)
-    return p
+            ip = q
+    return ip
+
+
+def deflate(ip, h, k):
+    """The integer q with ip = (k x - h) q, or None if h/k (lowest terms, k > 0)
+    is no root: sum_i c_i h^i k^(d-i) = 0 makes q integer (Gauss's lemma), so
+    for a root every step q_(i-1) = (c_i + h q_i) / k is exact and the
+    remainder c_0 + h q_0 is 0."""
+    q, t = [], ip[-1]
+    for c in reversed(ip[:-1]):
+        qi, rem = divmod(t, k)
+        if rem:
+            return None
+        q.append(qi)
+        t = c + h * qi
+    return q[::-1] if t == 0 else None
+
+
+def clear_denominators(polys):
+    """(integer polynomials, L): every rational polynomial in ``polys`` times L,
+    the lcm of all their denominators.  Raises ``ValueError`` on a coefficient
+    that is not an int or a Fraction."""
+    if not all(isinstance(c, (int, Fraction)) for p in polys for c in p):
+        raise ValueError("coefficients must be int or Fraction")
+    L = math.lcm(*(c.denominator for p in polys for c in p))
+    return [[c.numerator * (L // c.denominator) for c in p] for p in polys], L
 
 
 def _primitive_integer(p):
     """Integer coefficients of the Fraction polynomial p, cleared of
     denominators and divided by their common factor."""
-    den_lcm = math.lcm(*(c.denominator for c in p))
-    ip = [int(c * den_lcm) for c in p]
+    (ip,), _ = clear_denominators([p])
     g = math.gcd(*ip)
     return [c // g for c in ip] if g > 1 else ip
 

@@ -121,7 +121,8 @@ def _hyp_series(a, b, c, x, max_terms=4000) -> complex:
     """Direct series sum_n (a)_n (b)_n / (n! (c)_n) x^n, Kahan compensated.
 
     Converges for |x| < 1; raises if the tail has not decayed within
-    ``max_terms`` terms.
+    ``max_terms`` terms, or when c + n = 0 is reached, for a non-positive
+    integer c, before the series has ended.
     """
     a, b, c, x = complex(a), complex(b), complex(c), complex(x)
     term = 1.0 + 0j
@@ -134,7 +135,10 @@ def _hyp_series(a, b, c, x, max_terms=4000) -> complex:
         s = u
         if abs(term) < 1e-18 * max(1.0, abs(s)) and n > 4:
             return s
-        term *= (a + n) * (b + n) / ((1.0 + n) * (c + n)) * x
+        try:
+            term *= (a + n) * (b + n) / ((1.0 + n) * (c + n)) * x
+        except ZeroDivisionError:
+            raise DomainError(f"2F1 series undefined: c + {n} = 0 before the series ends") from None
     if abs(term) > 1e-13 * max(1.0, abs(s)):
         raise DomainError(f"2F1 series did not converge within {max_terms} terms at x = {x}")
     return s

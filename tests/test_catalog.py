@@ -249,6 +249,23 @@ class TestConnectionMatch:
             assert np.max(np.abs(got - want) / np.abs(want)) < 1e-8, M
 
 
+    @pytest.mark.parametrize("g,A,P", [
+        (F(1), [[2, 0], [1, -1 / 8]], lambda x: 1 + x),
+        (F(5, 4), [[8, 0], [8 / 7, -1 / 32]], lambda x: 1 + 7 * x),
+    ], ids=["1", "5/4"])
+    def test_polynomial_series_matched(self, g, A, P):
+        # the basis series 2F1(a, b; c | x) about 0 is the polynomial P, so the
+        # jet's second derivative W0[0, 2] is exactly 0.0
+        model = cy.get_model("mm_n2_phi21", g)
+        fit = cy.bootstrap(model)[0]
+        assert fit.residual <= 1e-12
+        assert np.max(np.abs(fit.A - np.array(A))) < 1e-13
+        p0, p1 = (2 * float(p) for p in model.prefactor_exponents)
+        xs = np.linspace(0.01, 0.99, 99)
+        want = xs ** p0 * (1 - xs) ** p1 * (P(xs) / P(1)) ** 2
+        assert np.max(np.abs(cy.correlator(model)(xs) - want) / want) < 1e-13
+
+
 def _channel_args(model):
     """assemble's and channel_plan's arguments for the x = 0 and the x = 1 channel."""
     _, bc, b0, b1 = cy.bootstrap(model)

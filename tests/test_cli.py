@@ -228,6 +228,11 @@ class TestExitCodes:
         "blocks --model yl2int_vac --config",
         "--config /nonexistent blocks --model yl2int_vac",
         "lattice --m 2 --k 1 --L 4 --state vacuum",
+        # the closed form's 2F1 at 1 - x has c = 3 - 4g, a non-positive integer here
+        "correlator --model mm_n2_phi21 --g 3/4 --selftest",
+        "correlator --model mm_n2_phi21 --g 1 --selftest",
+        "correlator --model mm_n2_phi21 --g 5/4 --selftest",
+        "correlator --model mm_n2_phi21 --g 7/4 --selftest",
     ])
     def test_no_traceback(self, monkeypatch, capsys, argv):
         monkeypatch.chdir(Path(__file__).resolve().parents[1])   # for README.md
@@ -273,6 +278,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "usage:" in err and "Traceback" not in err
         assert not any(tmp_path.iterdir())
+
+
+    @pytest.mark.parametrize("g", ["1", "5/4"])
+    def test_polynomial_block_grid(self, g, tmp_path):
+        # a block that is a polynomial of degree 1 about 0 still matches at x = 1/2
+        out = tmp_path / "g.csv"
+        code = run_cli(["correlator", "--model", "mm_n2_phi21", "--g", g,
+                        "--grid", "0.1:0.9:5", "--out", str(out)])
+        assert code == 0
+        assert len(out.read_text().splitlines()) == 6
 
 
 class TestLattice:

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+import _fraction_oracle as fo
 import cyclorb as cy
 from cyclorb import polyring as pr
 
@@ -56,7 +57,7 @@ def divisor_search_roots(p):
     for r in sorted(candidates):
         while pr.degree(p) >= 1 and pr.peval(p, r) == 0:
             roots.append(r)
-            p, _ = pr.divide_out_root(p, r)
+            p = fo.divide_by_linear(p, r)
     return sorted(roots), pr.trim(p)
 
 

@@ -246,3 +246,14 @@ class TestArgumentChecks:
     def test_rejected(self, call, exc):
         with pytest.raises(exc):
             call()
+
+    @pytest.mark.parametrize("c", [0.0, -1.0, -2.0, -4.0])
+    def test_series_reaching_c_plus_n_zero_raises(self, c):
+        with pytest.raises(sf.DomainError, match="non-positive|c \\+"):
+            sf._hyp_series(-1.5, 0.25, c, 0.3)
+
+    def test_series_ending_before_c_plus_n_zero_is_kept(self):
+        # a = -4 ends the series at x^4, before c + n = 0 at n = 5
+        want = sum(math.prod((-4 + k) * (-2.5 + k) / ((1 + k) * (-5 + k)) for k in range(n))
+                   * 0.3 ** n for n in range(5))
+        assert abs(sf._hyp_series(-4, -2.5, -5, 0.3) - want) < 1e-15
