@@ -311,7 +311,7 @@ def _mm_n2(g) -> CorrelatorModel:
         X_cross = (-(sf.gamma(float(1 - d)) / sf.gamma(float(1 + d))) ** 2
                    * gr(1 - a) * gr(1 - b) * gr(c - a) * gr(c - b)).real
     except sf.PoleError:
-        X_cross = math.nan
+        X_cross = None
         notes = notes + ("crossed-channel coefficient singular at this g",)
 
     af, bf, cf, df = float(a), float(b), float(c), float(d)
@@ -319,6 +319,8 @@ def _mm_n2(g) -> CorrelatorModel:
     def closed(x):
         # summed about x = 1: hyp2f1's connection formula degenerates at integer d;
         # near x = 0 the series in 1 - x takes up to 60000 terms (see closed_form_eval)
+        if X_cross is None:
+            raise sf.DomainError(f"crossed-channel coefficient singular at g = {g}")
         j1 = sf._hyp_series(af, bf, 1 - df, 1 - x, max_terms=60000)
         j2 = sf._hyp_series(cf - af, cf - bf, 1 + df, 1 - x, max_terms=60000)
         pref = abs(x) ** float(2 * p0) * abs(1 - x) ** float(2 * p1)
@@ -330,7 +332,7 @@ def _mm_n2(g) -> CorrelatorModel:
         Physics(c=c_charge, N=2, h_external=h21, h_twist=h_twist,
                 description=f"level-2-degenerate excited-state twist four-point at g = {g}"),
         closed,
-        expected_Y={F(0): 1.0, d: X_cross},
+        expected_Y={F(0): 1.0} if X_cross is None else {F(0): 1.0, d: X_cross},
         notes=notes,
     )
 
@@ -495,39 +497,26 @@ def bootstrap(model: CorrelatorModel, M: int = 200):
 
 
 def correlator(model: CorrelatorModel, M: int = 200):
-    """Assembled G(x) on (0, 1), in the channel whose series converges faster.
-
-    Points with Re x <= ``monodromy.CHANNEL_SPLIT`` = 1/2 use the x = 0
-    decomposition (X with the basis about 0), the others the x = 1
-    decomposition (Y with the basis about 1), so no series is summed beyond
-    |u| = 1/2 on the real segment.  G takes a scalar (returning a float) or
-    an array of points (returning an array of the same shape).  A float or a
-    float64 array in (0, 1) goes to ``monodromy.channel_plan``'s P0(x, 1 - x)
-    or P1(1 - x, x), and other input to ``monodromy.assemble``.
-    """
+    """Assembled G(x) on (0, 1), in the channel whose series converges faster:
+    ``monodromy.assemble``'s G of the x = 0 decomposition (X, basis about 0)
+    sums x <= ``monodromy.CHANNEL_SPLIT`` = 1/2, that of the x = 1 one (Y,
+    basis about 1) the rest.  A scalar gives a float, a real array a float64
+    array of its shape.  Complex input or a NaN raises ``ValueError``, a
+    point outside (0, 1) ``OutOfDiskError``."""
     fit, coeffs, b0, b1 = bootstrap(model, M)
-    args0 = (model.prefactor_exponents, coeffs.X, b0, coeffs.X_cross)
-    args1 = (model.prefactor_exponents, coeffs.Y, b1, coeffs.Y_cross)
-    G0, G1 = mn.assemble(*args0), mn.assemble(*args1)
-    (P0, A0), (P1, A1) = mn.channel_plan(*args0), mn.channel_plan(*args1)
+    G0 = mn.assemble(model.prefactor_exponents, coeffs.X, b0, coeffs.X_cross)
+    G1 = mn.assemble(model.prefactor_exponents, coeffs.Y, b1, coeffs.Y_cross)
+    split = mn.CHANNEL_SPLIT
 
     def G(x):
         if isinstance(x, float):
-            x = float(x)
-            if 0.0 < x <= mn.CHANNEL_SPLIT:
-                return P0(x, 1.0 - x)
-            if mn.CHANNEL_SPLIT < x < 1.0:
-                return P1(1.0 - x, x)
-        if isinstance(x, (int, float, complex, np.number)):
-            return G1(x) if x.real > mn.CHANNEL_SPLIT else G0(x)
+            x = float(x)   # a Python float compares faster than an np.float64
+            return G0(x) if x <= split else G1(x)
         x = np.asarray(x)
-        far = x.real > mn.CHANNEL_SPLIT
-        out, near, past = np.empty(x.shape), x[~far], x[far]
-        if x.dtype == np.float64 and np.all((x > 0.0) & (x < 1.0)):
-            out[~far], out[far] = A0(near, 1.0 - near), A1(1.0 - past, past)
-        else:
-            out[~far], out[far] = G0(near), G1(past)
-        return out
+        far = x > split
+        out = np.empty(x.shape)
+        out[~far], out[far] = G0(x[~far]), G1(x[far])
+        return out if out.ndim else float(out)
 
     return G
 

@@ -11,11 +11,11 @@ physical correlator is assembled as
 
     G(x, xbar) = |x|^(2 p0) |1-x|^(2 p1) sum_ij X_ij conj(I_i(x)) I_j(x),
 
-with X diagonal except for cross terms on integer-spaced exponent pairs;
-``block_sum`` is that sum on the real axis and on the circle; ``assemble``
-returns G at any x, and ``channel_plan`` a row-cut sum of it near a centre.
+with X diagonal except for cross terms on integer-spaced exponent pairs.
+``assemble`` sums G on the real segment within 1/2 of a basis centre;
 ``continue_blocks`` carries the blocks off the real axis by Taylor steps at
-regular points of the ODE, seeded by the same jets at x = 1/2.
+regular points of the ODE, seeded by the same jets at x = 1/2, and
+``block_sum`` sums G over their values on the circle.
 """
 
 from __future__ import annotations
@@ -35,11 +35,14 @@ class FitError(RuntimeError):
 
 
 class DegeneracyError(RuntimeError):
-    """Diagonal-invariance solution space is not one-dimensional."""
+    """Diagonal-invariance solution space is not one-dimensional (default message built on read)."""
 
-    def __init__(self, msg, singular_values=None):
+    def __init__(self, msg=None, singular_values=None):
         super().__init__(msg)
         self.singular_values = singular_values
+
+    def __str__(self):
+        return self.args[0] or f"nullspace not one-dimensional (singular values {self.singular_values})"
 
 
 @dataclass(frozen=True)
@@ -132,10 +135,7 @@ def diagonal_invariants(fit: ConnectionFit, norm_channel: int = 0,
         _, svals, vt = np.linalg.svd(C)
         svals = np.concatenate([svals, np.zeros(max(0, n_unk - len(svals)))])
         if n_unk >= 2 and svals[-2] < _GAP_FACTOR * max(svals[-1], 1e-300):
-            raise DegeneracyError(
-                f"nullspace not one-dimensional (singular values {svals})",
-                singular_values=svals,
-            )
+            raise DegeneracyError(singular_values=svals)
         sol = vt[-1]
     Xmat = np.diag(sol[:n])
     Xmat[i, j] = Xmat[j, i] = sol[n:]
@@ -158,7 +158,8 @@ def diagonal_invariants(fit: ConnectionFit, norm_channel: int = 0,
 
 
 def block_sum(values: np.ndarray, X: Sequence[float], cross: Optional[dict] = None):
-    """sum_ij X_ij conj(I_i) I_j over the last axis of ``values`` (I_i = values[..., i]).
+    """sum_ij X_ij conj(I_i) I_j over the last axis of complex block ``values``
+    (I_i = values[..., i]), such as ``continue_blocks`` returns.
 
     ``X`` holds the diagonal coefficients and ``cross`` the symmetric
     off-diagonal amplitudes {(i, j): X_ij}, each counted for (i, j) and (j, i).
@@ -177,66 +178,56 @@ def _row_cut(C: np.ndarray) -> int:
     return int(np.argmax(np.r_[np.all(tail <= _ROW_TOL * np.abs(C[0]), axis=1), True]))
 
 
+def _outside(u) -> None:
+    """Raise for points u of which some lie outside a channel's disk."""
+    if np.any(np.isnan(u)):
+        raise ValueError("NaN point")
+    raise OutOfDiskError(f"u from {np.min(u):g} to {np.max(u):g} leaves 0 < u <= {CHANNEL_SPLIT}")
+
+
 def assemble(prefactor_exponents: tuple, X: Sequence[float],
-             basis: FrobeniusBasis, cross: Optional[dict] = None
-             ) -> Callable:
-    """Return G(x) = |x|^(2 p0) |1-x|^(2 p1) sum_ij X_ij conj(I_i) I_j.
+             basis: FrobeniusBasis, cross: Optional[dict] = None) -> Callable:
+    """Return G(x) = |x|^(2 p0) |1-x|^(2 p1) sum_ij X_ij I_i I_j for real x at
+    u = x (u = 1 - x for a basis about 1) in 0 < u <= CHANNEL_SPLIT.
 
-    ``X`` holds the diagonal coefficients; ``cross`` optional symmetric
-    off-diagonal amplitudes for integer-spaced exponent pairs.  Valid on the
-    physical slice xbar = conj(x); for the basis centered at 1 pass the Y
-    coefficients instead of X.  G sums ``block_sum`` over ``basis.evaluate`` at
-    a scalar (a float, bitwise that point of a complex array) or an array (of
-    the same shape).  A negative prefactor exponent raises ``OutOfDiskError``
-    at the basis centre.
-    """
+    ``X`` holds the diagonal coefficients (Y about 1), ``cross`` the symmetric
+    amplitudes of integer-spaced pairs.  G sums s = u^n @ C over the ``_row_cut``
+    rows of the basis' real coefficients (``_CHUNK`` points at a time), then
+    c s_i s_j u^e left to right, uncompensated, e holding the centre's prefactor
+    exponent, times (1 - u)^(2 p_other).  A float gives a float, other real
+    input a float64 array of its shape.  Complex input or a NaN raises
+    ``ValueError``, any other u ``OutOfDiskError``: no sum is truncated."""
     p0, p1 = (2 * float(p) for p in prefactor_exponents)
-    X, cross = np.asarray(X, dtype=float), dict(cross or {})
-    centre, pc = (0.0, p0) if basis.center == ZERO else (1.0, p1)
-
-    def G(x):
-        if isinstance(x, (int, float, complex, np.number)):
-            return float(G(np.array([x], dtype=complex))[0])
-        if pc < 0 and np.any(np.asarray(x) == centre):
-            raise OutOfDiskError(f"G diverges at its centre: prefactor exponent {pc:g} < 0")
-        tot = block_sum(basis.evaluate(x), X, cross)
-        return np.abs(x) ** p0 * np.abs(1 - x) ** p1 * tot
-
-    return G
-
-
-def channel_plan(prefactor_exponents: tuple, X: Sequence[float],
-                 basis: FrobeniusBasis, cross: Optional[dict] = None) -> tuple:
-    """(plan, array): :func:`assemble`'s G at distance u from the basis centre,
-    for a float u and a 1-d float64 array u in (0, CHANNEL_SPLIT], v = 1 - u.
-    Both sum s = u^n @ C over the ``_row_cut`` rows of the basis' real
-    coefficients (``_CHUNK`` points at a time), then c s_i s_j u^e left to right,
-    uncompensated, e holding the centre's prefactor exponent, times v^(2 p_other).
-    """
-    p0, p1 = (2 * float(p) for p in prefactor_exponents)
-    pc, po = (p0, p1) if basis.center == ZERO else (p1, p0)
+    about1 = basis.center != ZERO
+    pc, po = (p1, p0) if about1 else (p0, p1)
     K = _row_cut(basis._coeffs)
     n, C, a = np.arange(K, dtype=float), basis._coeffs[:K], basis._alpha.tolist()
     terms = [(i, i, c, pc + 2 * a[i]) for i, c in enumerate(np.asarray(X, dtype=float).tolist())]
     terms += [(i, j, 2.0 * t, pc + a[i] + a[j]) for (i, j), t in (cross or {}).items()]
 
-    # two closures, not one with a type test: the scalar one runs once per point
-    def plan(u, v):
-        s, tot = np.dot(u ** n, C).tolist(), 0.0
+    def G(x):
+        if isinstance(x, float):
+            u, v = (1.0 - x, x) if about1 else (x, 1.0 - x)
+            if not 0.0 < u <= CHANNEL_SPLIT:
+                _outside(u)
+            s = np.dot(u ** n, C).tolist()
+        else:
+            if np.iscomplexobj(x):
+                raise ValueError("G takes real points, not complex ones")
+            x = np.asarray(x, dtype=float)
+            u, v = (1.0 - x, x) if about1 else (x, 1.0 - x)
+            if not np.all((u > 0.0) & (u <= CHANNEL_SPLIT)):
+                _outside(u)
+            flat, s = u.ravel(), np.empty((u.size, C.shape[1]))
+            for lo in range(0, u.size, _CHUNK):
+                s[lo: lo + _CHUNK] = flat[lo: lo + _CHUNK, None] ** n @ C
+            s = s.T.reshape((C.shape[1],) + u.shape)
+        tot = 0.0
         for i, j, c, e in terms:
             tot += c * s[i] * s[j] * u ** e
         return v ** po * tot
 
-    def array(u, v):
-        s = np.empty((len(u), C.shape[1]))
-        for lo in range(0, len(u), _CHUNK):
-            s[lo: lo + _CHUNK] = u[lo: lo + _CHUNK, None] ** n @ C
-        s, tot = s.T, 0.0
-        for i, j, c, e in terms:
-            tot += c * s[i] * s[j] * u ** e
-        return v ** po * tot
-
-    return plan, array
+    return G
 
 
 # ---------------------------------------------------------------------------

@@ -228,11 +228,14 @@ class TestExitCodes:
         "blocks --model yl2int_vac --config",
         "--config /nonexistent blocks --model yl2int_vac",
         "lattice --m 2 --k 1 --L 4 --state vacuum",
-        # the closed form's 2F1 at 1 - x has c = 3 - 4g, a non-positive integer here
+        # d = 4g - 2 is a positive integer: the closed form's crossed-channel
+        # coefficient is singular, so it raises DomainError
         "correlator --model mm_n2_phi21 --g 3/4 --selftest",
         "correlator --model mm_n2_phi21 --g 1 --selftest",
         "correlator --model mm_n2_phi21 --g 5/4 --selftest",
         "correlator --model mm_n2_phi21 --g 7/4 --selftest",
+        "correlator --model mm_n2_phi21 --g 2 --selftest",
+        "correlator --model mm_n2_phi21 --g 9/4 --selftest",
     ])
     def test_no_traceback(self, monkeypatch, capsys, argv):
         monkeypatch.chdir(Path(__file__).resolve().parents[1])   # for README.md
