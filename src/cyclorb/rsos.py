@@ -21,15 +21,16 @@ Reduced density matrices are formed from bi-orthonormal eigenpairs
 rho = r w (non-Hermitian chains have distinct left/right vectors) and kept
 as per-block factors, one block per pair of boundary heights of the
 subsystem; each block pairs every subsystem path with every environment
-path, so one integer sort of the states lays its factors out as reshapes.
-The replica traces Tr(D rho_A^N) carry diagonal twist insertions on those
-two heights, so they are sums of per-block traces.
+path, so one permutation of the states lays its factors out as reshapes.
+Each interval is laid out once per basis, one int32 index per state.  The
+replica traces Tr(D rho_A^N) carry diagonal twist insertions on those two
+heights, so they are sums of per-block traces.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Optional
 
@@ -60,6 +61,7 @@ class HeightBasis:
     m: int
     L: int
     states: np.ndarray          # (dim, L) int8, lexicographic
+    _layouts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -83,13 +85,17 @@ class HeightBasis:
         return _open_codes(self.m, self.L)
 
     @cached_property
+    def _row_codes(self) -> np.ndarray:
+        """``window_codes(0, L)``: the code of each whole row, sorted."""
+        return self.window_codes(0, self.L)
+
+    @cached_property
     def _classes(self) -> "SymmetryClasses":
         """Zero-momentum classes under the reflection a_j -> a_{L-1-j} and the
         height flip a -> m + 1 - a, which both commute with H."""
         orbit, size, reps = _orbits(_shift(self))
-        codes, rows = self.window_codes(0, self.L), self.states[reps]
-        images = [orbit[np.searchsorted(codes, HeightBasis(self.m, self.L, image)
-                                        .window_codes(0, self.L))]
+        codes, rows = self._row_codes, self.states[reps]
+        images = [orbit[np.searchsorted(codes, HeightBasis(self.m, self.L, image)._row_codes)]
                   for image in (rows[:, ::-1], self.m + 1 - rows)]
         return symmetry_classes(orbit, size, reps, images)
 
@@ -162,17 +168,16 @@ def _weights(m: int, k: int) -> np.ndarray:
     return w
 
 
-def _tl_entries(basis: HeightBasis, k: int, i: int):
-    """(rows, cols, vals) of the nonzero elements of e_i."""
+def _tl_entries(basis: HeightBasis, w: np.ndarray, i: int):
+    """(rows, cols, vals) of the nonzero elements of e_i, w = ``_weights(m, k)``."""
     m, L = basis.m, basis.L
     i %= L
-    w = _weights(m, k)
     symmetric = np.all(w[1 : m + 1] > 0) or np.all(w[1 : m + 1] < 0)
     states = basis.states
     b = states[:, (i - 1) % L].astype(np.int64)
     src = np.flatnonzero(b == states[:, (i + 1) % L])
     b, a = b[src], states[src, i].astype(np.int64)
-    codes = basis.window_codes(0, L)
+    codes = basis._row_codes
     # a_i -> a_i + 2 turns step i-1 up (or adds 2 to a_0) and step i down;
     # step L-1 is not part of a whole row's code
     raise_code = ((2 << (L - 1)) if i == 0 else (1 << (L - 1 - i))) \
@@ -201,7 +206,7 @@ def temperley_lieb_generator(basis: HeightBasis, k: int, i: int):
     Returns a scipy.sparse CSR matrix.
     """
     import scipy.sparse as sp
-    rows, cols, vals = _tl_entries(basis, k, i)
+    rows, cols, vals = _tl_entries(basis, _weights(basis.m, k), i)
     return sp.csr_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim))
 
 
@@ -214,16 +219,15 @@ def build_rsos_hamiltonian(m: int, k: int, L: int):
     if (dim := basis_count(m, L)) > 4 * L * SECTOR_LIMIT:
         raise SizeError(f"{dim} states at L = {L}: more than {SECTOR_LIMIT} classes to solve")
     import scipy.sparse as sp
-    basis = enumerate_heights(m, L)
+    basis, w = enumerate_heights(m, L), _weights(m, k)
     rows, cols, vals = (np.concatenate(parts)
-                        for parts in zip(*(_tl_entries(basis, k, i) for i in range(L))))
+                        for parts in zip(*(_tl_entries(basis, w, i) for i in range(L))))
     return sp.csr_matrix((-vals, (rows, cols)), shape=(basis.dim, basis.dim)), basis
 
 
 def _shift(basis: HeightBasis) -> np.ndarray:
     """Row of each state translated by one site."""
-    return np.searchsorted(basis.window_codes(0, basis.L),
-                           basis.window_codes(basis.L - 1, basis.L))
+    return np.searchsorted(basis._row_codes, basis.window_codes(basis.L - 1, basis.L))
 
 
 def _orbits(shift: np.ndarray):
@@ -457,28 +461,39 @@ def reduced_density(basis: HeightBasis, pair: EigenPair, i: int, j: int) -> Redu
     a_j, subsystem code, environment code), its states are R_b row by row.
     Only the factors are stored; ``ReducedDensity.matrix`` assembles rho_A.
     """
-    m, L = basis.m, basis.L
-    sites, i, j = (i, j), i % L, j % L
-    n_sub = (j - i) % L + 1
-    n_env = L - n_sub
-    sub = _path_rows(np.unique(basis._path_codes >> (L - n_sub)), n_sub)
+    key = (i % basis.L, (j - i) % basis.L + 1)
+    if key not in basis._layouts:
+        basis._layouts[key] = _interval_layout(basis, *key)
+    sub, labels, order, blocks = basis._layouts[key]
+    right, left = pair.right[order], pair.left[order]
+    return ReducedDensity((i, j), sub, labels, [
+        DensityBlock(lab, rows, right[cut].reshape(shape), left[cut].reshape(shape))
+        for lab, rows, cut, shape in blocks])
+
+
+def _interval_layout(basis: HeightBasis, i: int, n_sub: int):
+    """(sub_states, block_labels, order, blocks) of the n_sub sites from i, memoised in
+    ``basis._layouts``: block (label, rows, cut, shape) is r[order][cut] row by row."""
+    m, L, n_env = basis.m, basis.L, basis.L - n_sub
+    prefixes = basis._path_codes >> n_env          # sorted: distinct where they step
+    sub = _path_rows(prefixes[np.r_[True, prefixes[1:] != prefixes[:-1]]], n_sub)
     sub_label = sub[:, 0].astype(np.int64) * (m + 1) + sub[:, -1]
-    label = basis.states[:, i].astype(np.int64) * (m + 1) + basis.states[:, j]
-    key = (label << (n_sub - 1 + m.bit_length())) | basis.window_codes(i, n_sub)
-    order = np.argsort((key << (n_env + m.bit_length()))
-                       | basis.window_codes((j + 1) % L, n_env))
+    label = basis.states[:, i].astype(np.int64) * (m + 1) + basis.states[:, (i + n_sub - 1) % L]
+    order = np.argsort(label, kind="stable") if i == 0 else np.lexsort(  # rows sorted at i = 0
+        (basis.window_codes((i + n_sub) % L, n_env), basis.window_codes(i, n_sub), label))
     starts = np.flatnonzero(np.r_[True, np.diff(label[order]) != 0])
     n_envs = np.linalg.matrix_power(adjacency_matrix(m), n_env + 1)   # paths a_j -> a_i
     blocks = []
-    for lab, idx in zip(label[order[starts]], np.split(order, starts[1:])):
-        ai, aj = divmod(int(lab), m + 1)
+    for lab, start, stop in zip(label[order[starts]], starts, np.r_[starts[1:], len(order)]):
         rows = np.flatnonzero(sub_label == lab)
-        shape = (len(rows), int(n_envs[aj - 1, ai - 1]))
-        assert shape[0] * shape[1] == len(idx), "block is not a product of paths"
-        blocks.append(DensityBlock((ai, aj), rows, pair.right[idx].reshape(shape),
-                                   pair.left[idx].reshape(shape)))
-    return ReducedDensity(sites=sites, sub_states=sub,
-                          block_labels=np.column_stack([sub[:, 0], sub[:, -1]]), blocks=blocks)
+        shape = (len(rows), int(n_envs[lab % (m + 1) - 1, lab // (m + 1) - 1]))
+        if shape[0] * shape[1] != stop - start:
+            raise BasisError("block is not a product of paths")
+        blocks.append((divmod(int(lab), m + 1), rows, slice(start, stop), shape))
+    labels, order = np.column_stack([sub[:, 0], sub[:, -1]]), order.astype(np.int32)
+    for shared in (sub, labels, order, *(rows for _, rows, *_ in blocks)):
+        shared.flags.writeable = False      # every call on the basis returns them
+    return sub, labels, order, blocks
 
 
 def twist_weights(m: int, k: int, q: int, n: int) -> np.ndarray:

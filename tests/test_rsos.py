@@ -644,7 +644,7 @@ class TestBlockFactors:
         basis, pairs = chain_8
         cut = rsos.HeightBasis(basis.m, basis.L, basis.states[1:])
         pair = rsos.EigenPair(0j, pairs["ground"].right[1:], pairs["ground"].left[1:])
-        with pytest.raises(AssertionError, match="product"):
+        with pytest.raises(rsos.BasisError, match="product"):
             rsos.reduced_density(cut, pair, 0, 3)
 
     def test_whole_chain_is_exact_block_sum(self):
@@ -664,6 +664,97 @@ class TestBlockFactors:
                                 pair=v, basis=basis)["trace"]
         assert abs(tr[-1] - exact) < 1e-12 * abs(exact)
         assert np.max(np.abs(tr.real - tr.real[::-1])) < 1e-12 * np.max(np.abs(tr.real))
+
+
+def sorted_reduced_density(basis, pair, i, j):
+    """Reference rho_A: every interval sorted afresh by the full key (a_i, a_j,
+    subsystem code, environment code), distinct prefixes by np.unique."""
+    m, L = basis.m, basis.L
+    sites, i, j = (i, j), i % L, j % L
+    n_sub = (j - i) % L + 1
+    n_env = L - n_sub
+    sub = rsos._path_rows(np.unique(basis._path_codes >> (L - n_sub)), n_sub)
+    sub_label = sub[:, 0].astype(np.int64) * (m + 1) + sub[:, -1]
+    label = basis.states[:, i].astype(np.int64) * (m + 1) + basis.states[:, j]
+    key = (label << (n_sub - 1 + m.bit_length())) | basis.window_codes(i, n_sub)
+    order = np.argsort((key << (n_env + m.bit_length()))
+                       | basis.window_codes((j + 1) % L, n_env))
+    starts = np.flatnonzero(np.r_[True, np.diff(label[order]) != 0])
+    n_envs = np.linalg.matrix_power(rsos.adjacency_matrix(m), n_env + 1)
+    blocks = []
+    for lab, idx in zip(label[order[starts]], np.split(order, starts[1:])):
+        ai, aj = divmod(int(lab), m + 1)
+        rows = np.flatnonzero(sub_label == lab)
+        shape = (len(rows), int(n_envs[aj - 1, ai - 1]))
+        assert shape[0] * shape[1] == len(idx)
+        blocks.append(rsos.DensityBlock((ai, aj), rows, pair.right[idx].reshape(shape),
+                                        pair.left[idx].reshape(shape)))
+    return rsos.ReducedDensity(sites=sites, sub_states=sub,
+                               block_labels=np.column_stack([sub[:, 0], sub[:, -1]]),
+                               blocks=blocks)
+
+
+def same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_same_density(got, want):
+    assert got.sites == want.sites
+    assert same_bytes(got.sub_states, want.sub_states)
+    assert same_bytes(got.block_labels, want.block_labels)
+    assert len(got.blocks) == len(want.blocks)
+    for g, w in zip(got.blocks, want.blocks):
+        assert g.label == w.label and all(type(a) is int for a in g.label)
+        for field in ("rows", "right", "left"):
+            assert same_bytes(getattr(g, field), getattr(w, field)), field
+
+
+class TestIntervalLayout:
+    """``reduced_density`` lays each interval out once per basis; every call,
+    first or repeated, on any state, is bitwise the full-key sort's."""
+
+    @pytest.mark.parametrize("m,k,L", [(4, 3, 8), (4, 3, 10), (4, 3, 12), (4, 3, 14),
+                                       (6, 5, 10)])
+    def test_every_interval_matches_the_sorted_oracle(self, larger_chains, m, k, L):
+        solved, pairs = larger_chains(m, k, L)
+        # a fresh basis: the ground pair lays each interval out, the vacuum reuses it
+        basis = rsos.HeightBasis(m, L, solved.states)
+        for i in range(L):
+            for j in range(L):
+                for which in ("ground", "vacuum"):
+                    assert_same_density(rsos.reduced_density(basis, pairs[which], i, j),
+                                        sorted_reduced_density(basis, pairs[which], i, j))
+        assert len(basis._layouts) == L * L
+        # i and j are taken mod L, and the sites are kept as given
+        assert_same_density(rsos.reduced_density(basis, pairs["ground"], L + 2, -1),
+                            sorted_reduced_density(basis, pairs["ground"], L + 2, -1))
+        assert len(basis._layouts) == L * L
+
+    def test_second_sweep_is_bitwise_the_first(self, larger_chains):
+        solved, pairs = larger_chains(4, 3, 12)
+        basis = rsos.HeightBasis(4, 12, solved.states)
+        for N, insertion in ((2, 3), (3, "bare")):
+            first, second = (rsos.entropy_curve(4, 3, 12, N, "vacuum", insertion, 0.1,
+                                                pair=pairs["vacuum"], basis=basis)
+                             for _ in range(2))
+            fresh = rsos.entropy_curve(4, 3, 12, N, "vacuum", insertion, 0.1,
+                                       pair=pairs["vacuum"],
+                                       basis=rsos.HeightBasis(4, 12, solved.states))
+            for col in ("ell", "trace", "entropy", "rescaled"):
+                assert same_bytes(first[col], second[col]) and same_bytes(first[col], fresh[col])
+
+    def test_shared_arrays_are_read_only(self, larger_chains):
+        solved, pairs = larger_chains(4, 3, 12)
+        rd = rsos.reduced_density(solved, pairs["ground"], 0, 5)
+        with pytest.raises(ValueError):
+            rd.sub_states[0, 0] = 1
+        with pytest.raises(ValueError):
+            rd.blocks[0].rows[0] = 1
+        with pytest.raises(ValueError):
+            rd.block_labels[0, 0] = 1
+        again = rsos.reduced_density(solved, pairs["vacuum"], 0, 5)
+        assert again.sub_states is rd.sub_states and again.blocks[0].rows is rd.blocks[0].rows
 
 
 class TestTwistWeights:
