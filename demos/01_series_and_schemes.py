@@ -41,5 +41,5 @@ a, b, c = F(7, 10), F(11, 10), F(7, 5)
 hyp = cy.theta_form([[a * b], [-c, a + b + 1], [F(0), F(-1), F(1)]])
 s = cy.frobenius_series(hyp, F(0), 150)
 x = 0.37
-print(f"  series: {s.evaluate(x).real:.15f}")
+print(f"  series: {cy.evaluate(cy.FrobeniusBasis(s.center, (s,)), x)[0]:.15f}")
 print(f"  2F1   : {cy.hyp2f1(cy.HypParams(0.7, 1.1, 1.4), x).real:.15f}")

@@ -21,8 +21,6 @@ from .frobenius import (
     exponents_at_infinity,
     frobenius_series,
     indicial_exponents,
-    ode_from_text,
-    ode_to_text,
     recenter_to_one,
     scheme_of,
     theta_form,

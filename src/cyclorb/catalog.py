@@ -639,10 +639,6 @@ def ope_table_csv() -> str:
     return buf.getvalue()
 
 
-def export_ode_text(model: CorrelatorModel) -> str:
-    return fb.ode_to_text(model.ode, comment=f"{model.id}: blocks ODE, theta form")
-
-
 # ---------------------------------------------------------------------------
 # torus checks for the two-interval Yang-Lee correlator
 

@@ -82,8 +82,8 @@ def _report(lines) -> int:
 def cmd_blocks(args) -> int:
     model = cat.get_model(args.model, args.g)
     if args.selftest:
-        s = model.basis0(60).series[0]
-        a0 = s.evaluate(1e-8) / (1e-8) ** float(s.exponent)
+        basis = model.basis0(60)
+        a0 = fb.evaluate(basis, 1e-8)[0] / 1e-8 ** float(basis.exponents[0])
         return _report([("blocks leading coefficient", abs(a0 - 1) < 1e-6,
                          f"a0 = {a0:.9f}")])
     grid = _parse_grid(args.grid)
@@ -93,11 +93,11 @@ def cmd_blocks(args) -> int:
     # past the channel split, I = A J from the x = 1 basis, whose series converges faster there
     far = grid > mn.CHANNEL_SPLIT
     vals = np.empty((len(grid), model.order))
-    vals[~far] = basis.evaluate(grid[~far]).real
+    vals[~far] = fb.evaluate(basis, grid[~far])
     if np.any(far):
         basis1 = model.basis1(args.terms)
         A = mn.fit_connection(basis, basis1).A
-        vals[far] = (basis1.evaluate(grid[far]) @ A.T).real
+        vals[far] = fb.evaluate(basis1, grid[far]) @ A.T
     rows += [",".join(map(repr, r)) for r in np.column_stack([grid, vals]).tolist()]
     _write(args, "\n".join(rows) + "\n")
     return EXIT_OK

@@ -14,6 +14,12 @@ indicial polynomial with an irrational root raises ``ValueError``.
 ``frobenius_series`` runs the recursion in ``Fraction``s, or in real floats
 given ``exact=False``; ``basis_for``, which builds every basis the pipeline
 sums, passes ``exact=False``.
+
+Every value is taken on the real slice: ``evaluate`` sums a whole basis at
+real points of its disk, 0 < u < 1 with u = x about 0 and u = 1 - x about 1,
+in float64, and ``FrobeniusBasis.jet`` gives the derivatives at one point.
+``monodromy.assemble`` sums the same power sums, ``_power_sums``, over a row
+cut of the coefficients.
 """
 
 from __future__ import annotations
@@ -43,7 +49,7 @@ class OutOfDiskError(ValueError):
 ZERO, ONE = "zero", "one"
 
 _RES_TOL = 1e-10   # relative tolerance for a vanishing resonance numerator
-_CHUNK = 256       # points per power matrix in array evaluation
+_CHUNK = 256       # points per power matrix in ``_power_sums``
 _RATIONAL = (int, Fraction)   # the types of every ODE coefficient and exponent
 
 
@@ -114,9 +120,6 @@ class FrobeniusSeries:
     resonant_orders: tuple = ()
     exact_coeffs: Optional[list] = None    # Fractions from the exact recursion
 
-    def evaluate(self, x):
-        return evaluate(self, x)
-
 
 @dataclass(frozen=True)
 class FrobeniusBasis:
@@ -145,11 +148,6 @@ class FrobeniusBasis:
             C[: len(s.coeffs), i] = s.coeffs
         object.__setattr__(self, "_alpha", np.array([float(s.exponent) for s in self.series]))
         object.__setattr__(self, "_coeffs", C)
-
-    def evaluate(self, x) -> np.ndarray:
-        """Complex values of every series at x: shape (size,) for a scalar x,
-        else x.shape + (size,)."""
-        return _series_values(self._alpha, self._coeffs, self.center, x)
 
     def jet(self, x: float, order: int) -> np.ndarray:
         """Real W[i, d], the d-th x-derivative of series i at a real x, for d <= order:
@@ -417,54 +415,37 @@ def recursion_residual(ode: ThetaOde, series: FrobeniusSeries) -> float:
     return worst
 
 
-def evaluate(series: FrobeniusSeries, x):
-    """Evaluate x^alpha * sum a_n x^n at a scalar or an array of points.
+def evaluate(basis: FrobeniusBasis, x) -> np.ndarray:
+    """Real values of every series of ``basis`` at real points x, as a float64
+    array of shape x.shape + (size,).
 
-    ``x`` is the physical coordinate; for a series centered at one the
-    expansion variable is u = 1 - x.  Principal branch for the power.
+    With u = x about 0 (u = 1 - x about 1), each point's row is the power sum
+    u^n @ C over all M + 1 coefficient rows times exp(alpha_i log u).  Complex
+    input or a NaN raises ``ValueError``, any u outside 0 < u < 1
+    ``OutOfDiskError``.
     """
-    vals = _series_values(np.array([float(series.exponent)]), series.coeffs[:, None],
-                          series.center, x)
-    return complex(vals[0]) if vals.ndim == 1 else vals[..., 0]
-
-
-def _series_values(alpha: np.ndarray, C: np.ndarray, center: str, x) -> np.ndarray:
-    """exp(alpha_i log u) * sum_n C[n, i] u^n for every column i of C.
-
-    The powers u^n are running products, and each block of points is summed
-    by one matrix product with C.  Points are taken ``_CHUNK`` at a time, so
-    no (points x terms) matrix is held whole; a scalar is a 0-d array of one
-    point.  Raises ``ValueError`` at a NaN, ``OutOfDiskError`` if any |u| >= 1
-    and at u = 0 for a negative exponent.
-    """
-    x = np.asarray(x, dtype=complex)
-    u = (x if center == ZERO else 1.0 - x).reshape(-1)
-    r = np.abs(u)
-    if not np.all(r < 1.0):
+    if np.iscomplexobj(x):
+        raise ValueError("evaluate takes real points, not complex ones")
+    x = np.asarray(x, dtype=float)
+    u = x if basis.center == ZERO else 1.0 - x
+    if not np.all((u > 0.0) & (u < 1.0)):
         if np.any(np.isnan(u)):
             raise ValueError("NaN point")
-        raise OutOfDiskError(f"|u| = {r.max():.3f} >= 1 outside the convergence disk")
-    out = np.empty((len(u), C.shape[1]), dtype=complex)
-    pw = np.empty((min(len(u), _CHUNK), len(C)), dtype=complex)
-    for lo in range(0, len(u), _CHUNK):
-        blk = u[lo: lo + _CHUNK]
-        p = pw[: len(blk)]
-        p[:, 0] = 1.0
-        p[:, 1:] = blk[:, None]
-        out[lo: lo + len(blk)] = np.cumprod(p, axis=1, out=p) @ C
-    zero = u == 0
-    logu = np.log(np.where(zero, 1.0, u))
-    out *= np.exp(alpha * logu[:, None])
-    if np.any(zero):
-        out[zero] = _at_center(alpha, out[zero])
-    return out.reshape(x.shape + (C.shape[1],))
+        raise OutOfDiskError(f"u from {np.min(u):g} to {np.max(u):g} leaves 0 < u < 1")
+    flat = u.ravel()
+    out = _power_sums(flat, basis._coeffs) * np.exp(basis._alpha * np.log(flat)[:, None])
+    return out.reshape(x.shape + (basis.size,))
 
 
-def _at_center(alpha: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Series values at u = 0 from their sums s (the power factor taken as 1)."""
-    if np.any(alpha < 0):
-        raise OutOfDiskError("series is singular at its own center for alpha < 0")
-    return np.where(alpha == 0, s, 0j)
+def _power_sums(u: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """s[p, i] = sum_n C[n, i] u[p]^n for a flat float64 u: each block of
+    ``_CHUNK`` points is one product u^n @ C, so no (points x terms) power
+    matrix is held whole.  Plain floating-point sums, no compensation."""
+    n = np.arange(len(C), dtype=float)
+    s = np.empty((u.size, C.shape[1]))
+    for lo in range(0, u.size, _CHUNK):
+        s[lo: lo + _CHUNK] = u[lo: lo + _CHUNK, None] ** n @ C
+    return s
 
 
 def basis_for(ode: ThetaOde, exponents: Sequence, M: int = 200) -> FrobeniusBasis:
@@ -473,30 +454,3 @@ def basis_for(ode: ThetaOde, exponents: Sequence, M: int = 200) -> FrobeniusBasi
         center=ode.variable_center,
         series=tuple(frobenius_series(ode, a, M, exact=False) for a in exponents),
     )
-
-
-# ---------------------------------------------------------------------------
-# plain-text serialization: one line per P_k, rational coefficients low-to-high
-
-
-def ode_to_text(ode: ThetaOde, comment: str = "") -> str:
-    lines = []
-    if comment:
-        for ln in comment.splitlines():
-            lines.append(f"# {ln}")
-    for p in ode.polys:
-        lines.append(" ".join(str(Fraction(c)) for c in p))
-    return "\n".join(lines) + "\n"
-
-
-def ode_from_text(text: str) -> ThetaOde:
-    polys = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        polys.append([Fraction(tok) for tok in line.split()])
-    if not polys:
-        raise ValueError("no polynomial lines found")
-    return ThetaOde(order=pr.degree(polys[0]),
-                    polys=tuple(tuple(pr.trim(p)) for p in polys))

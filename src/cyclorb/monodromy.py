@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .frobenius import _CHUNK, ZERO, FrobeniusBasis, OutOfDiskError
+from .frobenius import ZERO, FrobeniusBasis, OutOfDiskError, _power_sums
 
 
 class FitError(RuntimeError):
@@ -192,10 +192,10 @@ def assemble(prefactor_exponents: tuple, X: Sequence[float],
 
     ``X`` holds the diagonal coefficients (Y about 1), ``cross`` the symmetric
     amplitudes of integer-spaced pairs.  G sums s = u^n @ C over the ``_row_cut``
-    rows of the basis' real coefficients (``_CHUNK`` points at a time), then
-    c s_i s_j u^e left to right, uncompensated, e holding the centre's prefactor
-    exponent, times (1 - u)^(2 p_other).  A float gives a float, other real
-    input a float64 array of its shape.  Complex input or a NaN raises
+    rows of the basis' real coefficients (an array by ``frobenius._power_sums``),
+    then c s_i s_j u^e left to right, uncompensated, e holding the centre's
+    prefactor exponent, times (1 - u)^(2 p_other).  A float gives a float, other
+    real input a float64 array of its shape.  Complex input or a NaN raises
     ``ValueError``, any other u ``OutOfDiskError``: no sum is truncated."""
     p0, p1 = (2 * float(p) for p in prefactor_exponents)
     about1 = basis.center != ZERO
@@ -218,10 +218,7 @@ def assemble(prefactor_exponents: tuple, X: Sequence[float],
             u, v = (1.0 - x, x) if about1 else (x, 1.0 - x)
             if not np.all((u > 0.0) & (u <= CHANNEL_SPLIT)):
                 _outside(u)
-            flat, s = u.ravel(), np.empty((u.size, C.shape[1]))
-            for lo in range(0, u.size, _CHUNK):
-                s[lo: lo + _CHUNK] = flat[lo: lo + _CHUNK, None] ** n @ C
-            s = s.T.reshape((C.shape[1],) + u.shape)
+            s = _power_sums(u.ravel(), C).T.reshape((C.shape[1],) + u.shape)
         tot = 0.0
         for i, j, c, e in terms:
             tot += c * s[i] * s[j] * u ** e

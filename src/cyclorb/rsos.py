@@ -81,7 +81,8 @@ class HeightBasis:
     @cached_property
     def _path_codes(self) -> np.ndarray:
         """Sorted codes of every open path of L heights; the n-height paths
-        are their distinct n-height prefixes, ``codes >> (L - n)``."""
+        are their distinct n-height prefixes, ``codes >> (L - n)``.
+        ``enumerate_heights`` seeds it with the codes it filters the rows from."""
         return _open_codes(self.m, self.L)
 
     @cached_property
@@ -130,21 +131,18 @@ def enumerate_heights(m: int, L: int) -> HeightBasis:
         )
     if L > MAX_SITES:
         raise BasisError(f"L = {L}: height codes hold at most {MAX_SITES} sites")
-    paths = _open_paths(m, L)
-    return HeightBasis(m=m, L=L, states=paths[np.abs(paths[:, -1] - paths[:, 0]) == 1])
-
-
-def _open_paths(m: int, n_sites: int) -> np.ndarray:
-    """All height strings of n_sites heights with |a_i - a_{i+1}| = 1 (no
-    wrap-around), lexicographically ordered."""
-    if n_sites == 0:
-        return np.zeros((1, 0), dtype=np.int8)
-    return _path_rows(_open_codes(m, n_sites), n_sites)
+    codes = _open_codes(m, L)
+    paths = _path_rows(codes, L)
+    basis = HeightBasis(m=m, L=L, states=paths[np.abs(paths[:, -1] - paths[:, 0]) == 1])
+    basis.__dict__["_path_codes"] = codes   # seeds the cached property: built once per basis
+    return basis
 
 
 def _open_codes(m: int, n_sites: int) -> np.ndarray:
-    """Sorted codes of the open paths of n_sites >= 1 heights, built one site
-    at a time, each path followed by its down-step, then its up-step child."""
+    """Sorted codes of the open paths of n_sites >= 1 heights (|a_i - a_{i+1}| = 1,
+    no wrap-around), built one site at a time, each path followed by its
+    down-step, then its up-step child; ``_path_rows`` gives their heights in
+    lexicographic order."""
     codes = last = np.arange(1, m + 1, dtype=np.int64)
     for _ in range(n_sites - 1):
         codes = (2 * codes[:, None] + (0, 1)).ravel()

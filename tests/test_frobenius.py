@@ -8,12 +8,19 @@ import numpy as np
 import pytest
 
 import _fraction_oracle as fo
+import _kernel_oracle as ko
 import cyclorb as cy
+from cyclorb import frobenius as fb
 from cyclorb import polyring as pr
 
 
 def poly(*c):
     return [F(x) for x in c]
+
+
+def values(series, x):
+    """``frobenius.evaluate`` on a one-series basis: the real values of ``series`` at x."""
+    return fb.evaluate(cy.FrobeniusBasis(series.center, (series,)), x)[..., 0]
 
 
 def mul(*ps):
@@ -325,7 +332,7 @@ class TestSeries:
         for n in range(1, 10):
             acc *= (a + n - 1) * (b + n - 1) / (n * (c + n - 1))
             assert s.exact_coeffs[n] == acc
-        v = s.evaluate(0.3)
+        v = values(s, 0.3)
         assert abs(v - complex(mp.hyp2f1(0.7, 1.1, 1.4, 0.3))) < 1e-14
 
     def test_recursion_residual(self, gs_ode):
@@ -379,26 +386,26 @@ class TestEvaluate:
     def test_leading_coefficient(self, gs_ode):
         s = cy.frobenius_series(gs_ode, F(1, 2), 60)
         x = 1e-9
-        assert abs(s.evaluate(x) / x**0.5 - 1.0) < 1e-8
+        assert abs(values(s, x) / x**0.5 - 1.0) < 1e-8
 
     def test_double_terms_oracle(self, gs_ode):
         s1 = cy.frobenius_series(gs_ode, F(1, 2), 100, exact=False)
         s2 = cy.frobenius_series(gs_ode, F(1, 2), 200, exact=False)
         for x in (0.3, 0.5, 0.64):
-            v1, v2 = s1.evaluate(x), s2.evaluate(x)
+            v1, v2 = values(s1, x), values(s2, x)
             # the last retained term at M = 100 is below 4e-23 here: the bound is rounding
             assert abs(v1 - v2) <= 1.1e-13
 
     def test_out_of_disk(self, gs_ode):
         s = cy.frobenius_series(gs_ode, F(1, 2), 20)
         with pytest.raises(cy.OutOfDiskError):
-            s.evaluate(1.2)
+            values(s, 1.2)
 
     def test_cross_module_hypergeometric(self):
         a, b, c = F(7, 10), F(11, 10), F(7, 5)
         ode = cy.theta_form([[a * b], [-c, a + b + 1], [F(0), F(-1), F(1)]])
         s = cy.frobenius_series(ode, F(0), 200)
-        v = s.evaluate(0.3)
+        v = values(s, 0.3)
         assert abs(v - cy.hyp2f1(cy.HypParams(0.7, 1.1, 1.4), 0.3)) < 1e-12
 
 
@@ -407,100 +414,121 @@ def hyp_ode(a, b, c):
 
 
 class TestKernel:
-    """Whole-basis evaluation: scalar and array paths, disk and centre checks."""
+    """``frobenius.evaluate`` on the real slice 0 < u < 1: scalar and array paths
+    and the disk checks, against the complex-kernel oracle."""
 
     def test_scalar_and_array_agree(self, gs_ode):
         b0 = cy.basis_for(gs_ode, cy.indicial_exponents(gs_ode), 200)
         ode1 = cy.recenter_to_one(gs_ode)
         b1 = cy.basis_for(ode1, cy.indicial_exponents(ode1), 200)
-        us = np.array([0.05, 0.3, 0.5, 0.62, 0.8, 0.4 + 0.3j, 0.2 - 0.5j, -0.6])
+        us = np.array([0.05, 0.3, 0.5, 0.62, 0.8, 0.97])
         for basis, xs in ((b0, us), (b1, 1 - us)):
-            V = basis.evaluate(xs)
-            assert V.shape == (len(xs), 3)
+            V = fb.evaluate(basis, xs)
+            assert V.shape == (len(xs), 3) and V.dtype == np.float64
+            ref = ko.series_values(basis, xs)
+            assert np.all(np.abs(V - ref) <= 1e-13 * np.abs(ref))
             for p, x in enumerate(xs):
-                for i, s in enumerate(basis.series):
-                    ref = s.evaluate(complex(x))
-                    assert abs(V[p, i] - ref) <= 1e-13 * abs(ref)
-                    assert abs(basis.evaluate(complex(x))[i] - ref) <= 1e-13 * abs(ref)
+                assert np.all(np.abs(fb.evaluate(basis, x) - V[p]) <= 1e-14 * np.abs(V[p]))
 
     def test_real_scalar_path(self, gs_ode):
-        # a real scalar agrees with the array route; a basis takes only real
-        # series coefficients
+        # a real scalar gives the (size,) row of the array route; a basis takes
+        # only real series coefficients
         b0 = cy.basis_for(gs_ode, cy.indicial_exponents(gs_ode), 200)
         for x in (0.05, 0.3, np.float64(0.5), 0.62):
-            v = b0.evaluate(x)
-            ref = b0.evaluate(np.array([x]))[0]
+            v = fb.evaluate(b0, x)
+            assert v.shape == (3,) and v.dtype == np.float64
+            ref = fb.evaluate(b0, np.array([x, 0.1]))[0]
             assert np.max(np.abs(v - ref) / np.abs(ref)) <= 1e-14
-        assert b0.evaluate(0.3 + 0j).dtype == complex
-        assert b0.evaluate(-0.3).dtype == complex
         ode1 = cy.recenter_to_one(gs_ode)
         b1 = cy.basis_for(ode1, cy.indicial_exponents(ode1), 200)
-        assert abs(b1.evaluate(0.7) - b1.evaluate(0.7 + 0j)).max() <= 1e-14
+        assert np.max(np.abs(fb.evaluate(b1, 0.7) - ko.series_values(b1, 0.7))) <= 1e-14
         with pytest.raises(ValueError, match="real series coefficients"):
             cy.FrobeniusBasis(b0.center, (b0.series[0],
                                           cy.FrobeniusSeries(F(1, 2), np.array([1, 0.5j, 0.1]))))
 
     @pytest.mark.parametrize("kind", [float, np.float64, np.float32, int, complex])
     def test_scalar_is_one_point_of_the_array_kernel(self, kind):
-        # every scalar goes through the one kernel, so it is bitwise the value
-        # of the same point in a one-element array; an int is taken at the centre
+        # a real scalar is bitwise the value of the same point in a one-element
+        # array; an int is taken at the centre, u = 0, outside the open disk, and
+        # complex input raises
         model = cy.get_model("yl1int_gs")
         for basis, xs, centre in ((model.basis0(200), (0.05, 0.3, 0.5, 0.62), 0),
                                   (model.basis1(200), (0.4, 0.7, 0.95), 1)):
-            for x in map(kind, (centre,) if kind is int else xs):
-                assert np.array_equal(basis.evaluate(x), basis.evaluate(np.array([x]))[0])
+            if kind is int:
+                for x in (centre, np.array([centre])):
+                    with pytest.raises(cy.OutOfDiskError):
+                        fb.evaluate(basis, x)
+                continue
+            for x in map(kind, xs):
+                if kind is complex:
+                    with pytest.raises(ValueError, match="complex"):
+                        fb.evaluate(basis, x)
+                else:
+                    assert np.array_equal(fb.evaluate(basis, x),
+                                          fb.evaluate(basis, np.array([x]))[0])
 
     def test_array_shape_and_series_arrays(self, gs_ode):
         s = cy.frobenius_series(gs_ode, F(1, 2), 80, exact=False)
         xs = np.array([[0.1, 0.2], [0.3, 0.4]])
-        vals = s.evaluate(xs)
+        vals = values(s, xs)
         assert vals.shape == (2, 2)
-        assert abs(vals[1, 0] - s.evaluate(0.3)) <= 1e-13 * abs(vals[1, 0])
-        assert s.evaluate(np.array([])).shape == (0,)
+        assert abs(vals[1, 0] - values(s, 0.3)) <= 1e-13 * abs(vals[1, 0])
+        assert values(s, np.array([])).shape == (0,)
 
     def test_one_out_of_disk_point_raises(self, gs_ode):
         b0 = cy.basis_for(gs_ode, cy.indicial_exponents(gs_ode), 60)
         with pytest.raises(cy.OutOfDiskError):
-            b0.evaluate(np.array([0.1, 0.5, 1.2, 0.3]))
+            fb.evaluate(b0, np.array([0.1, 0.5, 1.2, 0.3]))
         with pytest.raises(cy.OutOfDiskError):
-            b0.series[0].evaluate(np.array([0.2, -1.0]))
+            values(b0.series[0], np.array([0.2, -1.0]))
         ode1 = cy.recenter_to_one(gs_ode)
         b1 = cy.basis_for(ode1, cy.indicial_exponents(ode1), 60)
         with pytest.raises(cy.OutOfDiskError):
-            b1.evaluate(np.array([0.5, 0.0]))   # u = 1 - x = 1
+            fb.evaluate(b1, np.array([0.5, 0.0]))   # u = 1 - x = 1
 
     def test_centre_special_cases(self):
-        # exponents 0 and 1 - c = -2/5: the first is a_0 = 1 at the centre,
-        # the second is singular there
+        # exponents 0 and 1 - c = -2/5: the oracle gives a_0 = 1 for the first
+        # at the centre and raises for the second, singular there; evaluate
+        # takes only 0 < u < 1 and raises at the centre for every exponent
         a, b, c = F(7, 10), F(11, 10), F(7, 5)
         ode = hyp_ode(a, b, c)
-        regular = cy.frobenius_series(ode, F(0), 40)
-        singular = cy.frobenius_series(ode, 1 - c, 40)
-        assert regular.evaluate(0.0) == 1.0
-        assert np.array_equal(regular.evaluate(np.array([0.0])), [1.0])
+        regular = cy.basis_for(ode, (F(0),), 40)
+        singular = cy.basis_for(ode, (1 - c,), 40)
+        assert np.array_equal(ko.series_values(regular, 0.0), [1.0])
+        assert np.array_equal(ko.series_values(regular, np.array([0.0])), [[1.0]])
         for x in (0.0, np.array([0.3, 0.0])):
             with pytest.raises(cy.OutOfDiskError):
-                singular.evaluate(x)
+                ko.series_values(singular, x)
         with pytest.raises(cy.OutOfDiskError):
-            cy.basis_for(ode, (F(0), 1 - c), 40).evaluate(np.array([0.0, 0.5]))
-        # positive exponent: the value at the centre is zero
-        positive = cy.frobenius_series(hyp_ode(a, b, F(3, 5)), F(2, 5), 40)
-        assert positive.evaluate(0.0) == 0.0
-        assert positive.evaluate(np.array([0.0, 0.2]))[0] == 0.0
+            ko.series_values(cy.basis_for(ode, (F(0), 1 - c), 40), np.array([0.0, 0.5]))
+        # positive exponent: the oracle's value at the centre is zero
+        positive = cy.basis_for(hyp_ode(a, b, F(3, 5)), (F(2, 5),), 40)
+        assert np.array_equal(ko.series_values(positive, 0.0), [0.0])
+        assert np.array_equal(ko.series_values(positive, np.array([0.0, 0.2]))[0], [0.0])
+        for basis in (regular, singular, positive):
+            for x in (0.0, np.array([0.0, 0.2]), np.array([0.2, 0.0])):
+                with pytest.raises(cy.OutOfDiskError):
+                    fb.evaluate(basis, x)
 
     def test_hypergeometric_oracle_complex_u(self):
+        # the complex-kernel oracle itself against mpmath off the real slice
         mp = pytest.importorskip("mpmath")
         a, b, c = F(7, 10), F(11, 10), F(7, 5)
         basis = cy.basis_for(hyp_ode(a, b, c), (F(0), 1 - c), 400)
         us = [0.9 * np.exp(1j * t) for t in (0.3, 1.2, 2.0, 2.9, -0.7, -2.5)]
         us += [0.5j, -0.85, 0.6 - 0.6j]
-        V = basis.evaluate(np.array(us))
+        V = ko.series_values(basis, np.array(us))
         af, bf, cf = float(a), float(b), float(c)
         for p, u in enumerate(us):
             i1 = complex(mp.hyp2f1(af, bf, cf, u))
             i2 = complex(mp.power(u, 1 - cf) * mp.hyp2f1(af - cf + 1, bf - cf + 1, 2 - cf, u))
             assert abs(V[p, 0] - i1) <= 1e-12 * abs(i1)
             assert abs(V[p, 1] - i2) <= 1e-12 * abs(i2)
+        # and evaluate on the real slice
+        for u in (0.05, 0.4, 0.9):
+            i1 = float(mp.hyp2f1(af, bf, cf, u))
+            i2 = float(mp.power(u, 1 - cf) * mp.hyp2f1(af - cf + 1, bf - cf + 1, 2 - cf, u))
+            assert np.all(np.abs(fb.evaluate(basis, u) - [i1, i2]) <= 1e-12 * np.abs([i1, i2]))
 
     @pytest.mark.parametrize("model_id,g", [("yl2int_vac", None), ("mm_n2_phi21", F(8, 7))])
     def test_jet_against_mpmath_derivatives(self, model_id, g):
@@ -544,6 +572,63 @@ class TestKernel:
         assert len(calls) == 2   # one ODE about 0, one recentred ODE about 1
 
 
+# the six catalog models, and both families at three of the couplings perfbench's
+# cft_catalog draws from (G_POOL in perfbench/workloads.py)
+EVAL_MODELS = ([(m, None) for m in ("yl2int_vac", "yl1int_vac", "yl1int_gs", "ising2int_vac")]
+               + [("mm_n2_phi21", F(7, 5)), ("mm_n3_phi21", F(11, 8))]
+               + [(f, F(g)) for f in ("mm_n2_phi21", "mm_n3_phi21")
+                  for g in ("8/7", "13/8", "17/11")])
+EVAL_U = np.r_[1e-10, np.linspace(1e-3, 0.999, 500)]
+
+
+class TestRealEvaluator:
+    """``frobenius.evaluate`` on every basis the pipeline builds, about both centres."""
+
+    @pytest.mark.parametrize("M", [60, 200])
+    @pytest.mark.parametrize("mid,g", EVAL_MODELS)
+    def test_agrees_with_the_complex_kernel(self, mid, g, M):
+        # within c eps of the sum of absolute terms |u^alpha| sum_n |a_n| u^n;
+        # the largest ratio over these cases is 10.8 eps
+        model = cy.get_model(mid, g)
+        n = np.arange(M + 1)
+        for basis in (model.basis0(M), model.basis1(M)):
+            x = EVAL_U if basis.center == fb.ZERO else 1.0 - EVAL_U
+            got = fb.evaluate(basis, x)
+            ref = ko.series_values(basis, x)
+            assert got.dtype == np.float64 and got.shape == (len(x), basis.size)
+            scale = EVAL_U[:, None] ** n @ np.abs(basis._coeffs) * EVAL_U[:, None] ** basis._alpha
+            assert np.all(np.abs(got - ref) <= 32 * np.finfo(float).eps * scale)
+
+    @pytest.mark.parametrize("mid,g", [("yl1int_gs", None), ("mm_n3_phi21", F(11, 8))])
+    def test_dtype_and_shape(self, mid, g):
+        model = cy.get_model(mid, g)
+        for basis in (model.basis0(60), model.basis1(60)):
+            k = basis.size
+            for x, shape in ((0.3, (k,)), (np.float32(0.6), (k,)), (np.array(0.4), (k,)),
+                             ([0.2, 0.7], (2, k)), (np.full((3, 2), 0.45), (3, 2, k)),
+                             (np.array([]), (0, k)), (np.empty((2, 0)), (2, 0, k))):
+                v = fb.evaluate(basis, x)
+                assert v.dtype == np.float64 and v.shape == shape
+
+    @pytest.mark.parametrize("mid,g", [("yl2int_vac", None), ("ising2int_vac", None),
+                                       ("mm_n2_phi21", F(8, 7))])
+    def test_points_outside_the_open_disk_raise(self, mid, g):
+        model = cy.get_model(mid, g)
+        for basis in (model.basis0(60), model.basis1(60)):
+            # the u of each point, mapped back to x about the basis' centre
+            at = (lambda u: u) if basis.center == fb.ZERO else (lambda u: 1.0 - u)
+            for u in (0.0, -1e-300, -0.3, 1.0, 1.5, np.inf, -np.inf):
+                for x in (at(u), np.array([at(0.3), at(u)])):
+                    with pytest.raises(cy.OutOfDiskError):
+                        fb.evaluate(basis, x)
+            for x in (np.nan, np.array([at(0.3), np.nan])):
+                with pytest.raises(ValueError, match="NaN"):
+                    fb.evaluate(basis, x)
+            for x in (at(0.3) + 0j, np.array([at(0.3)], dtype=complex), [0.3 + 0.1j]):
+                with pytest.raises(ValueError, match="complex"):
+                    fb.evaluate(basis, x)
+
+
 class TestRecenterAndScheme:
     def test_ground_state_at_one(self, gs_ode):
         ode1 = cy.recenter_to_one(gs_ode)
@@ -573,22 +658,7 @@ class TestRecenterAndScheme:
         s2 = cy.frobenius_series(gs_ode, F(2, 5), 120, exact=False)
         x1, x2 = 0.4, 0.55
         m = np.array([
-            [s1.evaluate(x1).real, s2.evaluate(x1).real],
-            [s1.evaluate(x2).real - s1.evaluate(x1).real,
-             s2.evaluate(x2).real - s2.evaluate(x1).real],
+            [values(s1, x1), values(s2, x1)],
+            [values(s1, x2) - values(s1, x1), values(s2, x2) - values(s2, x1)],
         ])
         assert abs(np.linalg.det(m)) > 1e-6
-
-
-class TestSerialization:
-    def test_round_trip(self, gs_ode):
-        text = cy.ode_to_text(gs_ode, comment="blocks ODE")
-        back = cy.ode_from_text(text)
-        assert back.polys == gs_ode.polys
-        assert back.order == gs_ode.order
-
-    def test_comments_ignored(self):
-        text = "# a comment\n0 1\n# another\n1\n"
-        ode = cy.ode_from_text(text)
-        assert ode.order == 1
-        assert list(ode.polys[0]) == [0, 1]

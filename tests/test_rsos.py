@@ -46,7 +46,7 @@ class TestBasis:
     def test_open_paths_against_brute_force(self, m):
         # every height string where there are few, else every +-1 step
         # string from every first height; admissible ones, sorted as tuples
-        for n in range(0, 13):
+        for n in range(1, 13):
             if m ** n <= 10 ** 5:
                 rows = list(itertools.product(range(1, m + 1), repeat=n))
                 cand = np.array(rows, dtype=int).reshape(len(rows), n)
@@ -57,7 +57,7 @@ class TestBasis:
             ok = (np.all(np.abs(np.diff(cand, axis=1)) == 1, axis=1)
                   & np.all((cand >= 1) & (cand <= m), axis=1))
             want = sorted(map(tuple, cand[ok]))
-            got = rsos._open_paths(m, n)
+            got = rsos._path_rows(rsos._open_codes(m, n), n)
             assert got.dtype == np.int8 and got.shape == (len(want), n)
             assert list(map(tuple, got.tolist())) == want
             codes = [path_code(row) for row in got]
@@ -79,7 +79,27 @@ class TestBasis:
         basis = rsos.enumerate_heights(m, L)
         for n in range(1, L + 1):
             prefixes = np.unique(basis._path_codes >> (L - n))
-            assert np.array_equal(rsos._path_rows(prefixes, n), rsos._open_paths(m, n))
+            assert np.array_equal(prefixes, rsos._open_codes(m, n))
+
+    def test_open_codes_built_once_per_basis(self, monkeypatch):
+        # enumerate_heights filters the closed rows from the open paths' codes and
+        # keeps those codes for every later interval layout of the same basis
+        calls = []
+        real = rsos._open_codes
+
+        def counted(m, n):
+            calls.append((m, n))
+            return real(m, n)
+
+        monkeypatch.setattr(rsos, "_open_codes", counted)
+        H, basis = rsos.build_rsos_hamiltonian(4, 3, 8)
+        assert calls == [(4, 8)]
+        assert np.array_equal(basis._path_codes, real(4, 8))
+        pair = rsos.select_state(H, basis, "ground")
+        rsos.entropy_curve(4, 3, 8, 2, "ground", "bare", h_twist=-3 / 8, pair=pair, basis=basis)
+        assert calls == [(4, 8)]
+        assert rsos.enumerate_heights(4, 8)._path_codes is not basis._path_codes
+        assert calls == [(4, 8), (4, 8)]
 
     def test_dump_format(self):
         basis = rsos.enumerate_heights(3, 4)
