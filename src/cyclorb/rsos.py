@@ -86,6 +86,14 @@ class HeightBasis:
         return _open_codes(self.m, self.L)
 
     @cached_property
+    def _path_heights(self) -> np.ndarray:
+        """Heights of the paths of ``_path_codes``, one int8 row each; the
+        n-height paths are the first n columns of the rows where the prefix
+        code ``codes >> (L - n)`` steps.  ``enumerate_heights`` seeds it with
+        the rows it filters the states from."""
+        return _path_rows(self._path_codes, self.L)
+
+    @cached_property
     def _row_codes(self) -> np.ndarray:
         """``window_codes(0, L)``: the code of each whole row, sorted."""
         return self.window_codes(0, self.L)
@@ -134,7 +142,7 @@ def enumerate_heights(m: int, L: int) -> HeightBasis:
     codes = _open_codes(m, L)
     paths = _path_rows(codes, L)
     basis = HeightBasis(m=m, L=L, states=paths[np.abs(paths[:, -1] - paths[:, 0]) == 1])
-    basis.__dict__["_path_codes"] = codes   # seeds the cached property: built once per basis
+    basis.__dict__.update(_path_codes=codes, _path_heights=paths)   # seeds: built once per basis
     return basis
 
 
@@ -474,7 +482,7 @@ def _interval_layout(basis: HeightBasis, i: int, n_sub: int):
     ``basis._layouts``: block (label, rows, cut, shape) is r[order][cut] row by row."""
     m, L, n_env = basis.m, basis.L, basis.L - n_sub
     prefixes = basis._path_codes >> n_env          # sorted: distinct where they step
-    sub = _path_rows(prefixes[np.r_[True, prefixes[1:] != prefixes[:-1]]], n_sub)
+    sub = basis._path_heights[np.r_[True, prefixes[1:] != prefixes[:-1]], :n_sub]
     sub_label = sub[:, 0].astype(np.int64) * (m + 1) + sub[:, -1]
     label = basis.states[:, i].astype(np.int64) * (m + 1) + basis.states[:, (i + n_sub - 1) % L]
     order = np.argsort(label, kind="stable") if i == 0 else np.lexsort(  # rows sorted at i = 0

@@ -160,11 +160,11 @@ class ChainSector:
 
     def critical_field(self, tol: float = 1e-8) -> float:
         """Merging threshold h_c to tol/2: Illinois regula falsi (Dowell &
-        Jarratt, BIT 11, 1971) on g(h) = Re((E_1 - E_0)^2), which crosses 0
-        linearly at h_c.  The bracket starts at [0, 0.25] and doubles; the
-        verdict of ``merged`` moves its ends (lo real, hi merged).  Each step
-        lands at least tol/4 inside, at the midpoint when the secant is
-        undefined, until hi - lo <= tol or lo and hi are adjacent floats."""
+        Jarratt, BIT 11, 1971) on g = Re((E_1 - E_0)^2), secant in s = h^2: P
+        maps H(h) to H(-h), so g is even in h, and nearly linear in h^2 up to
+        h_c.  The bracket [0, 0.25] doubles; ``merged``'s verdict moves its ends
+        (lo real, hi merged).  Each step lands at least tol/4 inside, at the h^2
+        midpoint if the secant is undefined, until hi - lo <= tol or lo, hi are adjacent floats."""
         if not (math.isfinite(tol) and tol > 0):
             raise ValueError(f"tol = {tol}: need a finite tol > 0")
         lo, hi = 0.0, 0.25
@@ -176,8 +176,8 @@ class ChainSector:
         g_hi, last = probe[1], None
         while hi - lo > tol and math.nextafter(lo, hi) < hi:
             frac = g_lo / (g_lo - g_hi) if g_lo > 0 > g_hi else 0.5
-            h = min(max(lo + frac * (hi - lo), lo + tol / 4, math.nextafter(lo, hi)),
-                    hi - tol / 4, math.nextafter(hi, lo))
+            h = min(max(math.sqrt(lo * lo + frac * (hi * hi - lo * lo)), lo + tol / 4,
+                        math.nextafter(lo, hi)), hi - tol / 4, math.nextafter(hi, lo))
             merged, g = self._levels(h)
             if merged:      # Illinois: halve g at an end kept twice in a row
                 hi, g_hi, g_lo = h, g, g_lo * (0.5 if last is True else 1.0)

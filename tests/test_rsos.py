@@ -83,23 +83,29 @@ class TestBasis:
 
     def test_open_codes_built_once_per_basis(self, monkeypatch):
         # enumerate_heights filters the closed rows from the open paths' codes and
-        # keeps those codes for every later interval layout of the same basis
-        calls = []
-        real = rsos._open_codes
+        # height rows, and keeps both for every later interval layout of the same basis
+        calls, rows_calls = [], []
+        real, real_rows = rsos._open_codes, rsos._path_rows
 
         def counted(m, n):
             calls.append((m, n))
             return real(m, n)
 
+        def counted_rows(codes, n):
+            rows_calls.append(n)
+            return real_rows(codes, n)
+
         monkeypatch.setattr(rsos, "_open_codes", counted)
+        monkeypatch.setattr(rsos, "_path_rows", counted_rows)
         H, basis = rsos.build_rsos_hamiltonian(4, 3, 8)
-        assert calls == [(4, 8)]
+        assert calls == [(4, 8)] and rows_calls == [8]
         assert np.array_equal(basis._path_codes, real(4, 8))
+        assert same_bytes(basis._path_heights, real_rows(real(4, 8), 8))
         pair = rsos.select_state(H, basis, "ground")
         rsos.entropy_curve(4, 3, 8, 2, "ground", "bare", h_twist=-3 / 8, pair=pair, basis=basis)
-        assert calls == [(4, 8)]
+        assert calls == [(4, 8)] and rows_calls == [8]
         assert rsos.enumerate_heights(4, 8)._path_codes is not basis._path_codes
-        assert calls == [(4, 8), (4, 8)]
+        assert calls == [(4, 8), (4, 8)] and rows_calls == [8, 8]
 
     def test_dump_format(self):
         basis = rsos.enumerate_heights(3, 4)

@@ -90,11 +90,18 @@ def reference_hc(lam, L):
 
 
 def counted_search(lam, L, tol):
-    """h_c from ``ChainSector.critical_field`` and the number of ``_levels`` calls."""
+    """h_c from ``ChainSector.critical_field`` and its ``_levels`` probes, in
+    order, as (h, merged) pairs: one eigensolve round each."""
     sector = ylc.ChainSector(lam, L)
-    calls, levels = [], sector._levels
-    sector._levels = lambda h: calls.append(h) or levels(h)
-    return sector.critical_field(tol), len(calls)
+    probes, levels = [], sector._levels
+
+    def record(h):
+        out = levels(h)
+        probes.append((h, out[0]))
+        return out
+
+    sector._levels = record
+    return sector.critical_field(tol), probes
 
 
 class TestHamiltonian:
@@ -325,13 +332,43 @@ class TestSector:
 
     @pytest.mark.parametrize("L", range(4, 13))
     def test_solve_count(self, L):
-        # regula falsi on the squared gap: at most 14 solves from the default
-        # bracket, and never more than the bisection's verdicts at lambda = 0.05
+        # regula falsi on the squared gap, secant in h^2: at most 9 solves from
+        # the default bracket, and never more than the bisection's verdicts at
+        # lambda = 0.05
         for tol in (1e-6, 1e-8):
             for lam in (0.78, 0.80, 0.82):
-                assert counted_search(lam, L, tol)[1] <= 14
+                assert len(counted_search(lam, L, tol)[1]) <= 9
             sector = ylc.ChainSector(0.05, L)
-            assert counted_search(0.05, L, tol)[1] <= bisect_hc(sector.merged, tol)[1]
+            assert len(counted_search(0.05, L, tol)[1]) <= bisect_hc(sector.merged, tol)[1]
+
+    @pytest.mark.parametrize("L", range(4, 11))
+    @pytest.mark.parametrize("h", [0.01, 0.03, 0.2])
+    def test_levels_even_in_the_field(self, L, h):
+        # the premise of the secant in h^2: P maps H(h) to H(-h), on the real
+        # blocks M(-h) = D M(h) D exactly, and one round at -h gives the
+        # verdict and g of the round at h, bitwise
+        sector = ylc.ChainSector(0.8, L)
+        for (d, *_), M, M_neg in zip(sector._blocks, sector.blocks(h), sector.blocks(-h)):
+            assert np.array_equal(M_neg, d[:, None] * M * d[None, :])
+        assert sector._levels(-h) == sector._levels(h)
+
+    @pytest.mark.parametrize("L", [2, 4, 7, 10])
+    @pytest.mark.parametrize("lam", [0.05, 0.8, 0.99])
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-20])
+    def test_probes_stay_inside_the_bracket(self, L, lam, tol):
+        # after the doubling phase (up to the first merged probe) every probe
+        # lies strictly between the largest real and the smallest merged
+        # probe made before it
+        hc, probes = counted_search(lam, L, tol)
+        first = next(n for n, (_, merged) in enumerate(probes) if merged)
+        assert [h for h, _ in probes[:first + 1]] == [0.0] + [0.25 * 2**n for n in range(first)]
+        for n in range(first + 1, len(probes)):
+            lo = max(h for h, merged in probes[:n] if not merged)
+            hi = min(h for h, merged in probes[:n] if merged)
+            assert lo < probes[n][0] < hi
+        lo = max(h for h, merged in probes if not merged)
+        hi = min(h for h, merged in probes if merged)
+        assert hc == 0.5 * (lo + hi)
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-8])
     def test_tol_rejected_before_any_solve(self, tol, monkeypatch):
@@ -345,8 +382,8 @@ class TestSector:
     def test_tol_below_float_spacing_ends_at_adjacent_floats(self):
         # hi - lo never reaches 1e-20 near h_c = 0.097; the search stops
         # when no float lies between lo and hi
-        hc, calls = counted_search(0.8, 4, 1e-20)
-        assert calls <= 64
+        hc, probes = counted_search(0.8, 4, 1e-20)
+        assert len(probes) <= 64
         sector = ylc.ChainSector(0.8, 4)
         assert not sector.merged(math.nextafter(hc, 0.0))
         assert sector.merged(math.nextafter(hc, 1.0))
