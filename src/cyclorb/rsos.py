@@ -9,9 +9,10 @@ rotation orbits under involutions (``symmetry_classes``: the chain's mirror;
 the reflection and the height flip a -> m + 1 - a here), one block per
 character, filled from the entries at the class representatives
 (``class_blocks``).  ``sector_pairs`` solves each block once for right
-vectors R, covectors the rows of R^-1.  ``sector_matrix``, the whole sector
-of a dense H as one block, is the reference.  scipy.sparse is imported only
-inside the functions that return a sparse matrix.
+vectors R, covectors the rows of R^-1, and expands the levels it keeps
+(``select_state``: one level, the solve kept on the basis).  ``sector_matrix``,
+the whole sector of a dense H as one block, is the reference.  scipy.sparse is
+imported only inside the functions that return a sparse matrix.
 
 A run of heights (a_0 ... a_{n-1}) is identified by its path code
 a_0 2^(n-1) + sum_t [a_{t+1} > a_t] 2^(n-2-t); codes order like the rows
@@ -62,6 +63,7 @@ class HeightBasis:
     L: int
     states: np.ndarray          # (dim, L) int8, lexicographic
     _layouts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _solved: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
@@ -346,13 +348,18 @@ def eigensystem(H: np.ndarray, shift: np.ndarray, n_states: int = 6) -> list[Eig
 
 
 def sector_pairs(blocks: list, n_states: int) -> list:
-    """The n_states pairs of lowest real part over ``blocks`` (Hs, index, p),
-    in that order: Hs = P^H H P, P (orthonormal columns) with one nonzero per
-    row, P[s, index[s]] = p[s].  Each Hs is solved once for right vectors R,
-    covectors the rows of W = R^-1, so W R = I also in degenerate and conjugate
-    clusters.  The levels are merged by real part (ties in block order); only
-    the n_states lowest are checked and expanded, r = P R[:, i], w = W[i] P^H:
-    a condition |w||r|/|w r| > 1e10 or a residual > 1e-10 |v| max(1, |E|) raises DefectivePairError."""
+    """The n_states pairs of lowest real part over ``blocks`` (Hs, index, p), in
+    that order: every level of ``_solve_levels`` expanded by ``_expand_level``."""
+    return [_expand_level(level, blocks) for level in _solve_levels(blocks, n_states)]
+
+
+def _solve_levels(blocks: list, n_states: int) -> list:
+    """The n_states levels (energy, block number, R[:, i], W[i]) of lowest real part
+    over ``blocks`` (Hs, index, p), ties in block order: Hs = P^H H P, P (orthonormal
+    columns) with one nonzero per row, P[s, index[s]] = p[s].  Each Hs is solved once
+    for right vectors R, covectors the rows of W = R^-1, so W R = I also in degenerate
+    and conjugate clusters.  A level's condition |w||r|/|w r| > 1e10 or residual
+    > 1e-10 |v| max(1, |E|) raises DefectivePairError."""
     solved = []
     for Hs, *_ in blocks:
         evals, R = np.linalg.eig(Hs)
@@ -365,9 +372,9 @@ def sector_pairs(blocks: list, n_states: int) -> list:
     merged = np.concatenate([e for e, *_ in solved])
     chosen = np.zeros(len(merged), dtype=bool)
     chosen[np.argsort(merged.real, kind="stable")[:n_states]] = True
-    expanded = []
-    for (Hs, index, p), (energies, R, W), mine in zip(
-            blocks, solved, np.split(chosen, np.cumsum([len(e) for e, *_ in solved])[:-1])):
+    levels = []
+    for b, ((Hs, *_), (energies, R, W), mine) in enumerate(zip(
+            blocks, solved, np.split(chosen, np.cumsum([len(e) for e, *_ in solved])[:-1]))):
         energies, R, W = energies[mine], R[:, mine], W[mine]
         tol = 1e-10 * np.maximum(1.0, np.abs(energies))
         kappa = np.linalg.norm(W, axis=1) * np.linalg.norm(R, axis=0) / np.abs(np.sum(W * R.T, axis=1))
@@ -379,22 +386,25 @@ def sector_pairs(blocks: list, n_states: int) -> list:
             raise DefectivePairError(
                 f"pair at E = {energies[i]:.6g}: condition {kappa[i]:.3g}, residuals "
                 f"{res_r[i]:.1e} (right), {res_l[i]:.1e} (left); Jordan block?")
-        expanded.append((R.T[:, index] * p, W[:, index] * p.conj()))
-    # one row per pair, phased so that its largest entry of r is real and positive
-    energies = merged[chosen]
-    rights, lefts = (np.concatenate(v, dtype=complex) for v in zip(*expanded))
-    ph = rights[np.arange(len(rights)), np.argmax(np.abs(rights), axis=1)]
-    ph = (ph / np.abs(ph))[:, None]
-    rights, lefts = rights / ph, lefts * ph
-    real = (np.abs(energies.imag) < 1e-9) & (np.max(np.abs(rights.imag), axis=1)
-                                             < 1e-9 * np.maximum(np.max(np.abs(rights.real), axis=1), 1e-300))
-    rights.imag[real] = lefts.imag[real] = 0.0
+        levels += [(energies[i], b, R[:, i], W[i]) for i in range(len(energies))]
+    return sorted(levels, key=lambda level: level[0].real)     # stable: ties in block order
+
+
+def _expand_level(level: tuple, blocks: list) -> EigenPair:
+    """A level of ``_solve_levels`` as a pair in fresh arrays, r = P R[:, i],
+    w = W[i] P^H, phased so that the largest entry of r is real and positive."""
+    energy, b, r, w = level
+    _, index, p = blocks[b]
+    right, left = (r[index] * p).astype(complex), (w[index] * p.conj()).astype(complex)
+    ph = right[[np.argmax(np.abs(right))]]
+    ph = ph / np.abs(ph)
+    right, left = right / ph, left * ph
+    if abs(energy.imag) < 1e-9 and abs(right.imag).max() < 1e-9 * max(abs(right.real).max(), 1e-300):
+        right.imag[:] = left.imag[:] = 0.0
     # last, on the expanded r: w r cancels 1e4-fold, and a plain dot left
-    # |w r - 1| = 1.1e-12 at (4,3), L = 16; np.sum of one row is pairwise
-    lefts /= np.array([np.sum(w * r) for w, r in zip(lefts, rights)])[:, None]
-    # each pair owns its rows: views would keep all n_states rows alive
-    return [EigenPair(complex(energies[i]), rights[i].copy(), lefts[i].copy())
-            for i in np.argsort(energies.real, kind="stable")]
+    # |w r - 1| = 1.1e-12 at (4,3), L = 16; np.sum is pairwise
+    left /= np.sum(left * right)
+    return EigenPair(complex(energy), right, left)
 
 
 def sector_blocks(H, basis: HeightBasis) -> list:
@@ -410,15 +420,25 @@ def sector_blocks(H, basis: HeightBasis) -> list:
 def select_state(H, basis: HeightBasis, which: str) -> EigenPair:
     """"ground": lowest energy; "vacuum": next real level, of the 12 lowest
     zero-momentum levels of all four ``sector_blocks``.  No parity is
-    assumed: those of the two states vary with the model and with L."""
+    assumed: those of the two states vary with the model and with L.  The
+    checked solve of the last H stays on the basis, keyed by a digest of its
+    blocks; only the returned pair is expanded, into fresh arrays."""
     if which not in ("ground", "vacuum"):
         raise ValueError("state must be 'ground' or 'vacuum'")
-    pairs = sector_pairs(sector_blocks(H, basis), 12)
-    real_pairs = [p for p in pairs if abs(p.energy.imag) < 1e-8]
+    if H.shape != (basis.dim, basis.dim):
+        raise ValueError(f"H of shape {H.shape} on a basis of {basis.dim} states")
+    import hashlib                      # here: _hashlib costs 3 ms at import
+    blocks = sector_blocks(H, basis)    # key: n_states and every number the solve reads
+    key = hashlib.blake2b(b"12" + b"".join(f"{Hs.shape}{Hs.dtype.str}".encode() + Hs.tobytes()
+                                           for Hs, *_ in blocks)).digest()
+    if (levels := basis._solved.get(key)) is None:     # one entry: the last H solved here
+        basis._solved.clear()
+        basis._solved[key] = levels = _solve_levels(blocks, 12)
+    real = [level for level in levels if abs(level[0].imag) < 1e-8]
     i = 0 if which == "ground" else 1
-    if i >= len(real_pairs):
-        raise ValueError(f"no {which} state: {len(real_pairs)} real level(s) in the sector")
-    return real_pairs[i]
+    if i >= len(real):
+        raise ValueError(f"no {which} state: {len(real)} real level(s) in the sector")
+    return _expand_level(real[i], blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -568,11 +588,16 @@ def entropy_curve(m: int, k: int, L: int, N: int, state: str, insertion,
     Returns columns (ell, trace, entropy, rescaled) where rescaled is
     trace * L^(4 h_twist), with h_twist the continuum dimension of the
     inserted twist operator.  H, the basis and the pair are built here
-    unless both ``pair`` and ``basis`` are given.
+    unless ``pair`` and ``basis`` are given, together and fitting (m, L).
     """
-    if basis is None or pair is None:
+    if (pair is None) != (basis is None):
+        raise ValueError("give both pair and basis, or neither")
+    if basis is None:
         H, basis = build_rsos_hamiltonian(m, k, L)
         pair = select_state(H, basis, state)
+    elif (basis.m, basis.L) != (m, L) or len(pair.right) != basis.dim:
+        raise ValueError(f"(m, L) = ({m}, {L}): a pair of {len(pair.right)} entries on "
+                         f"the ({basis.m}, {basis.L}) basis of {basis.dim} states")
     ell = np.arange(1, L)
     trace, entropy = (np.array(col) for col in zip(*(
         renyi_twisted(reduced_density(basis, pair, 0, e), N, m, k, insertion) for e in ell)))

@@ -501,6 +501,62 @@ class TestParityBlocks:
         assert np.max(np.abs(G - np.eye(12))) < 1e-10
 
 
+def same_pair(a, b):
+    return (a.energy == b.energy and np.array_equal(a.right, b.right)
+            and np.array_equal(a.left, b.left))
+
+
+class TestSolveMemo:
+    """``select_state`` solves the blocks of one H once per basis and expands
+    only the pair it returns."""
+
+    @pytest.mark.parametrize("m,k,L", [(4, 3, L) for L in (8, 10, 12, 14)]
+                             + [(m, k, L) for m, k in PARITY_MODELS[1:] for L in (8, 10, 12)]
+                             + [(6, 5, 10)])
+    def test_pairs_are_the_full_expansion(self, m, k, L):
+        # the flip-odd vacua of (4,1) and (5,1) among them
+        H, basis = rsos.build_rsos_hamiltonian(m, k, L)
+        pairs = rsos.sector_pairs(rsos.sector_blocks(H, basis), 12)
+        real = [p for p in pairs if abs(p.energy.imag) < 1e-8]
+        for which, want in zip(("ground", "vacuum", "ground"), real[:2] + real[:1]):
+            assert same_pair(rsos.select_state(H, basis, which), want)
+
+    def test_one_solve_per_block(self, monkeypatch):
+        calls = []
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a.shape) or eig(a))
+        H, basis = rsos.build_rsos_hamiltonian(4, 3, 12)
+        for which in ("ground", "vacuum", "ground"):
+            rsos.select_state(H, basis, which)
+        assert calls == [(26, 26), (5, 5), (21, 21), (8, 8)]
+
+    def test_another_hamiltonian_solves_again(self):
+        # enumerate_heights does not depend on k: the (4,1) H fits the (4,3) basis
+        H3, basis = rsos.build_rsos_hamiltonian(4, 3, 12)
+        H1, own = rsos.build_rsos_hamiltonian(4, 1, 12)
+        for which in ("ground", "vacuum"):
+            want3 = rsos.select_state(H3, basis, which)
+            assert same_pair(rsos.select_state(H1, basis, which),
+                             rsos.select_state(H1, own, which))
+            assert same_pair(rsos.select_state(H3, basis, which), want3)
+
+    def test_returned_pairs_are_fresh(self):
+        H, basis = rsos.build_rsos_hamiltonian(4, 3, 10)
+        first = rsos.select_state(H, basis, "vacuum")
+        right, left = first.right.copy(), first.left.copy()
+        first.right[:] = 7.0
+        first.left *= 2.0
+        again = rsos.select_state(H, basis, "vacuum")
+        assert np.array_equal(again.right, right) and np.array_equal(again.left, left)
+
+    def test_missing_vacuum_raises_every_call(self):
+        H, basis = rsos.build_rsos_hamiltonian(2, 1, 2)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="no vacuum state"):
+                rsos.select_state(H, basis, "vacuum")
+            assert abs(rsos.select_state(H, basis, "ground").energy.imag) < 1e-8
+
+
 @pytest.fixture(scope="module")
 def chain_10():
     H, basis = rsos.build_rsos_hamiltonian(4, 3, 10)
@@ -891,12 +947,35 @@ class TestCurveCsv:
         assert lines[1].split(",")[0] == "16"
 
 
+def vacuum_on(L):
+    """(vacuum pair, basis) of the (4,3) chain."""
+    H, basis = rsos.build_rsos_hamiltonian(4, 3, L)
+    return rsos.select_state(H, basis, "vacuum"), basis
+
+
 class TestArgumentChecks:
     @pytest.mark.parametrize("call,exc", [
         (lambda: rsos.enumerate_heights(1, 8), rsos.BasisError),
         (lambda: rsos.build_rsos_hamiltonian(4, 5, 8), ValueError),
         (lambda: rsos.select_state(*rsos.build_rsos_hamiltonian(4, 3, 8), "excited"), ValueError),
-    ], ids=["height_m_1", "twist_k_above_m", "state_excited"])
+        (lambda: rsos.select_state(rsos.build_rsos_hamiltonian(4, 3, 12)[0],
+                                   rsos.enumerate_heights(4, 14), "ground"), ValueError),
+        (lambda: rsos.select_state(rsos.build_rsos_hamiltonian(4, 3, 14)[0],
+                                   rsos.enumerate_heights(4, 12), "ground"), ValueError),
+        (lambda: rsos.entropy_curve(4, 3, 8, 2, "vacuum", 1, 0.0, pair=vacuum_on(8)[0]),
+         ValueError),
+        (lambda: rsos.entropy_curve(4, 3, 8, 2, "vacuum", 1, 0.0,
+                                    basis=rsos.enumerate_heights(4, 8)), ValueError),
+        (lambda: rsos.entropy_curve(4, 3, 14, 2, "vacuum", 1, 0.0, *vacuum_on(12)), ValueError),
+        (lambda: rsos.entropy_curve(6, 3, 12, 2, "vacuum", 1, 0.0, *vacuum_on(12)), ValueError),
+        (lambda: rsos.entropy_curve(4, 3, 12, 2, "vacuum", 1, 0.0, vacuum_on(14)[0],
+                                    rsos.enumerate_heights(4, 12)), ValueError),
+        (lambda: rsos.entropy_curve(4, 3, 14, 2, "vacuum", 1, 0.0, vacuum_on(12)[0],
+                                    rsos.enumerate_heights(4, 14)), ValueError),
+    ], ids=["height_m_1", "twist_k_above_m", "state_excited", "select_H_smaller_than_basis",
+            "select_H_larger_than_basis", "curve_pair_without_basis", "curve_basis_without_pair",
+            "curve_basis_of_other_L", "curve_basis_of_other_m", "curve_pair_longer_than_basis",
+            "curve_pair_shorter_than_basis"])
     def test_rejected(self, call, exc):
         with pytest.raises(exc):
             call()
