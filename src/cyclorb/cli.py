@@ -4,7 +4,9 @@ Subcommands emit deterministic CSV (header row, ``.`` decimal separator) or
 machine-readable PASS/FAIL reports.  Exit codes: 0 pass, 2 usage error,
 3 numerical degeneracy, 4 tolerance failure.  ``main`` turns every library
 error into one of these codes with a one-line message on stderr, by the
-first class of the exception's MRO that ``EXIT_CODES`` lists.
+first class of the exception's MRO that ``EXIT_CODES`` lists.  ``main``
+builds the parser of the subcommand it runs, and all nine only for help,
+no command or an unknown one.
 
 A plain-text config file with ``key=value`` lines can seed any flags;
 explicit flags win.
@@ -13,6 +15,7 @@ explicit flags win.
 from __future__ import annotations
 
 import argparse
+import csv
 import sys
 from fractions import Fraction
 
@@ -206,20 +209,40 @@ def cmd_lattice(args) -> int:
     return EXIT_OK
 
 
+def _lattice_columns(path):
+    """The L, ell and trace_re columns of a lattice CSV, as float arrays.
+
+    The header is the first line that is not blank or a ``#`` comment.  A
+    row of another length, a missing column or a field that is not a number
+    raises ValueError.
+    """
+    with open(path) as fh:
+        lines = [t for t in (ln.split("#", 1)[0].strip() for ln in fh) if t]
+    try:
+        rows = list(csv.reader(lines))
+    except csv.Error as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if len(rows) < 2:
+        raise ValueError(f"{path} holds no rows")
+    head = [h.strip() for h in rows.pop(0)]
+    if any(len(r) != len(head) for r in rows):
+        raise ValueError(f"{path}: a row has not the {len(head)} fields of the header")
+    cols = [head.index(name) for name in ("L", "ell", "trace_re")]
+    # columns of one row-major array, strided as genfromtxt's fields were, so
+    # that overlay_fit's dot product takes the same BLAS path
+    return np.array([[float(r[c]) for c in cols] for r in rows]).T
+
+
 def cmd_compare(args) -> int:
-    # a one-row file reads as a 0-d array
-    data = np.atleast_1d(np.genfromtxt(args.lattice_csv, delimiter=",", names=True))
-    if not data.size:
-        raise ValueError(f"{args.lattice_csv} holds no rows")
-    L = int(data["L"][0])
-    s = data["ell"] / L
+    Ls, ell, trace = _lattice_columns(args.lattice_csv)
+    s = ell / int(Ls[0])
     model = cat.get_model(args.model, args.g)
     pred = cat.predict_on_circle(model, s, M=args.terms,
                                  dressing_power=float(args.dressing))
-    const, rms = rsos.overlay_fit(data["trace_re"], pred)
+    const, rms = rsos.overlay_fit(trace, pred)
     rows = ["ell,lattice,prediction,fitted_constant,rms_rel_dev"]
     for i in range(len(s)):
-        rows.append(f"{int(data['ell'][i])},{float(data['trace_re'][i])!r},"
+        rows.append(f"{int(ell[i])},{float(trace[i])!r},"
                     f"{float(const * pred[i])!r},{float(const)!r},{float(rms)!r}")
     _write(args, "\n".join(rows) + "\n")
     print(f"{'PASS' if rms < 0.10 else 'FAIL'} overlay: rms {rms:.4f}, constant {const:.6g}")
@@ -241,88 +264,65 @@ def cmd_chain(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_model(p):
-    p.add_argument("--model", required=True, choices=cat.MODEL_IDS)
-    p.add_argument("--g", type=fraction, default=None,
-                   help="coupling of the mm_* families, a fraction such as 11/8")
+# flags several subcommands share, as (flag, add_argument keywords)
+_MODEL = (("--model", dict(required=True, choices=cat.MODEL_IDS)),
+          ("--g", dict(type=fraction, default=None,
+                       help="coupling of the mm_* families, a fraction such as 11/8")))
+_OUT = ("--out", dict(default=None, help="output path (default stdout)"))
+_SELFTEST = ("--selftest", dict(action="store_true"))
+_TERMS = ("--terms", dict(type=int, default=200, help="series truncation order"))
+_GRID = ("--grid", dict(default="0.05:0.95:19", help="a:b:n grid on (0,1)"))
 
-
-# flags several subcommands share; each subcommand declares only those it reads
-_SHARED = {
-    "--out": dict(default=None, help="output path (default stdout)"),
-    "--selftest": dict(action="store_true"),
-    "--terms": dict(type=int, default=200, help="series truncation order"),
-    "--grid": dict(default="0.05:0.95:19", help="a:b:n grid on (0,1)"),
+# name -> (help, flags); each subcommand declares only the flags it reads, and
+# its handler is cmd_<name>, looked up when its parser is built
+_COMMANDS = {
+    "blocks": ("conformal-block values on a grid", (*_MODEL, _OUT, _SELFTEST, _TERMS, _GRID)),
+    "monodromy": ("connection matrix and block coefficients",
+                  (*_MODEL, _OUT, _SELFTEST, _TERMS)),
+    "correlator": ("assembled correlator on a grid", (
+        *_MODEL, _OUT, _SELFTEST, _TERMS, _GRID,
+        ("--threads", dict(type=int, default=1,
+                           help="accepted for compatibility; grids are evaluated in one call")))),
+    # the checks always run; --selftest is accepted as on the other reports
+    "torus": ("character and partition-sum checks", (_SELFTEST,)),
+    "ope": ("structure-constant table (CSV)", (_OUT, _SELFTEST)),
+    "ward": ("contour-identity weight coefficients",
+             (("--x", dict(type=float, default=0.3)), _OUT, _SELFTEST)),
+    "lattice": ("height-chain entropy curve (CSV)", (
+        ("--m", dict(type=int, required=True)), ("--k", dict(type=int, required=True)),
+        ("--L", dict(type=int, required=True)), ("--N", dict(type=int, default=2)),
+        ("--q", dict(type=int, default=None,
+                     help="the dressed twist t_q (default: the bare twist)")),
+        ("--state", dict(choices=("ground", "vacuum"), default="ground")),
+        ("--h-twist", dict(type=float, default=None)), _OUT, _SELFTEST)),
+    "compare": ("overlay a lattice CSV against a model", (
+        ("lattice_csv", {}), *_MODEL,
+        ("--dressing", dict(type=fraction, default="0", help="extra (1-x) power, rational")),
+        _OUT, _TERMS)),
+    "chain": ("imaginary-field chain crossover report",
+              (("--lam", dict(type=float, default=0.8)), ("--L", dict(type=int, default=8)))),
 }
 
 
-def _add(p, *flags):
-    for f in flags:
-        p.add_argument(f, **_SHARED[f])
+def build_parser(cmd=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``cmd`` alone.
 
-
-def build_parser() -> argparse.ArgumentParser:
+    A one-command parser names all nine in its usage line, so its usage
+    errors read as the full parser's.
+    """
     ap = argparse.ArgumentParser(
         prog="cyclorb",
         description="Twist-field correlators and lattice entropies for minimal models",
     )
     ap.add_argument("--config", default=None, help="key=value file; flags win")
-    sub = ap.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("blocks", help="conformal-block values on a grid")
-    _add_model(p)
-    _add(p, "--out", "--selftest", "--terms", "--grid")
-    p.set_defaults(fn=cmd_blocks)
-
-    p = sub.add_parser("monodromy", help="connection matrix and block coefficients")
-    _add_model(p)
-    _add(p, "--out", "--selftest", "--terms")
-    p.set_defaults(fn=cmd_monodromy)
-
-    p = sub.add_parser("correlator", help="assembled correlator on a grid")
-    _add_model(p)
-    _add(p, "--out", "--selftest", "--terms", "--grid")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility; grids are evaluated in one call")
-    p.set_defaults(fn=cmd_correlator)
-
-    p = sub.add_parser("torus", help="character and partition-sum checks")
-    # the checks always run; --selftest is accepted as on the other reports
-    _add(p, "--selftest")
-    p.set_defaults(fn=cmd_torus)
-
-    p = sub.add_parser("ope", help="structure-constant table (CSV)")
-    _add(p, "--out", "--selftest")
-    p.set_defaults(fn=cmd_ope)
-
-    p = sub.add_parser("ward", help="contour-identity weight coefficients")
-    p.add_argument("--x", type=float, default=0.3)
-    _add(p, "--out", "--selftest")
-    p.set_defaults(fn=cmd_ward)
-
-    p = sub.add_parser("lattice", help="height-chain entropy curve (CSV)")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--L", type=int, required=True)
-    p.add_argument("--N", type=int, default=2)
-    p.add_argument("--q", type=int, default=None,
-                   help="the dressed twist t_q (default: the bare twist)")
-    p.add_argument("--state", choices=("ground", "vacuum"), default="ground")
-    p.add_argument("--h-twist", type=float, default=None)
-    _add(p, "--out", "--selftest")
-    p.set_defaults(fn=cmd_lattice)
-
-    p = sub.add_parser("compare", help="overlay a lattice CSV against a model")
-    p.add_argument("lattice_csv")
-    _add_model(p)
-    p.add_argument("--dressing", type=fraction, default="0", help="extra (1-x) power, rational")
-    _add(p, "--out", "--terms")
-    p.set_defaults(fn=cmd_compare)
-
-    p = sub.add_parser("chain", help="imaginary-field chain crossover report")
-    p.add_argument("--lam", type=float, default=0.8)
-    p.add_argument("--L", type=int, default=8)
-    p.set_defaults(fn=cmd_chain)
+    sub = ap.add_subparsers(dest="cmd", required=True,
+                            metavar=None if cmd is None else "{%s}" % ",".join(_COMMANDS))
+    for name in _COMMANDS if cmd is None else (cmd,):
+        help_, flags = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_)
+        for flag, kw in flags:
+            p.add_argument(flag, **kw)
+        p.set_defaults(fn=globals()["cmd_" + name])
     return ap
 
 
@@ -357,10 +357,28 @@ def _apply_config(argv):
     return head + inject
 
 
+def _command(argv):
+    """The subcommand argv runs, or None where it needs the full parser.
+
+    Only ``--config`` (or an abbreviation) and its value may precede the
+    name; help, an unknown name or any other token first builds all nine.
+    """
+    it = iter(argv)
+    for a in it:
+        flag, eq, _ = a.partition("=")
+        if len(flag) > 2 and "--config".startswith(flag):
+            if not eq:
+                next(it, None)
+        else:
+            return a if a in _COMMANDS else None
+    return None
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = build_parser().parse_args(_apply_config(argv))
+        argv = _apply_config(argv)
+        args = build_parser(_command(argv)).parse_args(argv)
         return args.fn(args)
     except SystemExit as exc:
         # argparse exits 0 after --help and 2 on a usage error

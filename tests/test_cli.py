@@ -1,5 +1,6 @@
 """Command-line interface: CSV output, determinism, selftests, exit codes."""
 
+import argparse
 import json
 import os
 import re
@@ -369,6 +370,159 @@ class TestConfig:
                                "--x", "0.25"], capture_output=True, text=True)
         assert proc.returncode == 0
         assert "0,0.25" in proc.stdout
+
+
+class TestCompareCsv:
+    """compare reads the lattice CSV with the csv module; a bad field is a usage error."""
+
+    @staticmethod
+    def lattice(tmp_path, L=12):
+        # at L = 12 the lattice CSV of perfbench's cli_suite
+        lat = tmp_path / "lat.csv"
+        assert run_cli(["lattice", "--m", "4", "--k", "3", "--L", str(L), "--state", "ground",
+                        "--q", "1", "--h-twist", "-0.375", "--out", str(lat)]) == 0
+        return lat.read_text().splitlines()
+
+    @pytest.fixture
+    def lines(self, tmp_path):
+        return self.lattice(tmp_path)
+
+    def compare(self, tmp_path, text):
+        (tmp_path / "in.csv").write_text(text)
+        out = tmp_path / "cmp.csv"
+        code = run_cli(["compare", str(tmp_path / "in.csv"), "--model", "yl1int_gs",
+                        "--dressing=-1/20", "--out", str(out)])
+        return code, out
+
+    # a contiguous trace_re column changes the fitted constant's last bits at L = 8
+    @pytest.mark.parametrize("L", [8, 12])
+    def test_same_bytes_as_genfromtxt(self, tmp_path, capsys, L):
+        # the rows the genfromtxt reader gave, its strided trace_re column included
+        from cyclorb import catalog as cat
+        code, out = self.compare(tmp_path, "\n".join(self.lattice(tmp_path, L)) + "\n")
+        assert code == 0
+        data = np.atleast_1d(np.genfromtxt(tmp_path / "in.csv", delimiter=",", names=True))
+        pred = cat.predict_on_circle(cat.get_model("yl1int_gs"), data["ell"] / L, M=200,
+                                     dressing_power=-1 / 20)
+        const, rms = rsos.overlay_fit(data["trace_re"], pred)
+        want = ["ell,lattice,prediction,fitted_constant,rms_rel_dev"] + [
+            f"{int(e)},{float(t)!r},{float(const * p)!r},{float(const)!r},{float(rms)!r}"
+            for e, t, p in zip(data["ell"], data["trace_re"], pred)]
+        assert out.read_text() == "\n".join(want) + "\n"
+
+    def test_non_numeric_field(self, tmp_path, lines, capsys):
+        head, first, *rest = lines
+        i = head.split(",").index("trace_re")
+        fields = first.split(",")
+        fields[i] = "abc"
+        code, out = self.compare(tmp_path, "\n".join([head, ",".join(fields), *rest]) + "\n")
+        err = capsys.readouterr().err
+        assert code == 2 and not out.exists()
+        assert re.fullmatch(r"error: ValueError: [^\n]*'abc'\n", err), err
+
+    def test_short_row(self, tmp_path, lines, capsys):
+        short = lines[2].rsplit(",", 1)[0]
+        code, out = self.compare(tmp_path, "\n".join([*lines[:2], short, *lines[3:]]) + "\n")
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err.startswith("error: ValueError: ")
+
+    def test_empty_file(self, tmp_path, capsys):
+        code, out = self.compare(tmp_path, "")
+        assert code == 2 and not out.exists()
+        assert capsys.readouterr().err.endswith("holds no rows\n")
+
+    def test_one_row(self, tmp_path, lines, capsys):
+        code, out = self.compare(tmp_path, f"{lines[0]}\n{lines[5]}\n")
+        assert code == 0
+        assert out.read_text().splitlines()[1].startswith("5,")
+
+    def test_comments(self, tmp_path, lines, capsys):
+        plain, _ = self.compare(tmp_path, "\n".join(lines) + "\n")
+        want = (tmp_path / "cmp.csv").read_bytes()
+        text = "# a lattice run\n" + lines[0] + "\n" + "".join(
+            f"{ln}  # row {i}\n\n# between rows\n" for i, ln in enumerate(lines[1:]))
+        code, out = self.compare(tmp_path, text)
+        assert plain == code == 0
+        assert out.read_bytes() == want
+
+
+# one valid argv per subcommand, every flag it reads given a value
+VALID_ARGV = {
+    "blocks": "blocks --model yl1int_gs --grid 0.1:0.2:3 --terms 50 --out b.csv --selftest",
+    "monodromy": "monodromy --model mm_n2_phi21 --g 11/8 --terms 60",
+    "correlator": "--config c.cfg correlator --model yl2int_vac --threads 2 --grid 0.2:0.4:2",
+    "torus": "torus --selftest",
+    "ope": "ope --out o.csv",
+    "ward": "ward --x 0.25 --selftest",
+    "lattice": "lattice --m 4 --k 3 --L 8 --q 1 --state vacuum --h-twist -0.3 --N 3",
+    "compare": "compare lat.csv --model yl1int_gs --dressing=-1/20 --terms 80",
+    "chain": "chain --lam 0.9 --L 6",
+}
+
+
+def _subparser(ap, name):
+    action = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices[name]
+
+
+class TestOneCommandParser:
+    """main builds only the subcommand it runs, and reads exactly as the full parser."""
+
+    @pytest.fixture(autouse=True)
+    def columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.mark.parametrize("name", list(VALID_ARGV))
+    def test_subparser_alone_matches_full(self, name):
+        full, alone = cli.build_parser(), cli.build_parser(name)
+        assert _subparser(alone, name).format_help() == _subparser(full, name).format_help()
+        argv = VALID_ARGV[name].split()
+        assert vars(alone.parse_args(argv)) == vars(full.parse_args(argv))
+
+    def test_full_parser_errors_as_before(self, capsys):
+        names = ", ".join(f"'{n}'" for n in VALID_ARGV)
+        for argv, last in [([], "cyclorb: error: the following arguments are required: cmd"),
+                           (["bogus"], "cyclorb: error: argument cmd: invalid choice: 'bogus' "
+                                       f"(choose from {names})")]:
+            assert run_cli(argv) == 2
+            assert capsys.readouterr().err.splitlines()[-1] == last
+
+    def test_usage_line_names_every_subcommand(self):
+        assert cli.build_parser("torus").format_usage() == cli.build_parser().format_usage()
+
+    @pytest.mark.parametrize("argv", [
+        "", "--help", "-h", "bogus", "--help correlator", "correlator --help",
+        "correlator --model yl1int_gs --bad", "correlator --model nope",
+        "--config cfg correlator --grid 0.3:0.4:2", "--conf cfg torus",
+        "--conf torus correlator --model yl1int_gs --grid 0.3:0.4:2",
+        "chain extra", "ward --x abc", "chain --L 30",
+        "--he torus", "--config=cfg torus --bad", "-- torus", "-1 torus", "--bogus torus",
+        "torus torus", "--config", "--help --config=cfg torus",
+    ])
+    def test_main_matches_full_parser(self, monkeypatch, tmp_path, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg").write_text("model = yl1int_gs\n")
+        code = run_cli(argv.split())
+        got = (code, *capsys.readouterr())
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda cmd=None: build())
+        code = run_cli(argv.split())
+        assert got == (code, *capsys.readouterr())
+
+    def test_one_subparser_registered(self, monkeypatch, capsys):
+        names = []
+        add = argparse._SubParsersAction.add_parser
+
+        def counting(self, name, **kw):
+            names.append(name)
+            return add(self, name, **kw)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+        assert run_cli(["torus"]) == 0
+        assert names == ["torus"]
+        names.clear()
+        assert run_cli(["--help"]) == 0
+        assert names == list(VALID_ARGV)
 
 
 class TestImports:
