@@ -392,9 +392,10 @@ def _solve_levels(blocks: list, n_states: int) -> list:
 
 def _expand_level(level: tuple, blocks: list) -> EigenPair:
     """A level of ``_solve_levels`` as a pair in fresh arrays, r = P R[:, i],
-    w = W[i] P^H, phased so that the largest entry of r is real and positive."""
+    w = W[i] P^H, phased so that the largest entry of r is real and positive;
+    ``blocks[b]`` ends in the (index, p) of P."""
     energy, b, r, w = level
-    _, index, p = blocks[b]
+    index, p = blocks[b][-2:]
     right, left = (r[index] * p).astype(complex), (w[index] * p.conj()).astype(complex)
     ph = right[[np.argmax(np.abs(right))]]
     ph = ph / np.abs(ph)
@@ -421,24 +422,27 @@ def select_state(H, basis: HeightBasis, which: str) -> EigenPair:
     """"ground": lowest energy; "vacuum": next real level, of the 12 lowest
     zero-momentum levels of all four ``sector_blocks``.  No parity is
     assumed: those of the two states vary with the model and with L.  The
-    checked solve of the last H stays on the basis, keyed by a digest of its
-    blocks; only the returned pair is expanded, into fresh arrays."""
+    checked solve of the last H stays on the basis with each block's index
+    and p, keyed by a kept copy of H's CSR indptr, indices and data bytes (the
+    shape is the basis's): an equal H, in any sparse format, builds no blocks.
+    Only the returned pair is expanded, into fresh arrays."""
     if which not in ("ground", "vacuum"):
         raise ValueError("state must be 'ground' or 'vacuum'")
     if H.shape != (basis.dim, basis.dim):
         raise ValueError(f"H of shape {H.shape} on a basis of {basis.dim} states")
-    import hashlib                      # here: _hashlib costs 3 ms at import
-    blocks = sector_blocks(H, basis)    # key: n_states and every number the solve reads
-    key = hashlib.blake2b(b"12" + b"".join(f"{Hs.shape}{Hs.dtype.str}".encode() + Hs.tobytes()
-                                           for Hs, *_ in blocks)).digest()
-    if (levels := basis._solved.get(key)) is None:     # one entry: the last H solved here
-        basis._solved.clear()
-        basis._solved[key] = levels = _solve_levels(blocks, 12)
-    real = [level for level in levels if abs(level[0].imag) < 1e-8]
+    csr = H.tocsr()
+    key = (csr.indptr, csr.indices, csr.data.view(np.uint8))
+    memo = basis._solved        # the last H solved here: key, dtype, levels, (index, p) per block
+    if not (memo and memo["dtype"] == csr.dtype and all(map(np.array_equal, memo["key"], key))):
+        blocks = sector_blocks(H, basis)
+        memo.clear()
+        memo.update(key=tuple(a.copy() for a in key), dtype=csr.dtype,
+                    levels=_solve_levels(blocks, 12), maps=[(index, p) for _, index, p in blocks])
+    real = [level for level in memo["levels"] if abs(level[0].imag) < 1e-8]
     i = 0 if which == "ground" else 1
     if i >= len(real):
         raise ValueError(f"no {which} state: {len(real)} real level(s) in the sector")
-    return _expand_level(real[i], blocks)
+    return _expand_level(real[i], memo["maps"])
 
 
 # ---------------------------------------------------------------------------

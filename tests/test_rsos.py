@@ -549,6 +549,53 @@ class TestSolveMemo:
         again = rsos.select_state(H, basis, "vacuum")
         assert np.array_equal(again.right, right) and np.array_equal(again.left, left)
 
+    @staticmethod
+    def counted_blocks(monkeypatch):
+        calls = []
+        build = rsos.sector_blocks
+        monkeypatch.setattr(rsos, "sector_blocks", lambda *a: calls.append(a) or build(*a))
+        return calls
+
+    def test_hit_builds_no_blocks(self, monkeypatch):
+        calls = self.counted_blocks(monkeypatch)
+        H, basis = rsos.build_rsos_hamiltonian(4, 3, 12)
+        for which in ("ground", "vacuum", "ground"):
+            rsos.select_state(H, basis, which)
+        assert len(calls) == 1
+
+    def test_data_changed_in_place_solves_again(self, monkeypatch):
+        # the key is a kept copy of H's arrays, not a reference to them
+        H, basis = rsos.build_rsos_hamiltonian(4, 3, 10)
+        first = rsos.select_state(H, basis, "ground")
+        H.data *= 2.0
+        want = rsos.select_state(H.copy(), rsos.build_rsos_hamiltonian(4, 3, 10)[1], "ground")
+        assert abs(want.energy - 2.0 * first.energy) < 1e-12 * abs(want.energy)
+        calls = self.counted_blocks(monkeypatch)
+        assert same_pair(rsos.select_state(H, basis, "ground"), want)
+        assert len(calls) == 1
+
+    def test_same_bytes_of_another_dtype_miss(self, monkeypatch):
+        class Rebuilt(Exception):
+            pass
+
+        H, basis = rsos.build_rsos_hamiltonian(4, 3, 10)
+        rsos.select_state(H, basis, "ground")
+        same_bytes = sp.csr_matrix((H.data.view(np.int64), H.indices, H.indptr), shape=H.shape)
+
+        def rebuilt(*args):
+            raise Rebuilt
+
+        monkeypatch.setattr(rsos, "sector_blocks", rebuilt)
+        with pytest.raises(Rebuilt):
+            rsos.select_state(same_bytes, basis, "ground")
+
+    def test_csc_copy_hits(self, monkeypatch):
+        H, basis = rsos.build_rsos_hamiltonian(4, 3, 12)
+        want = [rsos.select_state(H, basis, which) for which in ("ground", "vacuum")]
+        calls = self.counted_blocks(monkeypatch)
+        got = [rsos.select_state(H.tocsc(), basis, which) for which in ("ground", "vacuum")]
+        assert calls == [] and all(map(same_pair, got, want))
+
     def test_missing_vacuum_raises_every_call(self):
         H, basis = rsos.build_rsos_hamiltonian(2, 1, 2)
         for _ in range(2):

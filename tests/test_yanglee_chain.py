@@ -289,6 +289,16 @@ PINNED_HC = {
 }
 
 
+# g(s, s_c) for the synthetic searches, s = h^2: zero at s_c, negative above it
+SYNTHETIC_GAPS = {
+    "linear": lambda s, sc: sc - s,
+    # strongly curved: the slope at s = 0 is e^4 times that at s_c
+    "curved": lambda s, sc: math.expm1(4 * (sc - s) / sc),
+    # flat at g = 1 and g = -1, so that three probes can share a g
+    "flat": lambda s, sc: max(-1.0, min(1.0, 4 * (sc - s) / sc)),
+}
+
+
 def sector_levels(sector, h):
     """The levels of both real blocks, by ascending real part."""
     ev = np.concatenate([np.linalg.eigvals(M) for M in sector.blocks(h)])
@@ -340,6 +350,38 @@ class TestSector:
                 assert len(counted_search(lam, L, tol)[1]) <= 9
             sector = ylc.ChainSector(0.05, L)
             assert len(counted_search(0.05, L, tol)[1]) <= bisect_hc(sector.merged, tol)[1]
+
+    @pytest.mark.parametrize("L", range(4, 13))
+    def test_rounds_per_search(self, L):
+        # inverse quadratic interpolation through the last three probes: at
+        # most 7 rounds (9 for the Illinois secant alone), 6 at L = 6, 8, tol 1e-6
+        for tol in (1e-6, 1e-8):
+            for lam in (0.78, 0.80, 0.82):
+                rounds = len(counted_search(lam, L, tol)[1])
+                assert rounds <= (6 if L in (6, 8) and tol == 1e-6 else 7)
+
+    @pytest.mark.parametrize("hc", [0.0969, 0.75])
+    @pytest.mark.parametrize("shape", list(SYNTHETIC_GAPS))
+    def test_safeguards_on_synthetic_levels(self, shape, hc, monkeypatch):
+        # _levels gives (s > s_c, f(s)), s = h^2.  No bisection step guards the
+        # round count: for these f it stays within bisection's, but a steeper f,
+        # expm1(8 (s_c - s) / s_c) at h_c = 0.0969, takes more
+        f, sc = SYNTHETIC_GAPS[shape], hc * hc
+        monkeypatch.setattr(ylc.ChainSector, "_levels", lambda self, h: (h * h > sc, f(h * h, sc)))
+        for tol in (1e-6, 1e-8, 1e-12):
+            got, probes = counted_search(0.8, 4, tol)
+            first = next(n for n, (_, merged) in enumerate(probes) if merged)
+            for n in range(first + 1, len(probes)):
+                h = probes[n][0]
+                lo = max(p for p, merged in probes[:n] if not merged)
+                hi = min(p for p, merged in probes[:n] if merged)
+                assert h >= lo + tol / 4 or h == math.nextafter(lo, hi)
+                assert h <= hi - tol / 4 or h == math.nextafter(hi, lo)
+            assert abs(got - math.sqrt(sc)) <= tol / 2
+            assert len(probes) <= bisect_hc(lambda h: h * h > sc, tol)[1]
+            if shape == "flat":     # some probe was chosen by the secant on equal g
+                g = [f(h * h, sc) for h, _ in probes]
+                assert any(len({*g[n - 3:n]}) < 3 for n in range(max(first + 1, 3), len(g)))
 
     @pytest.mark.parametrize("L", range(4, 11))
     @pytest.mark.parametrize("h", [0.01, 0.03, 0.2])
