@@ -255,7 +255,7 @@ def cmd_chain(args) -> int:
     d_hi = ylc.midpoint_second_difference(st["profiles"][0.99])
     lines = [
         ("threshold found", True, f"h_c = {st['h_c']:.6f}"),
-        ("concave to convex crossover", np.sign(d_lo) != np.sign(d_hi),
+        ("concave to convex crossover", d_lo < 0 < d_hi,
          f"second differences {d_lo:.4f} -> {d_hi:.4f}"),
     ]
     return _report(lines)
@@ -326,14 +326,8 @@ def build_parser(cmd=None) -> argparse.ArgumentParser:
     return ap
 
 
-def _apply_config(argv):
-    """Insert config-file values before the explicit flags (flags win)."""
-    if "--config" not in argv:
-        return argv
-    i = argv.index("--config")
-    if i + 1 == len(argv):
-        raise ValueError("--config needs a path")
-    path = argv[i + 1]
+def _config_flags(path):
+    """The flags a ``key=value`` config file sets, as argv tokens."""
     inject = []
     with open(path) as fh:
         for raw in fh:
@@ -349,36 +343,41 @@ def _apply_config(argv):
                 inject.append(key)
             elif val.lower() not in ("false", "no", "0"):
                 raise ValueError(f"selftest = {val!r} is not true/yes/1 or false/no/0")
-    head = argv[: i] + argv[i + 2:]
-    # place injected options right after the subcommand
-    for j, a in enumerate(head):
-        if not a.startswith("-"):
-            return head[: j + 1] + inject + head[j + 1:]
-    return head + inject
+    return inject
 
 
-def _command(argv):
-    """The subcommand argv runs, or None where it needs the full parser.
+def _with_config(argv):
+    """(argv, subcommand): argv with its ``--config`` option replaced by the
+    file's flags right after the subcommand (explicit flags win), and the
+    subcommand it runs, or None where it needs the full parser.
 
-    Only ``--config`` (or an abbreviation) and its value may precede the
-    name; help, an unknown name or any other token first builds all nine.
+    One scan takes out every spelling argparse accepts for ``--config``,
+    before the subcommand or after it: ``--config PATH``, ``--config=PATH``
+    and abbreviations such as ``--conf PATH``; the last one wins.  The
+    subcommand must come first of the rest; help, an unknown name or any
+    other token first builds all nine.
     """
-    it = iter(argv)
+    rest, path, it = [], None, iter(argv)
     for a in it:
-        flag, eq, _ = a.partition("=")
+        flag, eq, value = a.partition("=")
         if len(flag) > 2 and "--config".startswith(flag):
-            if not eq:
-                next(it, None)
+            path = value if eq else next(it, None)
+            if path is None:
+                raise ValueError("--config needs a path")
         else:
-            return a if a in _COMMANDS else None
-    return None
+            rest.append(a)
+    cmd = rest[0] if rest and rest[0] in _COMMANDS else None
+    if path is not None:
+        at = next((j + 1 for j, a in enumerate(rest) if not a.startswith("-")), len(rest))
+        rest[at:at] = _config_flags(path)
+    return rest, cmd
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _apply_config(argv)
-        args = build_parser(_command(argv)).parse_args(argv)
+        argv, cmd = _with_config(argv)
+        args = build_parser(cmd).parse_args(argv)
         return args.fn(args)
     except SystemExit as exc:
         # argparse exits 0 after --help and 2 on a usage error

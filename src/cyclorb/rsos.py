@@ -14,7 +14,7 @@ vectors R, covectors the rows of R^-1, and expands the levels it keeps
 the whole sector of a dense H as one block, is the reference.  scipy.sparse is
 imported only inside the functions that return a sparse matrix.
 
-A run of heights (a_0 ... a_{n-1}) is identified by its path code
+A run of heights (a_0 ... a_{n-1}) has the path code (``_path_code``)
 a_0 2^(n-1) + sum_t [a_{t+1} > a_t] 2^(n-2-t); codes order like the rows
 do lexicographically, so rows are looked up by ``np.searchsorted`` on codes.
 
@@ -23,7 +23,8 @@ rho = r w (non-Hermitian chains have distinct left/right vectors) and kept
 as per-block factors, one block per pair of boundary heights of the
 subsystem; each block pairs every subsystem path with every environment
 path, so one permutation of the states lays its factors out as reshapes.
-Each interval is laid out once per basis, one int32 index per state.  The
+The first n sites are laid out once per basis and n, one int32 index per
+state, and an interval from site i by that layout translated i sites.  The
 replica traces Tr(D rho_A^N) carry diagonal twist insertions on those two
 heights, so they are sums of per-block traces.
 """
@@ -38,7 +39,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 SECTOR_LIMIT = 4_000    # largest matrix handed to the dense eigensolver
-MAX_SITES = 31          # 2 L step bits of a state fit one int64
+MAX_SITES = 31          # path codes a_0 2^(L-1) + step bits fit one int64 (m < 2^32)
 
 
 class BasisError(ValueError):
@@ -74,13 +75,6 @@ class HeightBasis:
         return "\n".join("".join(str(int(a)) for a in row) for row in self.states) + "\n"
 
     @cached_property
-    def _steps(self) -> np.ndarray:
-        """Up-step bits, step t (a_t -> a_{t+1 mod L}) at bits 2L-1-t and L-1-t."""
-        up = (np.roll(self.states, -1, axis=1) > self.states).astype(np.int64)
-        word = up @ (1 << np.arange(self.L - 1, -1, -1, dtype=np.int64))
-        return (word << self.L) | word
-
-    @cached_property
     def _path_codes(self) -> np.ndarray:
         """Sorted codes of every open path of L heights; the n-height paths
         are their distinct n-height prefixes, ``codes >> (L - n)``.
@@ -97,26 +91,23 @@ class HeightBasis:
 
     @cached_property
     def _row_codes(self) -> np.ndarray:
-        """``window_codes(0, L)``: the code of each whole row, sorted."""
-        return self.window_codes(0, self.L)
+        """The path code of each whole row, sorted; ``enumerate_heights`` seeds it."""
+        return _path_code(self.states)
+
+    @cached_property
+    def _shift(self) -> np.ndarray:
+        """Row of each state translated by one site."""
+        return np.searchsorted(self._row_codes, _path_code(np.roll(self.states, 1, axis=1)))
 
     @cached_property
     def _classes(self) -> "SymmetryClasses":
         """Zero-momentum classes under the reflection a_j -> a_{L-1-j} and the
         height flip a -> m + 1 - a, which both commute with H."""
-        orbit, size, reps = _orbits(_shift(self))
-        codes, rows = self._row_codes, self.states[reps]
-        images = [orbit[np.searchsorted(codes, HeightBasis(self.m, self.L, image)._row_codes)]
+        orbit, size, reps = _orbits(self._shift)
+        rows = self.states[reps]
+        images = [orbit[np.searchsorted(self._row_codes, _path_code(image))]
                   for image in (rows[:, ::-1], self.m + 1 - rows)]
         return symmetry_classes(orbit, size, reps, images)
-
-    def window_codes(self, start: int, n: int) -> np.ndarray:
-        """Path code of the n heights from site ``start`` on, in every state
-        (0 for the empty window); ``window_codes(0, L)`` is sorted."""
-        if n == 0:
-            return np.zeros(self.dim, dtype=np.int64)
-        bits = (self._steps >> (2 * self.L + 1 - start - n)) & ((1 << (n - 1)) - 1)
-        return (self.states[:, start].astype(np.int64) << (n - 1)) | bits
 
 
 def adjacency_matrix(m: int) -> np.ndarray:
@@ -143,8 +134,10 @@ def enumerate_heights(m: int, L: int) -> HeightBasis:
         raise BasisError(f"L = {L}: height codes hold at most {MAX_SITES} sites")
     codes = _open_codes(m, L)
     paths = _path_rows(codes, L)
-    basis = HeightBasis(m=m, L=L, states=paths[np.abs(paths[:, -1] - paths[:, 0]) == 1])
-    basis.__dict__.update(_path_codes=codes, _path_heights=paths)   # seeds: built once per basis
+    closed = np.abs(paths[:, -1] - paths[:, 0]) == 1
+    basis = HeightBasis(m=m, L=L, states=paths[closed])
+    basis.__dict__.update(_path_codes=codes, _path_heights=paths,   # seeds: built once per basis
+                          _row_codes=codes[closed])
     return basis
 
 
@@ -166,6 +159,12 @@ def _path_rows(codes: np.ndarray, n_sites: int) -> np.ndarray:
     """The height rows of path codes of n_sites >= 1 heights."""
     steps = 2 * ((codes[:, None] >> np.arange(n_sites - 2, -1, -1)) & 1) - 1
     return np.cumsum(np.column_stack([codes >> (n_sites - 1), steps]), axis=1).astype(np.int8)
+
+
+def _path_code(rows: np.ndarray) -> np.ndarray:
+    """The path codes of height rows of n >= 1 sites, the inverse of ``_path_rows``."""
+    up = (np.diff(rows, axis=1) > 0) @ (1 << np.arange(rows.shape[1] - 2, -1, -1))
+    return (rows[:, 0].astype(np.int64) << (rows.shape[1] - 1)) | up
 
 
 def _weights(m: int, k: int) -> np.ndarray:
@@ -231,11 +230,6 @@ def build_rsos_hamiltonian(m: int, k: int, L: int):
     rows, cols, vals = (np.concatenate(parts)
                         for parts in zip(*(_tl_entries(basis, w, i) for i in range(L))))
     return sp.csr_matrix((-vals, (rows, cols)), shape=(basis.dim, basis.dim)), basis
-
-
-def _shift(basis: HeightBasis) -> np.ndarray:
-    """Row of each state translated by one site."""
-    return np.searchsorted(basis._row_codes, basis.window_codes(basis.L - 1, basis.L))
 
 
 def _orbits(shift: np.ndarray):
@@ -491,26 +485,27 @@ def reduced_density(basis: HeightBasis, pair: EigenPair, i: int, j: int) -> Redu
     a_j, subsystem code, environment code), its states are R_b row by row.
     Only the factors are stored; ``ReducedDensity.matrix`` assembles rho_A.
     """
-    key = (i % basis.L, (j - i) % basis.L + 1)
-    if key not in basis._layouts:
-        basis._layouts[key] = _interval_layout(basis, *key)
-    sub, labels, order, blocks = basis._layouts[key]
+    n_sub = (j - i) % basis.L + 1
+    if n_sub not in basis._layouts:
+        basis._layouts[n_sub] = _interval_layout(basis, n_sub)
+    sub, labels, order, blocks = basis._layouts[n_sub]
+    for _ in range(i % basis.L):    # from i: the first n_sub sites of the states rotated by i
+        order = basis._shift[order]
     right, left = pair.right[order], pair.left[order]
     return ReducedDensity((i, j), sub, labels, [
         DensityBlock(lab, rows, right[cut].reshape(shape), left[cut].reshape(shape))
         for lab, rows, cut, shape in blocks])
 
 
-def _interval_layout(basis: HeightBasis, i: int, n_sub: int):
-    """(sub_states, block_labels, order, blocks) of the n_sub sites from i, memoised in
+def _interval_layout(basis: HeightBasis, n_sub: int):
+    """(sub_states, block_labels, order, blocks) of the first n_sub sites, memoised in
     ``basis._layouts``: block (label, rows, cut, shape) is r[order][cut] row by row."""
-    m, L, n_env = basis.m, basis.L, basis.L - n_sub
+    m, n_env = basis.m, basis.L - n_sub
     prefixes = basis._path_codes >> n_env          # sorted: distinct where they step
     sub = basis._path_heights[np.r_[True, prefixes[1:] != prefixes[:-1]], :n_sub]
     sub_label = sub[:, 0].astype(np.int64) * (m + 1) + sub[:, -1]
-    label = basis.states[:, i].astype(np.int64) * (m + 1) + basis.states[:, (i + n_sub - 1) % L]
-    order = np.argsort(label, kind="stable") if i == 0 else np.lexsort(  # rows sorted at i = 0
-        (basis.window_codes((i + n_sub) % L, n_env), basis.window_codes(i, n_sub), label))
+    label = basis.states[:, 0].astype(np.int64) * (m + 1) + basis.states[:, n_sub - 1]
+    order = np.argsort(label, kind="stable")   # the rows are sorted by (sub, env) code
     starts = np.flatnonzero(np.r_[True, np.diff(label[order]) != 0])
     n_envs = np.linalg.matrix_power(adjacency_matrix(m), n_env + 1)   # paths a_j -> a_i
     blocks = []
@@ -594,6 +589,8 @@ def entropy_curve(m: int, k: int, L: int, N: int, state: str, insertion,
     inserted twist operator.  H, the basis and the pair are built here
     unless ``pair`` and ``basis`` are given, together and fitting (m, L).
     """
+    if state not in ("ground", "vacuum"):
+        raise ValueError("state must be 'ground' or 'vacuum'")
     if (pair is None) != (basis is None):
         raise ValueError("give both pair and basis, or neither")
     if basis is None:
@@ -614,11 +611,13 @@ def fit_twist_dimension(curve: dict) -> float:
 
     For a conformal two-point function of twists the slope is -4 h_twist.
     The fit keeps the middle third of the chain, where lattice corrections
-    (decaying with the chord length) are smallest.
+    (decaying with the chord length) are smallest; under 2 points there raise ValueError.
     """
     L, ell = curve["L"], curve["ell"]
     lo = max(int(np.ceil(L / 3)), 2)
     window = (ell >= lo) & (ell <= L - lo)
+    if np.count_nonzero(window) < 2:
+        raise ValueError(f"L = {L}: the middle third holds fewer than 2 points to fit")
     xs = np.log((L / np.pi) * np.sin(np.pi * ell[window] / L))
     return float(-np.polyfit(xs, np.log(np.abs(curve["trace"][window])), 1)[0] / 4.0)
 

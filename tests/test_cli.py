@@ -152,6 +152,19 @@ class TestReports:
         assert run_cli(["ward", "--x", "0.3", "--out", str(out)]) == 0
         assert out.read_text() == table and capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("lo,hi,code", [
+        ([0.0, 1.0, 0.0, 1.0, 0.0], [0.0, 0.0, 1.0, 0.0, 0.0], 4),    # convex to concave
+        ([0.0, 0.0, 1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 1.0, 0.0], 0),    # concave to convex
+        ([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 0.0, 1.0, 0.0], 4),    # straight to convex
+    ])
+    def test_chain_crossover_direction(self, monkeypatch, capsys, lo, hi, code):
+        # only a concave profile at h = 0.1 h_c and a convex one at 0.99 h_c pass
+        monkeypatch.setattr(ylc, "crossover_study", lambda lam, L, fractions: {
+            "h_c": 0.5, "profiles": {0.1: np.array(lo), 0.99: np.array(hi)}})
+        assert run_cli(["chain"]) == code
+        line = capsys.readouterr().out.splitlines()[-1]
+        assert line.startswith(f"{'PASS' if code == 0 else 'FAIL'} concave to convex crossover: ")
+
 
 class TestExitCodes:
     def test_fit_error_is_tolerance_failure(self, capsys):
@@ -364,6 +377,29 @@ class TestConfig:
         assert out.exists() == (code == 0 and not selftest)
         if out.exists():
             assert len(out.read_text().splitlines()) == 20   # header and 19 grid rows
+
+    SELFTEST_CONFIGS = {"correlator": "model = yl2int_vac\nselftest = true\n",
+                        "lattice": "m = 4\nk = 3\nL = 8\nselftest = true\n"}
+
+    @pytest.mark.parametrize("cmd", list(SELFTEST_CONFIGS))
+    @pytest.mark.parametrize("spelling", [
+        "--config=CFG {cmd}", "--conf CFG {cmd}", "--conf=CFG {cmd}", "--c CFG {cmd}",
+        "{cmd} --config CFG", "{cmd} --config=CFG", "{cmd} --conf CFG",
+        "--config missing.cfg {cmd} --config=CFG",
+    ])
+    def test_every_config_spelling_is_applied(self, tmp_path, capsys, cmd, spelling):
+        # each spelling argparse accepts for --config, before the subcommand or
+        # after it, reads as --config PATH before it; the last one given wins
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(self.SELFTEST_CONFIGS[cmd])
+
+        def run(argv):
+            code = run_cli(argv.format(cmd=cmd).replace("CFG", str(cfg)).split())
+            return code, capsys.readouterr().out
+
+        want = run("--config CFG {cmd}")
+        assert want[0] == 0 and want[1].splitlines()[-1].startswith("PASS ")
+        assert run(spelling) == want
 
     def test_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "cyclorb.cli", "ward",

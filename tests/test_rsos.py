@@ -64,14 +64,20 @@ class TestBasis:
             assert all(a < b for a, b in zip(codes, codes[1:]))
 
     @pytest.mark.parametrize("m,L", [(4, 8), (5, 8), (3, 6)])
-    def test_window_codes(self, m, L):
+    def test_path_code(self, m, L):
+        # the inverse of _path_rows, and path_code's value on every window of every state
+        for n in range(1, L + 1):
+            codes = rsos._open_codes(m, n)
+            assert same_bytes(rsos._path_code(rsos._path_rows(codes, n)), codes)
         basis = rsos.enumerate_heights(m, L)
         for start in range(L):
-            for n in range(L + 1):
-                want = [path_code(s[(start + np.arange(n)) % L]) for s in basis.states]
-                assert basis.window_codes(start, n).tolist() == want
-        codes = basis.window_codes(0, L)
-        assert np.all(np.diff(codes) > 0)
+            rolled = np.roll(basis.states, -start, axis=1)
+            for n in range(1, L + 1):
+                want = [path_code(s) for s in rolled[:, :n]]
+                assert rsos._path_code(rolled[:, :n]).tolist() == want
+        # enumerate_heights seeds the whole-row codes with the encoder's values
+        assert same_bytes(basis._row_codes, rsos._path_code(basis.states))
+        assert np.all(np.diff(basis._row_codes) > 0)
 
     @pytest.mark.parametrize("m,L", [(2, 6), (4, 8), (6, 10)])
     def test_subpaths_are_prefixes_of_whole_paths(self, m, L):
@@ -190,7 +196,7 @@ class TestTemperleyLieb:
 def translation_operator(basis):
     """The translation by one site, a scipy.sparse CSR matrix."""
     dim = basis.dim
-    return sp.csr_matrix((np.ones(dim), (rsos._shift(basis), np.arange(dim))), shape=(dim, dim))
+    return sp.csr_matrix((np.ones(dim), (basis._shift, np.arange(dim))), shape=(dim, dim))
 
 
 def zero_momentum_projector(shift):
@@ -327,7 +333,7 @@ class TestSectorSolve:
         # the orbit-representative block against the sparse projector product
         if case == "rsos":
             H, basis = rsos.build_rsos_hamiltonian(4, 3, 8)
-            H, shift = H.toarray(), rsos._shift(basis)
+            H, shift = H.toarray(), basis._shift
         else:
             H = ylc.ising_imaginary_chain(0.8, case[1], case[0])
             shift = ylc._rotation(H)
@@ -348,7 +354,7 @@ class TestSectorSolve:
         monkeypatch.setattr(rsos, "SECTOR_LIMIT", 35)
         H = ylc.ising_imaginary_chain(0.8, 0.02, 8)             # 36 orbits
         H_rsos, basis = rsos.build_rsos_hamiltonian(4, 3, 12)   # 60 orbits
-        for h, shift in ((H, ylc._rotation(H)), (H_rsos, rsos._shift(basis))):
+        for h, shift in ((H, ylc._rotation(H)), (H_rsos, basis._shift)):
             with pytest.raises(rsos.SizeError):
                 rsos.sector_matrix(h, shift)
             with pytest.raises(rsos.SizeError):
@@ -404,7 +410,7 @@ class TestSectorSolve:
         # degenerate partners included (the sector of (4,3) has no complex
         # levels at these sizes; the chain test covers conjugate pairs)
         H, basis = rsos.build_rsos_hamiltonian(m, k, L)
-        pairs = rsos.eigensystem(H.toarray(), rsos._shift(basis), n_states=12)
+        pairs = rsos.eigensystem(H.toarray(), basis._shift, n_states=12)
         assert len(pairs) == 12
         if k == 3:
             assert np.min(np.abs(np.diff([p.energy for p in pairs]))) < 1e-8
@@ -425,7 +431,7 @@ class TestSectorSolve:
                             lambda a: inv(a) * (1 + 1e-6 * np.arange(len(a))))
         H, basis = rsos.build_rsos_hamiltonian(4, 3, 8)
         with pytest.raises(rsos.DefectivePairError):
-            rsos.eigensystem(H.toarray(), rsos._shift(basis), n_states=4)
+            rsos.eigensystem(H.toarray(), basis._shift, n_states=4)
         with pytest.raises(rsos.DefectivePairError):
             rsos.select_state(H, basis, "ground")
 
@@ -438,7 +444,7 @@ def flip_rows(basis):
 
 def oracle_states(H, basis):
     """Ground and vacuum from the single zero-momentum block of the dense H."""
-    pairs = rsos.eigensystem(H.toarray(), rsos._shift(basis), 12)
+    pairs = rsos.eigensystem(H.toarray(), basis._shift, 12)
     ground, vacuum = [p for p in pairs if abs(p.energy.imag) < 1e-8][:2]
     return {"ground": ground, "vacuum": vacuum}
 
@@ -472,7 +478,7 @@ class TestParityBlocks:
         # of exactly one of the non-empty blocks (two of them at m = 3)
         H, basis = rsos.build_rsos_hamiltonian(m, k, L)
         blocks = rsos.sector_blocks(H, basis)
-        want = np.linalg.eigvals(rsos.sector_matrix(H.toarray(), rsos._shift(basis))[0])
+        want = np.linalg.eigvals(rsos.sector_matrix(H.toarray(), basis._shift)[0])
         got = np.concatenate([np.linalg.eigvals(Hs) for Hs, *_ in blocks])
         assert len(got) == len(want)
         for e in want:
@@ -797,7 +803,8 @@ class TestBlockFactors:
 
 def sorted_reduced_density(basis, pair, i, j):
     """Reference rho_A: every interval sorted afresh by the full key (a_i, a_j,
-    subsystem code, environment code), distinct prefixes by np.unique."""
+    subsystem heights, environment heights), the heights by their lexicographic
+    rank from np.unique; distinct prefixes by np.unique."""
     m, L = basis.m, basis.L
     sites, i, j = (i, j), i % L, j % L
     n_sub = (j - i) % L + 1
@@ -805,9 +812,12 @@ def sorted_reduced_density(basis, pair, i, j):
     sub = rsos._path_rows(np.unique(basis._path_codes >> (L - n_sub)), n_sub)
     sub_label = sub[:, 0].astype(np.int64) * (m + 1) + sub[:, -1]
     label = basis.states[:, i].astype(np.int64) * (m + 1) + basis.states[:, j]
-    key = (label << (n_sub - 1 + m.bit_length())) | basis.window_codes(i, n_sub)
-    order = np.argsort((key << (n_env + m.bit_length()))
-                       | basis.window_codes((j + 1) % L, n_env))
+    # the heights from site i on, subsystem then environment: as the subsystem
+    # has n_sub heights in every state, their rank orders by (subsystem, environment)
+    window = basis.states[:, (i + np.arange(L)) % L]
+    rank = np.unique(window, axis=0, return_inverse=True)[1].ravel()
+    assert len(np.unique(rank)) == basis.dim
+    order = np.lexsort((rank, label))
     starts = np.flatnonzero(np.r_[True, np.diff(label[order]) != 0])
     n_envs = np.linalg.matrix_power(rsos.adjacency_matrix(m), n_env + 1)
     blocks = []
@@ -840,25 +850,31 @@ def assert_same_density(got, want):
 
 
 class TestIntervalLayout:
-    """``reduced_density`` lays each interval out once per basis; every call,
-    first or repeated, on any state, is bitwise the full-key sort's."""
+    """``reduced_density`` lays the first n sites out once per basis and n, and
+    translates that layout for other starts; every call, first or repeated, on
+    any state, from any site, is bitwise the full-key sort's."""
 
     @pytest.mark.parametrize("m,k,L", [(4, 3, 8), (4, 3, 10), (4, 3, 12), (4, 3, 14),
                                        (6, 5, 10)])
     def test_every_interval_matches_the_sorted_oracle(self, larger_chains, m, k, L):
         solved, pairs = larger_chains(m, k, L)
-        # a fresh basis: the ground pair lays each interval out, the vacuum reuses it
+        # the eigenpairs have zero momentum, the same entry on every rotation of a
+        # state, so only a pair with an entry of its own per state sees a layout
+        # translated the wrong way
+        ramp = np.arange(solved.dim, dtype=complex)
+        pairs = dict(pairs, distinct=rsos.EigenPair(0j, ramp + 1, 1j * ramp[::-1]))
+        # a fresh basis: the ground pair lays each interval out, the others reuse it
         basis = rsos.HeightBasis(m, L, solved.states)
         for i in range(L):
             for j in range(L):
-                for which in ("ground", "vacuum"):
+                for which in pairs:
                     assert_same_density(rsos.reduced_density(basis, pairs[which], i, j),
                                         sorted_reduced_density(basis, pairs[which], i, j))
-        assert len(basis._layouts) == L * L
+        assert sorted(basis._layouts) == list(range(1, L + 1))
         # i and j are taken mod L, and the sites are kept as given
         assert_same_density(rsos.reduced_density(basis, pairs["ground"], L + 2, -1),
                             sorted_reduced_density(basis, pairs["ground"], L + 2, -1))
-        assert len(basis._layouts) == L * L
+        assert len(basis._layouts) == L
 
     def test_second_sweep_is_bitwise_the_first(self, larger_chains):
         solved, pairs = larger_chains(4, 3, 12)
@@ -1019,10 +1035,17 @@ class TestArgumentChecks:
                                     rsos.enumerate_heights(4, 12)), ValueError),
         (lambda: rsos.entropy_curve(4, 3, 14, 2, "vacuum", 1, 0.0, vacuum_on(12)[0],
                                     rsos.enumerate_heights(4, 14)), ValueError),
+        (lambda: rsos.entropy_curve(4, 3, 8, 2, "bogus", 1, 0.0, *vacuum_on(8)), ValueError),
+        # the middle third of L = 4 is the one point ell = 2, of L = 2 empty
+        (lambda: rsos.fit_twist_dimension(rsos.entropy_curve(4, 3, 4, 2, "ground", 1, 0.0)),
+         ValueError),
+        (lambda: rsos.fit_twist_dimension(rsos.entropy_curve(4, 3, 2, 2, "ground", 1, 0.0)),
+         ValueError),
     ], ids=["height_m_1", "twist_k_above_m", "state_excited", "select_H_smaller_than_basis",
             "select_H_larger_than_basis", "curve_pair_without_basis", "curve_basis_without_pair",
             "curve_basis_of_other_L", "curve_basis_of_other_m", "curve_pair_longer_than_basis",
-            "curve_pair_shorter_than_basis"])
+            "curve_pair_shorter_than_basis", "curve_state_bogus_with_pair_and_basis",
+            "fit_one_point_at_L_4", "fit_no_point_at_L_2"])
     def test_rejected(self, call, exc):
         with pytest.raises(exc):
             call()
