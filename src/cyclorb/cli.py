@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from fractions import Fraction
 
@@ -60,6 +61,14 @@ def fraction(text: str) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"{text!r} has a zero denominator") from None
+
+
+def finite(text: str) -> float:
+    """A float flag value; nan and inf are usage errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not finite")
+    return value
 
 
 def _write(args, text: str):
@@ -287,14 +296,14 @@ _COMMANDS = {
     "torus": ("character and partition-sum checks", (_SELFTEST,)),
     "ope": ("structure-constant table (CSV)", (_OUT, _SELFTEST)),
     "ward": ("contour-identity weight coefficients",
-             (("--x", dict(type=float, default=0.3)), _OUT, _SELFTEST)),
+             (("--x", dict(type=finite, default=0.3)), _OUT, _SELFTEST)),
     "lattice": ("height-chain entropy curve (CSV)", (
         ("--m", dict(type=int, required=True)), ("--k", dict(type=int, required=True)),
         ("--L", dict(type=int, required=True)), ("--N", dict(type=int, default=2)),
         ("--q", dict(type=int, default=None,
                      help="the dressed twist t_q (default: the bare twist)")),
         ("--state", dict(choices=("ground", "vacuum"), default="ground")),
-        ("--h-twist", dict(type=float, default=None)), _OUT, _SELFTEST)),
+        ("--h-twist", dict(type=finite, default=None)), _OUT, _SELFTEST)),
     "compare": ("overlay a lattice CSV against a model", (
         ("lattice_csv", {}), *_MODEL,
         ("--dressing", dict(type=fraction, default="0", help="extra (1-x) power, rational")),

@@ -348,45 +348,40 @@ def sector_pairs(blocks: list, n_states: int) -> list:
 
 
 def _solve_levels(blocks: list, n_states: int) -> list:
-    """The n_states levels (energy, block number, R[:, i], W[i]) of lowest real part
-    over ``blocks`` (Hs, index, p), ties in block order: Hs = P^H H P, P (orthonormal
+    """The n_states levels (energy, block number, r, w) of lowest real part over
+    ``blocks`` (Hs, index, p), ties in block order: Hs = P^H H P, P (orthonormal
     columns) with one nonzero per row, P[s, index[s]] = p[s].  Each Hs is solved once
     for right vectors R, covectors the rows of W = R^-1, so W R = I also in degenerate
-    and conjugate clusters.  A level's condition |w||r|/|w r| > 1e10 or residual
-    > 1e-10 |v| max(1, |E|) raises DefectivePairError."""
-    solved = []
-    for Hs, *_ in blocks:
+    and conjugate clusters; its n_states lowest levels are kept as copies of their
+    columns of R and rows of W.  The n_states lowest of those are selected, then
+    checked: a level's condition |w||r|/|w r| > 1e10 or residual > 1e-10 |v| max(1, |E|)
+    raises DefectivePairError."""
+    levels = []
+    for b, (Hs, *_) in enumerate(blocks):
         evals, R = np.linalg.eig(Hs)
         try:
             W = np.linalg.inv(R)
         except np.linalg.LinAlgError as exc:
             raise DefectivePairError("singular eigenvector matrix (Jordan block?)") from exc
-        sel = np.argsort(evals.real)[:n_states]
-        solved.append((evals[sel], R[:, sel], W[sel]))
-    merged = np.concatenate([e for e, *_ in solved])
-    chosen = np.zeros(len(merged), dtype=bool)
-    chosen[np.argsort(merged.real, kind="stable")[:n_states]] = True
-    levels = []
-    for b, ((Hs, *_), (energies, R, W), mine) in enumerate(zip(
-            blocks, solved, np.split(chosen, np.cumsum([len(e) for e, *_ in solved])[:-1]))):
-        energies, R, W = energies[mine], R[:, mine], W[mine]
-        tol = 1e-10 * np.maximum(1.0, np.abs(energies))
-        kappa = np.linalg.norm(W, axis=1) * np.linalg.norm(R, axis=0) / np.abs(np.sum(W * R.T, axis=1))
-        res_r = np.linalg.norm(Hs @ R - R * energies, axis=0) / np.linalg.norm(R, axis=0)
-        res_l = np.linalg.norm(W @ Hs - energies[:, None] * W, axis=1) / np.linalg.norm(W, axis=1)
-        bad = np.flatnonzero(~((kappa <= 1e10) & (res_r <= tol) & (res_l <= tol)))
-        if bad.size:
-            i = bad[0]
+        levels += [(evals[i], b, R[:, i].copy(), W[i].copy())
+                   for i in np.argsort(evals.real)[:n_states]]
+    levels = sorted(levels, key=lambda level: level[0].real)[:n_states]     # stable
+    for energy, b, r, w in levels:
+        Hs = blocks[b][0]
+        kappa = np.linalg.norm(w) * np.linalg.norm(r) / np.abs(np.sum(w * r))
+        res_r = np.linalg.norm(Hs @ r - energy * r) / np.linalg.norm(r)
+        res_l = np.linalg.norm(w @ Hs - energy * w) / np.linalg.norm(w)
+        tol = 1e-10 * max(1.0, abs(energy))
+        if not (kappa <= 1e10 and res_r <= tol and res_l <= tol):
             raise DefectivePairError(
-                f"pair at E = {energies[i]:.6g}: condition {kappa[i]:.3g}, residuals "
-                f"{res_r[i]:.1e} (right), {res_l[i]:.1e} (left); Jordan block?")
-        levels += [(energies[i], b, R[:, i], W[i]) for i in range(len(energies))]
-    return sorted(levels, key=lambda level: level[0].real)     # stable: ties in block order
+                f"pair at E = {energy:.6g}: condition {kappa:.3g}, residuals "
+                f"{res_r:.1e} (right), {res_l:.1e} (left); Jordan block?")
+    return levels
 
 
 def _expand_level(level: tuple, blocks: list) -> EigenPair:
-    """A level of ``_solve_levels`` as a pair in fresh arrays, r = P R[:, i],
-    w = W[i] P^H, phased so that the largest entry of r is real and positive;
+    """A level of ``_solve_levels`` as a pair in fresh arrays, r = P r_b,
+    w = w_b P^H, phased so that the largest entry of r is real and positive;
     ``blocks[b]`` ends in the (index, p) of P."""
     energy, b, r, w = level
     index, p = blocks[b][-2:]
@@ -554,7 +549,8 @@ def renyi_twisted(rd: ReducedDensity, N: int, m: int, k: int,
 
     ``insertion``: integer q for the dressed twist t_q, or "bare" for the
     physical twist sum_q x_q t_q.  D acts once on the common boundary
-    heights (a_i, a_j), not per replica.
+    heights (a_i, a_j), not per replica.  A trace that is not finite, as when
+    rho_A^N overflows at large N, raises ValueError.
     """
     if N < 2:
         raise ValueError("N >= 2 required")
@@ -565,8 +561,11 @@ def renyi_twisted(rd: ReducedDensity, N: int, m: int, k: int,
     else:
         qi, qj = insertion if isinstance(insertion, tuple) else (int(insertion),) * 2
         d = twist_weights(m, k, qi, N)[ai] * twist_weights(m, k, qj, N)[aj]
-    value = complex(np.sum(d * np.array([_block_power_trace(blk.right, blk.left, N)
-                                         for blk in rd.blocks])))
+    with np.errstate(over="ignore", invalid="ignore"):     # a non-finite trace raises below
+        value = complex(np.sum(d * np.array([_block_power_trace(blk.right, blk.left, N)
+                                             for blk in rd.blocks])))
+    if not np.isfinite(value):
+        raise ValueError(f"Tr(D rho_A^N) = {value} at N = {N}: the power is not finite")
     entropy = np.log(value + 0j) / (1 - N)
     return value, entropy
 

@@ -8,8 +8,8 @@ size-dependent threshold h_c the two lowest levels are real; at h_c they
 merge into a complex-conjugate pair (the finite-size shadow of the edge
 singularity).
 
-The threshold search (inverse quadratic interpolation on the squared gap of
-the two lowest levels in h^2, falling back to an Illinois secant step,
+The threshold search (the secant or inverse quadratic interpolation on the
+squared gap of the two lowest levels in h^2, falling back to bisection in h,
 bracketed by the complex-pair verdict) and the crossover solve
 ``ChainSector``'s real blocks and never form H; the dense H,
 ``lowest_levels``, ``ground_pair`` and ``renyi2_profile`` are the reference.
@@ -163,39 +163,30 @@ class ChainSector:
         """Merging threshold h_c to tol/2 from g = Re((E_1 - E_0)^2) in s = h^2:
         P maps H(h) to H(-h), so g is even in h, and nearly linear in h^2 up to
         h_c.  The bracket [0, 0.25] doubles; ``merged``'s verdict moves its ends
-        (lo real, hi merged).  Each step is inverse quadratic interpolation
-        through the last three (s, g) probes (Brent, Algorithms for Minimization
-        without Derivatives, 1973, ch. 4); when their g are not distinct or the
-        estimate leaves (lo^2, hi^2), an Illinois secant step (Dowell & Jarratt,
-        BIT 11, 1971), at the h^2 midpoint if the secant is undefined.  Each
-        step lands at least tol/4 inside, until hi - lo <= tol or lo, hi are
-        adjacent floats."""
+        (lo real, hi merged).  Each step interpolates s at g = 0 through the
+        last two or three (s, g) probes: the secant, or inverse quadratic
+        interpolation (Brent, Algorithms for Minimization without Derivatives,
+        1973, ch. 4); when their g are not distinct or the estimate leaves
+        (lo^2, hi^2), it bisects h.  Each step lands at least tol/4 inside,
+        until hi - lo <= tol or lo, hi are adjacent floats."""
         if not (math.isfinite(tol) and tol > 0):
             raise ValueError(f"tol = {tol}: need a finite tol > 0")
         lo, hi = 0.0, 0.25
-        g_lo = self._levels(lo)[1]
-        probes = [(0.0, g_lo)]      # (s, g) of every round
+        probes = [(0.0, self._levels(lo)[1])]      # (s, g) of every round
         while not (probe := self._levels(hi))[0]:
             probes.append((hi * hi, probe[1]))
-            lo, g_lo, hi = hi, probe[1], hi * 2.0
+            lo, hi = hi, hi * 2.0
             if hi > 64:
                 raise RuntimeError("no merging found below h = 64")
-        g_hi, last = probe[1], None
-        probes.append((hi * hi, g_hi))
+        probes.append((hi * hi, probe[1]))
         while hi - lo > tol and math.nextafter(lo, hi) < hi:
-            s = _inverse_quadratic(probes[-3:])
-            if not lo * lo < s < hi * hi:       # Illinois secant
-                frac = g_lo / (g_lo - g_hi) if g_lo > 0 > g_hi else 0.5
-                s = lo * lo + frac * (hi * hi - lo * lo)
-            h = min(max(math.sqrt(s), lo + tol / 4, math.nextafter(lo, hi)),
+            s = _interpolate(probes[-3:])
+            h = math.sqrt(s) if lo * lo < s < hi * hi else 0.5 * (lo + hi)
+            h = min(max(h, lo + tol / 4, math.nextafter(lo, hi)),
                     hi - tol / 4, math.nextafter(hi, lo))
             merged, g = self._levels(h)
             probes.append((h * h, g))
-            if merged:      # Illinois: halve g at an end kept twice in a row
-                hi, g_hi, g_lo = h, g, g_lo * (0.5 if last is True else 1.0)
-            else:
-                lo, g_lo, g_hi = h, g, g_hi * (0.5 if last is False else 1.0)
-            last = merged
+            lo, hi = (lo, h) if merged else (h, hi)
         return 0.5 * (lo + hi)
 
     def ground_pair(self, h: float) -> EigenPair:
@@ -204,14 +195,12 @@ class ChainSector:
             [(M, index, p) for M, (*_, index, p) in zip(self.blocks(h), self._blocks)], 1))
 
 
-def _inverse_quadratic(points: list) -> float:
-    """s at g = 0 on the quadratic s(g) through three (s, g) points (Lagrange
-    form); nan for fewer points or g values that are not distinct."""
-    if len(points) < 3 or len({g for _, g in points}) < 3:
+def _interpolate(points: list) -> float:
+    """s at g = 0 on the polynomial s(g) through two or three (s, g) points, in
+    Lagrange form; nan for g values that are not distinct."""
+    if len({g for _, g in points}) < len(points):
         return math.nan
-    (sa, ga), (sb, gb), (sc, gc) = points
-    return (sa * gb * gc / ((ga - gb) * (ga - gc)) + sb * ga * gc / ((gb - ga) * (gb - gc))
-            + sc * ga * gb / ((gc - ga) * (gc - gb)))
+    return sum(s * math.prod(gj / (gj - g) for _, gj in points if gj != g) for s, g in points)
 
 
 def levels_merged(lam: float, h: float, L: int) -> bool:

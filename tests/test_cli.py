@@ -263,6 +263,21 @@ class TestExitCodes:
             assert re.fullmatch(r"error: \w+: [^\n]+\n", err), err
 
     @pytest.mark.parametrize("argv", [
+        "ward --x nan", "ward --x inf", "ward --x=-inf",
+        "lattice --m 4 --k 3 --L 6 --h-twist nan", "lattice --m 4 --k 3 --L 6 --h-twist=-inf",
+        # rho_A^5000 overflows
+        "lattice --m 4 --k 3 --L 6 --N 5000",
+    ])
+    def test_non_finite_is_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "out.csv"
+        assert run_cli([*argv.split(), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "finite" in err
+        if "usage:" not in err:     # the library's error alone, with no warning
+            assert re.fullmatch(r"error: ValueError: [^\n]+\n", err), err
+
+    @pytest.mark.parametrize("argv", [
         "correlator --model mm_n2_phi21 --g 1/0",
         "--config g.cfg correlator --model mm_n2_phi21",
         "compare lat.csv --model yl1int_gs --dressing=1/0",

@@ -435,6 +435,28 @@ class TestSectorSolve:
         with pytest.raises(rsos.DefectivePairError):
             rsos.select_state(H, basis, "ground")
 
+    @pytest.mark.parametrize("n,want", [
+        # block 0's 1.0 lies below every level of block 3, but not among its
+        # own two lowest
+        (2, [(0.0, 0), (0.5, 0)]),
+        # ties at 0.5 and at 1.0 in block order
+        (3, [(0.0, 0), (0.5, 0), (0.5, 2)]),
+        (5, [(0.0, 0), (0.5, 0), (0.5, 2), (1.0, 0), (1.0, 1)]),
+        # more than the eleven levels: all of them
+        (20, [(0.0, 0), (0.5, 0), (0.5, 2), (1.0, 0), (1.0, 1), (1.5, 3), (2.0, 1),
+              (3.0, 0), (7.0, 1), (8.0, 3), (9.0, 2)]),
+    ])
+    def test_level_selection_on_diagonal_blocks(self, n, want):
+        diagonals = [[3.0, 0.0, 1.0, 0.5], [1.0, 7.0, 2.0], [0.5, 9.0], [1.5, 8.0]]
+        blocks = [(np.diag(d), np.arange(len(d)), np.ones(len(d))) for d in diagonals]
+        levels = rsos._solve_levels(blocks, n)
+        assert [(float(e.real), b) for e, b, _, _ in levels] == want
+        for energy, b, r, w in levels:
+            i = diagonals[b].index(energy.real)
+            assert np.array_equal(np.abs(r), np.eye(len(diagonals[b]))[i])
+            assert w @ r == 1.0
+            assert r.base is None and w.base is None     # copies, not views of R and W
+
 
 def flip_rows(basis):
     """Row of the height flip a -> m + 1 - a of each state."""
@@ -1041,11 +1063,13 @@ class TestArgumentChecks:
          ValueError),
         (lambda: rsos.fit_twist_dimension(rsos.entropy_curve(4, 3, 2, 2, "ground", 1, 0.0)),
          ValueError),
+        # rho_A^5000 overflows: the traces would be nan
+        (lambda: rsos.entropy_curve(4, 3, 6, 5000, "ground", "bare", 0.0), ValueError),
     ], ids=["height_m_1", "twist_k_above_m", "state_excited", "select_H_smaller_than_basis",
             "select_H_larger_than_basis", "curve_pair_without_basis", "curve_basis_without_pair",
             "curve_basis_of_other_L", "curve_basis_of_other_m", "curve_pair_longer_than_basis",
             "curve_pair_shorter_than_basis", "curve_state_bogus_with_pair_and_basis",
-            "fit_one_point_at_L_4", "fit_no_point_at_L_2"])
+            "fit_one_point_at_L_4", "fit_no_point_at_L_2", "curve_power_overflows"])
     def test_rejected(self, call, exc):
         with pytest.raises(exc):
             call()

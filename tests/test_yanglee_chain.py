@@ -296,6 +296,10 @@ SYNTHETIC_GAPS = {
     "curved": lambda s, sc: math.expm1(4 * (sc - s) / sc),
     # flat at g = 1 and g = -1, so that three probes can share a g
     "flat": lambda s, sc: max(-1.0, min(1.0, 4 * (sc - s) / sc)),
+    # steeper still: the slope at s = 0 is e^8 times that at s_c
+    "steep": lambda s, sc: math.expm1(8 * (sc - s) / sc),
+    # flat at s = 0; at s_c four times the slope of the chord from (0, 1)
+    "quartic": lambda s, sc: 1 - (s / sc) ** 4,
 }
 
 
@@ -342,7 +346,7 @@ class TestSector:
 
     @pytest.mark.parametrize("L", range(4, 13))
     def test_solve_count(self, L):
-        # regula falsi on the squared gap, secant in h^2: at most 9 solves from
+        # interpolation on the squared gap in h^2: at most 9 solves from
         # the default bracket, and never more than the bisection's verdicts at
         # lambda = 0.05
         for tol in (1e-6, 1e-8):
@@ -354,7 +358,7 @@ class TestSector:
     @pytest.mark.parametrize("L", range(4, 13))
     def test_rounds_per_search(self, L):
         # inverse quadratic interpolation through the last three probes: at
-        # most 7 rounds (9 for the Illinois secant alone), 6 at L = 6, 8, tol 1e-6
+        # most 7 rounds, 6 at L = 6, 8, tol 1e-6
         for tol in (1e-6, 1e-8):
             for lam in (0.78, 0.80, 0.82):
                 rounds = len(counted_search(lam, L, tol)[1])
@@ -363,9 +367,8 @@ class TestSector:
     @pytest.mark.parametrize("hc", [0.0969, 0.75])
     @pytest.mark.parametrize("shape", list(SYNTHETIC_GAPS))
     def test_safeguards_on_synthetic_levels(self, shape, hc, monkeypatch):
-        # _levels gives (s > s_c, f(s)), s = h^2.  No bisection step guards the
-        # round count: for these f it stays within bisection's, but a steeper f,
-        # expm1(8 (s_c - s) / s_c) at h_c = 0.0969, takes more
+        # _levels gives (s > s_c, f(s)), s = h^2.  A step that leaves the
+        # bracket bisects h, so no f here takes more rounds than bisection
         f, sc = SYNTHETIC_GAPS[shape], hc * hc
         monkeypatch.setattr(ylc.ChainSector, "_levels", lambda self, h: (h * h > sc, f(h * h, sc)))
         for tol in (1e-6, 1e-8, 1e-12):
@@ -379,9 +382,20 @@ class TestSector:
                 assert h <= hi - tol / 4 or h == math.nextafter(hi, lo)
             assert abs(got - math.sqrt(sc)) <= tol / 2
             assert len(probes) <= bisect_hc(lambda h: h * h > sc, tol)[1]
-            if shape == "flat":     # some probe was chosen by the secant on equal g
+            if shape == "flat":     # some probe bisected h on equal g
                 g = [f(h * h, sc) for h, _ in probes]
                 assert any(len({*g[n - 3:n]}) < 3 for n in range(max(first + 1, 3), len(g)))
+
+    def test_quartic_gap_far_below_the_bracket(self, monkeypatch):
+        # h_c = 0.003, far below the first probe 0.25: the interpolated
+        # steps crawl up from h = 0, and the bisection step cuts the crawl
+        f, sc = SYNTHETIC_GAPS["quartic"], 0.003 ** 2
+        monkeypatch.setattr(ylc.ChainSector, "_levels", lambda self, h: (h * h > sc, f(h * h, sc)))
+        for tol in (1e-6, 1e-8, 1e-12):
+            got, probes = counted_search(0.8, 4, tol)
+            assert abs(got - 0.003) <= tol / 2
+            # rounds after the one at h = 0, which bisection does not take
+            assert len(probes) - 1 <= bisect_hc(lambda h: h * h > sc, tol)[1] + 3
 
     @pytest.mark.parametrize("L", range(4, 11))
     @pytest.mark.parametrize("h", [0.01, 0.03, 0.2])
