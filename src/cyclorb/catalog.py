@@ -121,7 +121,7 @@ def _gamma_X_pair(a, b, c):
     d = c - a - b
     X1 = g(1 - c) * g(1 - d) * g(c - a) * g(c - b)
     X2 = -g(c) / (1 - c) ** 2 * g(1 - d) * g(1 - a) * g(1 - b)
-    return complex(X1).real, complex(X2).real
+    return X1, X2
 
 
 def _gauss_model(model_id, abc, prefactor, scheme, physics, closed_form, **extra):
@@ -308,8 +308,8 @@ def _mm_n2(g) -> CorrelatorModel:
     # Y2 = -[Gamma(1-d)/Gamma(1+d)]^2 g(1-a) g(1-b) g(c-a) g(c-b)
     gr = sf.gamma_ratio
     try:
-        X_cross = (-(sf.gamma(float(1 - d)) / sf.gamma(float(1 + d))) ** 2
-                   * gr(1 - a) * gr(1 - b) * gr(c - a) * gr(c - b)).real
+        X_cross = (-(sf.gamma(1 - d) / sf.gamma(1 + d)) ** 2
+                   * gr(1 - a) * gr(1 - b) * gr(c - a) * gr(c - b))
     except sf.PoleError:
         X_cross = None
         notes = notes + ("crossed-channel coefficient singular at this g",)
@@ -598,14 +598,13 @@ def ope_table() -> dict:
     """Structure constants of the replica-2 Yang-Lee orbifold."""
     h = float(_YL_HPHI)
     c_phi3 = 1j * math.sqrt((3 * math.sqrt(5) - 5) / 2) \
-        * abs(sf.gamma(0.2)) ** 3 / (10 * math.pi * abs(sf.gamma(0.6)))
-    c_phi3 = complex(0.0, c_phi3.imag)
+        * sf.gamma(0.2) ** 3 / (10 * math.pi * sf.gamma(0.6))
     big_phi3 = c_phi3 ** 2
     c_tau_id = 2.0 ** (-8 * h)
     c_mixed = math.sqrt(2) * c_phi3 / 2 ** (2 * h)
     # positive closed form; the sign consistent with the bootstrap data is negative
-    c_tauphi_abs = ((math.sqrt(5) - 1) * abs(sf.gamma(0.2)) ** 6
-                    * abs(sf.gamma(0.4)) ** 2 / (80 * 2 ** 0.4 * math.pi ** 4))
+    c_tauphi_abs = ((math.sqrt(5) - 1) * sf.gamma(0.2) ** 6
+                    * sf.gamma(0.4) ** 2 / (80 * 2 ** 0.4 * math.pi ** 4))
     c_tauphi = -c_tauphi_abs
     c_tau1_phi = c_phi3 / 2 ** (6 * h)
     c_desc = 2.0 ** (4 * h + 2) / 5

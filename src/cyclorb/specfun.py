@@ -1,9 +1,9 @@
-"""Special functions: complex Gamma, Gauss hypergeometric with connection
-formulas, minimal-model characters, Dedekind eta, and the nome <-> cross-ratio
-map.
+"""Special functions: real Gamma (``math.gamma``), Gauss hypergeometric with
+one connection-row formula, minimal-model characters, Dedekind eta, and the
+nome <-> cross-ratio map.
 
-Everything here is double precision.  Fractional powers use the principal
-branch with the cut on the negative real axis.
+Double precision throughout; Gamma arguments and 2F1 parameters are real.
+Fractional powers use the principal branch, cut on the negative real axis.
 """
 
 from __future__ import annotations
@@ -35,67 +35,36 @@ class DomainError(ValueError):
     pass
 
 
-# Lanczos coefficients, g = 607/128, n = 15 (Godfrey's double-precision set).
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_C = [
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    0.33994649984811888699e-4,
-    0.46523628927048575665e-4,
-    -0.98374475304879564677e-4,
-    0.15808870322491248884e-3,
-    -0.21026444172410488319e-3,
-    0.21743961811521264320e-3,
-    -0.16431810653676389022e-3,
-    0.84418223983852743293e-4,
-    -0.26190838401581408670e-4,
-    0.36899182659531622704e-5,
-]
+def _is_int(x, tol=1e-12) -> bool:
+    return abs(x - round(x)) < tol
 
 
-def _is_int(z, tol=1e-12) -> bool:
-    z = complex(z)
-    return abs(z.imag) < tol and abs(z.real - round(z.real)) < tol
+def _is_nonpositive_int(x, tol: float = 1e-12) -> bool:
+    return x <= 0.5 and _is_int(x, tol)
 
 
-def _is_nonpositive_int(z: complex, tol: float = 1e-12) -> bool:
-    return complex(z).real <= 0.5 and _is_int(z, tol)
+def _real(x) -> float:
+    """float(x); TypeError for a complex x, numpy's too (float() only warns there)."""
+    if isinstance(x, (complex, np.complexfloating)):
+        raise TypeError(f"real argument required, got {x!r}")
+    return float(x)
 
 
-def gamma(z) -> complex:
-    """Complex Gamma via Lanczos approximation with reflection for Re z < 1/2."""
-    z = complex(z)
-    if _is_nonpositive_int(z):
-        raise PoleError(round(z.real))
-    if z.real < 0.5:
-        # Gamma(z) Gamma(1-z) = pi / sin(pi z)
-        return math.pi / (cmath.sin(math.pi * z) * gamma(1.0 - z))
-    z -= 1.0
-    acc = _LANCZOS_C[0]
-    for i, c in enumerate(_LANCZOS_C[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * cmath.exp(-t) * acc
+def gamma(x) -> float:
+    """Gamma(x) for real x from ``math.gamma``; PoleError at the non-positive integers."""
+    if _is_nonpositive_int(x := _real(x)):
+        raise PoleError(round(x))
+    return math.gamma(x)
 
 
-def rgamma(z) -> complex:
-    """1 / Gamma(z); entire, returns 0 at the poles of Gamma."""
-    if _is_nonpositive_int(z):
-        return 0j
-    return 1.0 / gamma(z)
+def rgamma(x) -> float:
+    """1 / Gamma(x) for real x; entire, returns 0 at the poles of Gamma."""
+    return 0.0 if _is_nonpositive_int(x := _real(x)) else 1.0 / math.gamma(x)
 
 
-def gamma_ratio(x) -> complex:
-    """gamma(x) = Gamma(x) / Gamma(1 - x); returns 0 when Gamma(1-x) has a pole."""
-    x = complex(x)
-    if _is_nonpositive_int(x):
-        raise PoleError(round(x.real))
-    if _is_nonpositive_int(1.0 - x):
-        return 0j
-    return gamma(x) / gamma(1.0 - x)
+def gamma_ratio(x) -> float:
+    """Gamma(x) / Gamma(1 - x) for real x; PoleError at Gamma(x)'s poles, 0 at Gamma(1 - x)'s."""
+    return gamma(x) * rgamma(1.0 - x)
 
 
 # ---------------------------------------------------------------------------
@@ -104,17 +73,21 @@ def gamma_ratio(x) -> complex:
 
 @dataclass(frozen=True)
 class HypParams:
-    a: complex
-    b: complex
-    c: complex
+    """Real parameters (a, b, c) of 2F1(a, b; c | x), stored as floats."""
+
+    a: float
+    b: float
+    c: float
 
     def __post_init__(self):
+        for name in ("a", "b", "c"):
+            object.__setattr__(self, name, _real(getattr(self, name)))
         if _is_nonpositive_int(self.c):
-            raise ValueError(f"c = {self.c} is a non-positive integer; 2F1 series undefined")
+            raise DomainError(f"c = {self.c} is a non-positive integer; 2F1 series undefined")
 
     @property
-    def d(self) -> complex:
-        return complex(self.c) - complex(self.a) - complex(self.b)
+    def d(self) -> float:
+        return self.c - self.a - self.b
 
 
 def _hyp_series(a, b, c, x, max_terms=4000) -> complex:
@@ -164,15 +137,22 @@ def _principal_pow(base: complex, expo: complex) -> complex:
     return cmath.exp(complex(expo) * cmath.log(complex(base)))
 
 
+def _connection_row(a, b, c) -> tuple:
+    """2F1(a, b; c | x) = r1 2F1(a, b; 1-d | 1-x) + r2 (1-x)^d 2F1(c-a, c-b; 1+d | 1-x)
+    with d = c - a - b: returns (r1, r2), DLMF 15.10.21."""
+    d = c - a - b
+    return (gamma(c) * gamma(d) * rgamma(c - a) * rgamma(c - b),
+            gamma(c) * gamma(-d) * rgamma(a) * rgamma(b))
+
+
 def _hyp_via_connection(p: HypParams, x: complex) -> complex:
-    a, b, c, d = complex(p.a), complex(p.b), complex(p.c), p.d
+    a, b, c, d = p.a, p.b, p.c, p.d
     if _is_int(d):
         raise DegenerateConnectionError(f"integer d = {d}: connection formula degenerates")
     y = 1.0 - x
-    t1 = gamma(c) * gamma(d) * rgamma(c - a) * rgamma(c - b) * _hyp_series(a, b, 1.0 - d, y)
-    t2 = (gamma(c) * gamma(-d) * rgamma(a) * rgamma(b)
-          * _principal_pow(y, d) * _hyp_series(c - a, c - b, 1.0 + d, y))
-    return t1 + t2
+    r1, r2 = _connection_row(a, b, c)
+    return (r1 * _hyp_series(a, b, 1.0 - d, y)
+            + r2 * _principal_pow(y, d) * _hyp_series(c - a, c - b, 1.0 + d, y))
 
 
 def connection_2x2(p: HypParams):
@@ -180,25 +160,15 @@ def connection_2x2(p: HypParams):
 
     I = {2F1(a,b;c|x), x^(1-c) 2F1(b-c+1,a-c+1;2-c|x)} about 0 and
     J = {2F1(a,b;a+b-c+1|1-x), (1-x)^d 2F1(c-a,c-b;d+1|1-x)} about 1.
-    Returns (A, A_inv) as 2x2 float arrays.
+    Each row is ``_connection_row`` of that solution's own Gauss equation (for J
+    in y = 1 - x); Euler's transformation carries the bases of those rows onto
+    J and I.  Returns (A, A_inv) as 2x2 float arrays.
     """
-    a, b, c, d = complex(p.a), complex(p.b), complex(p.c), p.d
+    a, b, c, d = p.a, p.b, p.c, p.d
     if _is_int(c) or _is_int(d):
         raise DegenerateConnectionError("integer c or d: connection matrix degenerates")
-    A = np.array([
-        [gamma(c) * gamma(d) * rgamma(c - a) * rgamma(c - b),
-         gamma(c) * gamma(-d) * rgamma(a) * rgamma(b)],
-        [gamma(2 - c) * gamma(d) * rgamma(1 - a) * rgamma(1 - b),
-         gamma(2 - c) * gamma(-d) * rgamma(1 - c + a) * rgamma(1 - c + b)],
-    ])
-    A_inv = np.array([
-        [gamma(1 - c) * gamma(1 - d) * rgamma(1 - c + a) * rgamma(1 - c + b),
-         gamma(c - 1) * gamma(1 - d) * rgamma(a) * rgamma(b)],
-        [gamma(1 - c) * gamma(1 + d) * rgamma(1 - a) * rgamma(1 - b),
-         gamma(c - 1) * gamma(1 + d) * rgamma(c - a) * rgamma(c - b)],
-    ])
-    if np.max(np.abs(A.imag)) < 1e-12 and np.max(np.abs(A_inv.imag)) < 1e-12:
-        return A.real.copy(), A_inv.real.copy()
+    A = np.array([_connection_row(a, b, c), _connection_row(b - c + 1, a - c + 1, 2 - c)])
+    A_inv = np.array([_connection_row(a, b, 1 - d), _connection_row(c - a, c - b, 1 + d)])
     return A, A_inv
 
 

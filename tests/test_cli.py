@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -313,6 +314,21 @@ class TestExitCodes:
         assert "usage:" in err and "Traceback" not in err
         assert not any(tmp_path.iterdir())
 
+
+    def test_pole_sweep(self, capsys):
+        # every g = p/q in (1/2, 5/2) with q <= 8: the self-test runs, or, exactly
+        # where d = 4g - 2 is a positive integer, one DomainError line and exit 2
+        gs = sorted(g for g in {Fraction(p, q) for q in range(1, 9) for p in range(1, 3 * q)}
+                    if Fraction(1, 2) < g < Fraction(5, 2))
+        failed = set()
+        for g in gs:
+            code = run_cli(["correlator", "--model", "mm_n2_phi21", "--g", str(g), "--selftest"])
+            err = capsys.readouterr().err
+            assert code in (0, 2), (g, code, err)
+            if code == 2:
+                assert re.fullmatch(r"error: DomainError: [^\n]+\n", err), (g, err)
+                failed.add(g)
+        assert failed == {g for g in gs if (4 * g - 2).denominator == 1}
 
     @pytest.mark.parametrize("g", ["1", "5/4"])
     def test_polynomial_block_grid(self, g, tmp_path):
