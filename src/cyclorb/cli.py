@@ -265,7 +265,7 @@ def cmd_chain(args) -> int:
     lines = [
         ("threshold found", True, f"h_c = {st['h_c']:.6f}"),
         ("concave to convex crossover", d_lo < 0 < d_hi,
-         f"second differences {d_lo:.4f} -> {d_hi:.4f}"),
+         f"second differences {d_lo:.2e} -> {d_hi:.2e}"),
     ]
     return _report(lines)
 

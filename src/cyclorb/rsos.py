@@ -22,11 +22,11 @@ Reduced density matrices are formed from bi-orthonormal eigenpairs
 rho = r w (non-Hermitian chains have distinct left/right vectors) and kept
 as per-block factors, one block per pair of boundary heights of the
 subsystem; each block pairs every subsystem path with every environment
-path, so one permutation of the states lays its factors out as reshapes.
-The first n sites are laid out once per basis and n, one int32 index per
-state, and an interval from site i by that layout translated i sites.  The
-replica traces Tr(D rho_A^N) carry diagonal twist insertions on those two
-heights, so they are sums of per-block traces.
+path, so one permutation of the states lays the factors of each block shape
+out as one stack.  The first n sites are laid out once per basis and n, and
+an interval from site i by that layout translated i sites.  The replica
+traces Tr(D rho_A^N) carry diagonal twist insertions on those two heights,
+so they are sums of per-block traces, one batched call per shape, bitwise.
 """
 
 from __future__ import annotations
@@ -449,6 +449,7 @@ class DensityBlock(NamedTuple):
 
 @dataclass
 class ReducedDensity:
+    """rho_A by its blocks in label order; ``groups`` holds them as stacks for the traces."""
     sites: tuple                 # (i, j) inclusive, branch heights at i and j
     sub_states: np.ndarray       # (nsub, j-i+1) int8
     block_labels: np.ndarray     # (nsub, 2): boundary heights (a_i, a_j)
@@ -462,6 +463,12 @@ class ReducedDensity:
         for blk in self.blocks:
             rho[np.ix_(blk.rows, blk.rows)] = blk.right @ blk.left.T
         return rho
+
+    @cached_property
+    def groups(self) -> list:
+        """(numbers, R, W): R[t], W[t] factor block numbers[t]; ``reduced_density`` seeds one
+        stack per block shape, and a density built from its blocks alone has one per block."""
+        return [(np.r_[b], blk.right[None], blk.left[None]) for b, blk in enumerate(self.blocks)]
 
 
 def reduced_density(basis: HeightBasis, pair: EigenPair, i: int, j: int) -> ReducedDensity:
@@ -478,42 +485,56 @@ def reduced_density(basis: HeightBasis, pair: EigenPair, i: int, j: int) -> Redu
     An environment path only has to fit a_i and a_j, so every block is the
     full product of its subsystem and environment paths: sorted by (a_i,
     a_j, subsystem code, environment code), its states are R_b row by row.
-    Only the factors are stored; ``ReducedDensity.matrix`` assembles rho_A.
+    Each shape's blocks are views of one stack of r, one of w: ``ReducedDensity.groups``.
     """
     n_sub = (j - i) % basis.L + 1
     if n_sub not in basis._layouts:
         basis._layouts[n_sub] = _interval_layout(basis, n_sub)
-    sub, labels, order, blocks = basis._layouts[n_sub]
+    sub, labels, order, blocks, groups = basis._layouts[n_sub]
     for _ in range(i % basis.L):    # from i: the first n_sub sites of the states rotated by i
-        order = basis._shift[order]
-    right, left = pair.right[order], pair.left[order]
-    return ReducedDensity((i, j), sub, labels, [
-        DensityBlock(lab, rows, right[cut].reshape(shape), left[cut].reshape(shape))
-        for lab, rows, cut, shape in blocks])
+        order = basis._shift.take(order)
+    right, left = pair.right.take(order), pair.left.take(order)
+    stacks = [(numbers, right[cut].reshape(shape), left[cut].reshape(shape))
+              for numbers, cut, shape in groups]
+    factors = [f for _, R, W in stacks for f in zip(R, W)]     # the groups' blocks in turn
+    rd = ReducedDensity((i, j), sub, labels, [
+        DensityBlock(lab, rows, *factors[t]) for lab, rows, t in blocks])
+    rd.groups = stacks      # seeds the cached property
+    return rd
 
 
 def _interval_layout(basis: HeightBasis, n_sub: int):
-    """(sub_states, block_labels, order, blocks) of the first n_sub sites, memoised in
-    ``basis._layouts``: block (label, rows, cut, shape) is r[order][cut] row by row."""
+    """(sub_states, block_labels, order, blocks, groups) of the first n_sub sites, memoised
+    in ``basis._layouts``: group (numbers, cut, shape) is r[order][cut] block by block, each
+    row by row; block (label, rows, t) is the groups' t-th block."""
     m, n_env = basis.m, basis.L - n_sub
-    prefixes = basis._path_codes >> n_env          # sorted: distinct where they step
-    sub = basis._path_heights[np.r_[True, prefixes[1:] != prefixes[:-1]], :n_sub]
+    prefixes = np.concatenate(([-1], basis._path_codes >> n_env))   # sorted, distinct at steps
+    sub = basis._path_heights.compress(prefixes[1:] != prefixes[:-1], axis=0)[:, :n_sub]
     sub_label = sub[:, 0].astype(np.int64) * (m + 1) + sub[:, -1]
     label = basis.states[:, 0].astype(np.int64) * (m + 1) + basis.states[:, n_sub - 1]
-    order = np.argsort(label, kind="stable")   # the rows are sorted by (sub, env) code
-    starts = np.flatnonzero(np.r_[True, np.diff(label[order]) != 0])
-    n_envs = np.linalg.matrix_power(adjacency_matrix(m), n_env + 1)   # paths a_j -> a_i
-    blocks = []
-    for lab, start, stop in zip(label[order[starts]], starts, np.r_[starts[1:], len(order)]):
-        rows = np.flatnonzero(sub_label == lab)
-        shape = (len(rows), int(n_envs[lab % (m + 1) - 1, lab // (m + 1) - 1]))
-        if shape[0] * shape[1] != stop - start:
+    n_states, n_rows = (np.bincount(x, minlength=(m + 1) ** 2) for x in (label, sub_label))
+    labs = np.flatnonzero(n_states)                 # label a_i (m + 1) + a_j of each block
+    n_envs = np.zeros_like(n_states)                # paths a_i -> a_j: A^(n_env + 1) is symmetric
+    n_envs.reshape(m + 1, m + 1)[1:, 1:] = np.linalg.matrix_power(adjacency_matrix(m), n_env + 1)
+    by_shape = {}                                   # (s, e) -> block numbers, label order
+    for b, (s, e, n) in enumerate(np.column_stack([n_rows, n_envs, n_states])[labs].tolist()):
+        if s * e != n:
             raise BasisError("block is not a product of paths")
-        blocks.append((divmod(int(lab), m + 1), rows, slice(start, stop), shape))
-    labels, order = np.column_stack([sub[:, 0], sub[:, -1]]), order.astype(np.int32)
-    for shared in (sub, labels, order, *(rows for _, rows, *_ in blocks)):
+        by_shape.setdefault((s, e), []).append(b)
+    numbers = [np.array(bs) for bs in by_shape.values()]
+    rank = np.zeros(len(n_states), np.min_scalar_type(len(labs)))   # t of each label's block
+    rank[labs[np.concatenate(numbers)]] = np.arange(len(labs))
+    # the rows are sorted by (sub, env) code, so a stable sort keeps each block in that order
+    order = np.argsort(rank.take(label), kind="stable").astype(np.int32)
+    groups, stop = [], 0
+    for bs, (s, e) in zip(numbers, by_shape):
+        groups.append((bs, slice(stop, stop := stop + len(bs) * s * e), (len(bs), s, e)))
+    rows, labels = np.argsort(sub_label, kind="stable"), sub[:, [0, -1]]   # rows by label
+    for shared in (sub, labels, order, rows, *numbers):
         shared.flags.writeable = False      # every call on the basis returns them
-    return sub, labels, order, blocks
+    blocks = [(divmod(lab, m + 1), rows[end - n:end], t) for lab, n, end, t in zip(
+        *(x.tolist() for x in (labs, n_rows[labs], np.cumsum(n_rows)[labs], rank[labs])))]
+    return sub, labels, order, blocks, groups
 
 
 def twist_weights(m: int, k: int, q: int, n: int) -> np.ndarray:
@@ -521,10 +542,8 @@ def twist_weights(m: int, k: int, q: int, n: int) -> np.ndarray:
     if not 1 <= q <= m:
         raise ValueError("1 <= q <= m required")
     w = _weights(m, k).tolist()
-    out = np.zeros(m + 1)
-    for a in range(1, m + 1):
-        out[a] = math.sin(math.pi * q * a / (m + 1)) / w[a] ** n
-    return out
+    return np.array([0.0] + [math.sin(math.pi * q * a / (m + 1)) / w[a] ** n
+                             for a in range(1, m + 1)])
 
 
 def bare_weights(m: int, k: int, n: int) -> np.ndarray:
@@ -549,8 +568,8 @@ def renyi_twisted(rd: ReducedDensity, N: int, m: int, k: int,
 
     ``insertion``: integer q for the dressed twist t_q, or "bare" for the
     physical twist sum_q x_q t_q.  D acts once on the common boundary
-    heights (a_i, a_j), not per replica.  A trace that is not finite, as when
-    rho_A^N overflows at large N, raises ValueError.
+    heights (a_i, a_j), not per replica; each shape of ``rd.groups`` is traced by one
+    call.  A trace that is not finite, as at large N, raises ValueError.
     """
     if N < 2:
         raise ValueError("N >= 2 required")
@@ -560,22 +579,23 @@ def renyi_twisted(rd: ReducedDensity, N: int, m: int, k: int,
         d = np.ones(len(ai))
     else:
         qi, qj = insertion if isinstance(insertion, tuple) else (int(insertion),) * 2
-        d = twist_weights(m, k, qi, N)[ai] * twist_weights(m, k, qj, N)[aj]
+        w = {q: twist_weights(m, k, q, N) for q in {qi, qj}}
+        d = w[qi][ai] * w[qj][aj]
+    traces = np.empty(len(rd.blocks), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):     # a non-finite trace raises below
-        value = complex(np.sum(d * np.array([_block_power_trace(blk.right, blk.left, N)
-                                             for blk in rd.blocks])))
+        for numbers, R, W in rd.groups:
+            traces[numbers] = _power_traces(R, W, N)
+        value = complex(np.sum(d * traces))
     if not np.isfinite(value):
         raise ValueError(f"Tr(D rho_A^N) = {value} at N = {N}: the power is not finite")
-    entropy = np.log(value + 0j) / (1 - N)
-    return value, entropy
+    return value, np.log(value + 0j) / (1 - N)
 
 
-def _block_power_trace(R: np.ndarray, W: np.ndarray, N: int) -> complex:
-    """Tr((R W^T)^N) = Tr((W^T R)^N), on the smaller of the two Gram matrices;
-    the last product is only traced: Tr(M^(N-1) M) = sum(M^(N-1) * M^T).
-    Serves the RSOS blocks and the chain's single block alike."""
-    M = W.T @ R if R.shape[1] < R.shape[0] else R @ W.T
-    return np.sum(np.linalg.matrix_power(M, N - 1) * M.T)
+def _power_traces(R: np.ndarray, W: np.ndarray, N: int) -> np.ndarray:
+    """Tr((R_t W_t^T)^N) per t of the (k, s, e) stacks, on the smaller Gram side, the last
+    product only traced: sum(M^(N-1) * M^T).  Each is bitwise the 2-d calls' on its block."""
+    M = W.swapaxes(1, 2) @ R if R.shape[2] < R.shape[1] else R @ W.swapaxes(1, 2)
+    return (np.linalg.matrix_power(M, N - 1) * M.swapaxes(1, 2)).reshape(len(M), -1).sum(axis=1)
 
 
 def entropy_curve(m: int, k: int, L: int, N: int, state: str, insertion,

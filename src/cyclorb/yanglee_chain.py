@@ -236,12 +236,12 @@ def renyi2_profile(H: np.ndarray, L: int) -> np.ndarray:
 def _profile(gp: EigenPair, L: int) -> np.ndarray:
     """S_2(ell), ell = 1..L-1, of rho = r0 w0 on the first ell sites: rho_A =
     R W^T, R and W the pair reshaped to 2^ell x 2^(L-ell), and Tr rho_A^2 on
-    the smaller Gram side (``rsos._block_power_trace``).  Values are real in
-    the unbroken phase; the imaginary parts are checked and discarded."""
+    the smaller Gram side (``rsos._power_traces``, a stack of one).  Values are
+    real in the unbroken phase; the imaginary parts are checked and discarded."""
     out = np.empty(L - 1)
     for ell in range(1, L):
-        shape = (1 << ell, 1 << (L - ell))
-        t2 = rsos._block_power_trace(gp.right.reshape(shape), gp.left.reshape(shape), 2)
+        shape = (1, 1 << ell, 1 << (L - ell))
+        t2 = rsos._power_traces(gp.right.reshape(shape), gp.left.reshape(shape), 2)[0]
         if abs(t2.imag) > 1e-8 * max(1.0, abs(t2.real)):
             raise RuntimeError(f"Tr rho^2 not real: {t2}")
         out[ell - 1] = (-np.log(complex(t2))).real

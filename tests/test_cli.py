@@ -153,18 +153,27 @@ class TestReports:
         assert run_cli(["ward", "--x", "0.3", "--out", str(out)]) == 0
         assert out.read_text() == table and capsys.readouterr().out == ""
 
-    @pytest.mark.parametrize("lo,hi,code", [
-        ([0.0, 1.0, 0.0, 1.0, 0.0], [0.0, 0.0, 1.0, 0.0, 0.0], 4),    # convex to concave
-        ([0.0, 0.0, 1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 1.0, 0.0], 0),    # concave to convex
-        ([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 0.0, 1.0, 0.0], 4),    # straight to convex
-    ])
-    def test_chain_crossover_direction(self, monkeypatch, capsys, lo, hi, code):
-        # only a concave profile at h = 0.1 h_c and a convex one at 0.99 h_c pass
+    @pytest.mark.parametrize("lo,hi,code,numbers", [
+        ([0.0, 1.0, 0.0, 1.0, 0.0], [0.0, 0.0, 1.0, 0.0, 0.0], 4,
+         "2.00e+00 -> -2.00e+00"),                                      # convex to concave
+        ([0.0, 0.0, 1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 1.0, 0.0], 0,
+         "-2.00e+00 -> 2.00e+00"),                                      # concave to convex
+        ([0.0, 1.0, 2.0, 3.0, 4.0], [0.0, 1.0, 0.0, 1.0, 0.0], 4,
+         "0.00e+00 -> 2.00e+00"),                                       # straight to convex
+        # a flat profile whose rounding decides: chain --L 12 --lam 0.05 reads
+        # d_lo = +1.0e-14, which a fixed-point format printed as 0.0000
+        ([0.0, 0.0, 0.0, 1.0e-14, 0.0], [0.0, 0.0, 0.0, 3.64e-4, 0.0], 4,
+         "1.00e-14 -> 3.64e-04"),
+    ], ids=[f"lo{n}-hi{n}-{code}" for n, code in enumerate((4, 0, 4, 4))])
+    def test_chain_crossover_direction(self, monkeypatch, capsys, lo, hi, code, numbers):
+        # only a concave profile at h = 0.1 h_c and a convex one at 0.99 h_c pass;
+        # both second differences are printed to 3 significant digits
         monkeypatch.setattr(ylc, "crossover_study", lambda lam, L, fractions: {
             "h_c": 0.5, "profiles": {0.1: np.array(lo), 0.99: np.array(hi)}})
         assert run_cli(["chain"]) == code
         line = capsys.readouterr().out.splitlines()[-1]
-        assert line.startswith(f"{'PASS' if code == 0 else 'FAIL'} concave to convex crossover: ")
+        assert line == (f"{'PASS' if code == 0 else 'FAIL'} concave to convex crossover: "
+                        f"second differences {numbers}")
 
 
 class TestExitCodes:

@@ -10,6 +10,7 @@ import pytest
 import scipy.sparse as sp
 
 from cyclorb import rsos, yanglee_chain as ylc
+from _trace_oracle import renyi_reference
 
 
 class TestBasis:
@@ -855,6 +856,13 @@ def sorted_reduced_density(basis, pair, i, j):
                                blocks=blocks)
 
 
+def distinct_pair(dim):
+    """A pair with an entry of its own per state, unlike the zero-momentum
+    eigenpairs, whose entries repeat on every rotation of a state."""
+    ramp = np.arange(dim, dtype=complex)
+    return rsos.EigenPair(0j, ramp + 1, 1j * ramp[::-1])
+
+
 def same_bytes(a, b):
     a, b = np.asarray(a), np.asarray(b)
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -911,6 +919,21 @@ class TestIntervalLayout:
             for col in ("ell", "trace", "entropy", "rescaled"):
                 assert same_bytes(first[col], second[col]) and same_bytes(first[col], fresh[col])
 
+    @pytest.mark.parametrize("N", [2, 3])
+    def test_translated_traces_match_dense(self, larger_chains, N):
+        # the ramp pair has an entry of its own per state, so a layout that is not
+        # translated to start i gives another rho_A and other traces
+        solved, _ = larger_chains(4, 3, 10)
+        pair = distinct_pair(solved.dim)
+        for i in range(10):
+            for j in range(10):
+                rd = rsos.reduced_density(solved, pair, i, j)
+                want_rd = sorted_reduced_density(solved, pair, i, j)
+                for insertion in (3, "bare"):
+                    got, _ = rsos.renyi_twisted(rd, N, 4, 3, insertion)
+                    want = dense_trace(want_rd.matrix, want_rd.block_labels, N, insertion)
+                    assert abs(got - want) < 1e-12 * abs(want)
+
     def test_shared_arrays_are_read_only(self, larger_chains):
         solved, pairs = larger_chains(4, 3, 12)
         rd = rsos.reduced_density(solved, pairs["ground"], 0, 5)
@@ -922,6 +945,71 @@ class TestIntervalLayout:
             rd.block_labels[0, 0] = 1
         again = rsos.reduced_density(solved, pairs["vacuum"], 0, 5)
         assert again.sub_states is rd.sub_states and again.blocks[0].rows is rd.blocks[0].rows
+
+
+KERNEL_MODELS = [(4, 3, 8), (4, 3, 10), (4, 3, 12), (4, 3, 14), (6, 5, 10), (4, 1, 12)]
+
+
+class TestTraceKernel:
+    """``renyi_twisted`` takes each block shape's traces in one stacked call;
+    every trace, entropy and curve column is bitwise the per-block reference's.
+    N - 1 >= 4 takes matrix_power's binary path."""
+
+    @pytest.mark.parametrize("m,k,L", KERNEL_MODELS)
+    def test_traces_are_bitwise_the_per_block_reference(self, larger_chains, m, k, L):
+        basis, pairs = larger_chains(m, k, L)
+        for pair in (pairs["ground"], pairs["vacuum"], distinct_pair(basis.dim)):
+            for i in (0, 3):
+                for n_sub in range(1, L + 1):
+                    rd = rsos.reduced_density(basis, pair, i, i + n_sub - 1)
+                    for N in (2, 3, 4, 5, 9):
+                        for insertion in (3, (1, 3), "bare"):
+                            assert same_bytes(rsos.renyi_twisted(rd, N, m, k, insertion),
+                                              renyi_reference(rd, N, m, k, insertion))
+
+    @pytest.mark.parametrize("m,k,L", KERNEL_MODELS)
+    def test_curves_are_bitwise_the_per_block_reference(self, larger_chains, m, k, L):
+        basis, pairs = larger_chains(m, k, L)
+        for which in ("ground", "vacuum"):
+            for N, insertion in ((2, 3), (4, "bare"), (9, 3)):
+                curve = rsos.entropy_curve(m, k, L, N, which, insertion, -0.3,
+                                           pair=pairs[which], basis=basis)
+                trace, entropy = (np.array(col) for col in zip(*(
+                    renyi_reference(rsos.reduced_density(basis, pairs[which], 0, e),
+                                    N, m, k, insertion) for e in range(1, L))))
+                assert same_bytes(curve["trace"], trace)
+                assert same_bytes(curve["entropy"], entropy)
+                assert same_bytes(curve["rescaled"], trace * L ** (4 * -0.3))
+
+    def test_blocks_are_views_of_the_shape_groups(self, larger_chains):
+        basis, pairs = larger_chains(4, 3, 14)
+        rd = rsos.reduced_density(basis, pairs["vacuum"], 0, 6)
+        # (a_0, a_6) blocks of three shapes, each group one stack of the gathered r and w
+        assert sorted(R.shape for _, R, _ in rd.groups) == [(2, 5, 13), (2, 13, 34), (4, 8, 21)]
+        assert sorted(b for numbers, _, _ in rd.groups for b in numbers) == list(range(8))
+        for numbers, R, W in rd.groups:
+            for t, b in enumerate(numbers):
+                assert rd.blocks[b].right.shape == R.shape[1:]
+                assert np.shares_memory(rd.blocks[b].right, R[t])
+                assert np.shares_memory(rd.blocks[b].left, W[t])
+
+    @pytest.mark.parametrize("i", [0, 3])
+    def test_hand_built_density_stacks_its_blocks(self, larger_chains, i):
+        # a density built from blocks alone derives its groups from them
+        basis, pairs = larger_chains(6, 5, 10)
+        for pair in (pairs["ground"], distinct_pair(basis.dim)):
+            for n_sub in range(1, 11):
+                rd = sorted_reduced_density(basis, pair, i, i + n_sub - 1)
+                assert "groups" not in rd.__dict__
+                for numbers, R, W in rd.groups:
+                    for t, b in enumerate(numbers):
+                        assert same_bytes(R[t], rd.blocks[b].right)
+                        assert same_bytes(W[t], rd.blocks[b].left)
+                for N, insertion in ((2, 3), (5, "bare")):
+                    want = rsos.renyi_twisted(rsos.reduced_density(basis, pair, i, i + n_sub - 1),
+                                              N, 6, 5, insertion)
+                    assert same_bytes(rsos.renyi_twisted(rd, N, 6, 5, insertion), want)
+                    assert same_bytes(renyi_reference(rd, N, 6, 5, insertion), want)
 
 
 class TestTwistWeights:

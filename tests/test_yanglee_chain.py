@@ -9,6 +9,7 @@ import pytest
 from scipy.linalg import eigvals
 
 from cyclorb import rsos, yanglee_chain as ylc
+from _trace_oracle import block_power_trace
 
 
 def dense_renyi2(H, L):
@@ -250,6 +251,18 @@ class TestGroundPair:
         assert isinstance(gp, rsos.EigenPair)
         assert abs(gp.energy - energy) < 1e-10
         assert np.max(np.abs(ylc.renyi2_profile(H, L) - profile)) < 1e-10
+
+    @pytest.mark.parametrize("L", [6, 8])
+    @pytest.mark.parametrize("h", [0.02, 0.035])
+    def test_profile_is_bitwise_the_per_block_reference(self, L, h):
+        # _profile takes each ell's trace as a stack of one block
+        gp = ylc.ChainSector(0.8, L).ground_pair(h)
+        want = np.empty(L - 1)
+        for ell in range(1, L):
+            shape = (1 << ell, 1 << (L - ell))
+            t2 = block_power_trace(gp.right.reshape(shape), gp.left.reshape(shape), 2)
+            want[ell - 1] = (-np.log(complex(t2))).real
+        assert ylc._profile(gp, L).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("L", [6, 8, 10])
     @pytest.mark.parametrize("h", [0.02, 0.035])
