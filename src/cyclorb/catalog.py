@@ -498,27 +498,14 @@ def bootstrap(model: CorrelatorModel, M: int = 200):
 
 def correlator(model: CorrelatorModel, M: int = 200):
     """Assembled G(x) on (0, 1), in the channel whose series converges faster:
-    ``monodromy.assemble``'s G of the x = 0 decomposition (X, basis about 0)
-    sums x <= ``monodromy.CHANNEL_SPLIT`` = 1/2, that of the x = 1 one (Y,
-    basis about 1) the rest.  A scalar gives a float, a real array a float64
-    array of its shape.  Complex input or a NaN raises ``ValueError``, a
-    point outside (0, 1) ``OutOfDiskError``."""
+    ``monodromy.assemble``'s sum of the x = 0 decomposition (X, basis about 0)
+    takes x <= ``monodromy.CHANNEL_SPLIT`` = 1/2, that of the x = 1 one (Y, basis
+    about 1) the rest, in one G.  A scalar gives a float, a real array a float64
+    array of its shape.  Complex input or a NaN raises ``ValueError``, a point
+    outside (0, 1) ``OutOfDiskError``."""
     fit, coeffs, b0, b1 = bootstrap(model, M)
-    G0 = mn.assemble(model.prefactor_exponents, coeffs.X, b0, coeffs.X_cross)
-    G1 = mn.assemble(model.prefactor_exponents, coeffs.Y, b1, coeffs.Y_cross)
-    split = mn.CHANNEL_SPLIT
-
-    def G(x):
-        if isinstance(x, float):
-            x = float(x)   # a Python float compares faster than an np.float64
-            return G0(x) if x <= split else G1(x)
-        x = np.asarray(x)
-        far = x > split
-        out = np.empty(x.shape)
-        out[~far], out[far] = G0(x[~far]), G1(x[far])
-        return out if out.ndim else float(out)
-
-    return G
+    return mn._summed(mn._channel(model.prefactor_exponents, coeffs.X, b0, coeffs.X_cross),
+                      mn._channel(model.prefactor_exponents, coeffs.Y, b1, coeffs.Y_cross))
 
 
 def closed_form_eval(model_id: str, x: float, g=None) -> float:

@@ -192,11 +192,16 @@ def assemble(prefactor_exponents: tuple, X: Sequence[float],
 
     ``X`` holds the diagonal coefficients (Y about 1), ``cross`` the symmetric
     amplitudes of integer-spaced pairs.  G sums s = u^n @ C over the ``_row_cut``
-    rows of the basis' real coefficients (an array by ``frobenius._power_sums``),
-    then c s_i s_j u^e left to right, uncompensated, e holding the centre's
-    prefactor exponent, times (1 - u)^(2 p_other).  A float gives a float, other
-    real input a float64 array of its shape.  Complex input or a NaN raises
-    ``ValueError``, any other u ``OutOfDiskError``: no sum is truncated."""
+    rows of the basis' real coefficients (``ndarray.dot``, at an array
+    ``frobenius._power_sums``), then c s_i s_j u^e left to right, uncompensated, e
+    holding the centre's prefactor exponent, times (1 - u)^(2 p_other).  A float
+    gives a float, other real input a float64 array of its shape.  Complex input
+    or a NaN raises ``ValueError``, any other u ``OutOfDiskError``: no sum is truncated."""
+    return _summed(_channel(prefactor_exponents, X, basis, cross))
+
+
+def _channel(prefactor_exponents: tuple, X, basis: FrobeniusBasis, cross=None) -> tuple:
+    """(about1, po, n, C, terms) of ``assemble``'s row-cut sum about the basis' centre."""
     p0, p1 = (2 * float(p) for p in prefactor_exponents)
     about1 = basis.center != ZERO
     pc, po = (p1, p0) if about1 else (p0, p1)
@@ -204,17 +209,29 @@ def assemble(prefactor_exponents: tuple, X: Sequence[float],
     n, C, a = np.arange(K, dtype=float), basis._coeffs[:K], basis._alpha.tolist()
     terms = [(i, i, c, pc + 2 * a[i]) for i, c in enumerate(np.asarray(X, dtype=float).tolist())]
     terms += [(i, j, 2.0 * t, pc + a[i] + a[j]) for (i, j), t in (cross or {}).items()]
+    return about1, po, n, C, terms
+
+
+def _summed(near: tuple, far: Optional[tuple] = None) -> Callable:
+    """G of one ``_channel``, or of two: x <= CHANNEL_SPLIT in ``near``, the rest in ``far``."""
 
     def G(x):
         if isinstance(x, float):
+            x = float(x)   # a Python float computes faster than an np.float64
+            about1, po, n, C, terms = far if far and x > CHANNEL_SPLIT else near
             u, v = (1.0 - x, x) if about1 else (x, 1.0 - x)
             if not 0.0 < u <= CHANNEL_SPLIT:
                 _outside(u)
-            s = np.dot(u ** n, C).tolist()
+            s = (u ** n).dot(C).tolist()
         else:
             if np.iscomplexobj(x):
                 raise ValueError("G takes real points, not complex ones")
             x = np.asarray(x, dtype=float)
+            if far:     # each channel's points summed as one array
+                out, past = np.empty(x.shape), x > CHANNEL_SPLIT
+                out[~past], out[past] = _summed(near)(x[~past]), _summed(far)(x[past])
+                return out if out.ndim else float(out)
+            about1, po, n, C, terms = near
             u, v = (1.0 - x, x) if about1 else (x, 1.0 - x)
             if not np.all((u > 0.0) & (u <= CHANNEL_SPLIT)):
                 _outside(u)
@@ -315,9 +332,9 @@ def _transitions(standard_coeffs, x0: np.ndarray, h: np.ndarray) -> np.ndarray:
         sum_{k,j} q_kj (m-j+1)...(m-j+k) b_(m-j+k) = 0,
 
     with q_kj the coefficient of t^j in h^(r-k) c_k(x0 + h t).  The weight of
-    b_(m+s) is a polynomial in m, tabulated once for all steps, and one loop
-    of ``_TAYLOR_TERMS`` - r rows runs every step at once, each with the r
-    unit seeds (f^(k)(x0) = 1, so b_k = h^k / k!) as its columns.
+    b_(m+s) is a polynomial in m, tabulated once for all steps.  One loop of
+    ``_TAYLOR_TERMS`` - r rows, each one matmul written in place, runs every step
+    at once, with the r unit seeds (f^(k)(x0) = 1, so b_k = h^k / k!) as columns.
     """
     r = len(standard_coeffs) - 1
     N = _TAYLOR_TERMS
@@ -349,8 +366,8 @@ def _transitions(standard_coeffs, x0: np.ndarray, h: np.ndarray) -> np.ndarray:
     b = np.zeros((len(x0), d + N, r), dtype=complex)
     fact = np.cumprod(np.r_[1.0, np.arange(1, r)])
     b[:, d + k[:r], k[:r]] = h[:, None] ** k[:r] / fact
-    for mm in m:
-        b[:, d + mm + r] = (W[:, mm, None, :] @ b[:, mm: mm + w])[:, 0]
+    for mm, Wm in enumerate(W.transpose(1, 0, 2)[:, :, None]):   # Wm: (S, 1, w)
+        np.matmul(Wm, b[:, mm: mm + w], out=b[:, d + mm + r, None])
     b = b[:, d:]
 
     # g^(k)(1) = sum_n n!/(n-k)! b_n and f^(k)(x0 + h) = h^-k g^(k)(1); the

@@ -167,16 +167,16 @@ def _path_code(rows: np.ndarray) -> np.ndarray:
     return (rows[:, 0].astype(np.int64) << (rows.shape[1] - 1)) | up
 
 
-def _weights(m: int, k: int) -> np.ndarray:
+def _weights(m: int, k: int) -> list:
     lam = math.pi * k / (m + 1)
-    w = np.array([math.sin(lam * a) for a in range(0, m + 2)])
-    if np.any(np.abs(w[1 : m + 1]) < 1e-12):
+    w = [math.sin(lam * a) for a in range(0, m + 2)]
+    if any(abs(v) < 1e-12 for v in w[1 : m + 1]):
         raise SingularWeightError(f"sin(lambda a) vanishes for (m, k) = ({m}, {k})")
     return w
 
 
 def _tl_entries(basis: HeightBasis, w: np.ndarray, i: int):
-    """(rows, cols, vals) of the nonzero elements of e_i, w = ``_weights(m, k)``."""
+    """(rows, cols, vals) of the nonzero elements of e_i, w = ``_weights(m, k)`` as an array."""
     m, L = basis.m, basis.L
     i %= L
     symmetric = np.all(w[1 : m + 1] > 0) or np.all(w[1 : m + 1] < 0)
@@ -213,7 +213,7 @@ def temperley_lieb_generator(basis: HeightBasis, k: int, i: int):
     Returns a scipy.sparse CSR matrix.
     """
     import scipy.sparse as sp
-    rows, cols, vals = _tl_entries(basis, _weights(basis.m, k), i)
+    rows, cols, vals = _tl_entries(basis, np.array(_weights(basis.m, k)), i)
     return sp.csr_matrix((vals, (rows, cols)), shape=(basis.dim, basis.dim))
 
 
@@ -226,7 +226,7 @@ def build_rsos_hamiltonian(m: int, k: int, L: int):
     if (dim := basis_count(m, L)) > 4 * L * SECTOR_LIMIT:
         raise SizeError(f"{dim} states at L = {L}: more than {SECTOR_LIMIT} classes to solve")
     import scipy.sparse as sp
-    basis, w = enumerate_heights(m, L), _weights(m, k)
+    basis, w = enumerate_heights(m, L), np.array(_weights(m, k))
     rows, cols, vals = (np.concatenate(parts)
                         for parts in zip(*(_tl_entries(basis, w, i) for i in range(L))))
     return sp.csr_matrix((-vals, (rows, cols)), shape=(basis.dim, basis.dim)), basis
@@ -470,6 +470,11 @@ class ReducedDensity:
         stack per block shape, and a density built from its blocks alone has one per block."""
         return [(np.r_[b], blk.right[None], blk.left[None]) for b, blk in enumerate(self.blocks)]
 
+    @cached_property
+    def heights(self) -> np.ndarray:
+        """(a_i, a_j) of each block, one row each; ``reduced_density`` seeds its layout's."""
+        return np.array([blk.label for blk in self.blocks]).reshape(-1, 2)
+
 
 def reduced_density(basis: HeightBasis, pair: EigenPair, i: int, j: int) -> ReducedDensity:
     """rho_A for the interval of sites [i..j] from rho = r w.
@@ -490,7 +495,7 @@ def reduced_density(basis: HeightBasis, pair: EigenPair, i: int, j: int) -> Redu
     n_sub = (j - i) % basis.L + 1
     if n_sub not in basis._layouts:
         basis._layouts[n_sub] = _interval_layout(basis, n_sub)
-    sub, labels, order, blocks, groups = basis._layouts[n_sub]
+    sub, labels, order, blocks, groups, heights = basis._layouts[n_sub]
     for _ in range(i % basis.L):    # from i: the first n_sub sites of the states rotated by i
         order = basis._shift.take(order)
     right, left = pair.right.take(order), pair.left.take(order)
@@ -499,14 +504,14 @@ def reduced_density(basis: HeightBasis, pair: EigenPair, i: int, j: int) -> Redu
     factors = [f for _, R, W in stacks for f in zip(R, W)]     # the groups' blocks in turn
     rd = ReducedDensity((i, j), sub, labels, [
         DensityBlock(lab, rows, *factors[t]) for lab, rows, t in blocks])
-    rd.groups = stacks      # seeds the cached property
+    rd.groups, rd.heights = stacks, heights     # seeds the cached properties
     return rd
 
 
 def _interval_layout(basis: HeightBasis, n_sub: int):
-    """(sub_states, block_labels, order, blocks, groups) of the first n_sub sites, memoised
-    in ``basis._layouts``: group (numbers, cut, shape) is r[order][cut] block by block, each
-    row by row; block (label, rows, t) is the groups' t-th block."""
+    """(sub_states, block_labels, order, blocks, groups, heights) of the first n_sub sites,
+    memoised in ``basis._layouts``: group (numbers, cut, shape) is r[order][cut] block by
+    block, each row by row; block (label, rows, t) is the groups' t-th block."""
     m, n_env = basis.m, basis.L - n_sub
     prefixes = np.concatenate(([-1], basis._path_codes >> n_env))   # sorted, distinct at steps
     sub = basis._path_heights.compress(prefixes[1:] != prefixes[:-1], axis=0)[:, :n_sub]
@@ -530,18 +535,19 @@ def _interval_layout(basis: HeightBasis, n_sub: int):
     for bs, (s, e) in zip(numbers, by_shape):
         groups.append((bs, slice(stop, stop := stop + len(bs) * s * e), (len(bs), s, e)))
     rows, labels = np.argsort(sub_label, kind="stable"), sub[:, [0, -1]]   # rows by label
-    for shared in (sub, labels, order, rows, *numbers):
+    heights = np.column_stack(np.divmod(labs, m + 1))
+    for shared in (sub, labels, order, rows, heights, *numbers):
         shared.flags.writeable = False      # every call on the basis returns them
     blocks = [(divmod(lab, m + 1), rows[end - n:end], t) for lab, n, end, t in zip(
         *(x.tolist() for x in (labs, n_rows[labs], np.cumsum(n_rows)[labs], rank[labs])))]
-    return sub, labels, order, blocks, groups
+    return sub, labels, order, blocks, groups, heights
 
 
 def twist_weights(m: int, k: int, q: int, n: int) -> np.ndarray:
     """w[a] = sin(pi q a / (m+1)) / sin(lambda a)^n on a = 1..m (index 0 unused)."""
     if not 1 <= q <= m:
         raise ValueError("1 <= q <= m required")
-    w = _weights(m, k).tolist()
+    w = _weights(m, k)
     return np.array([0.0] + [math.sin(math.pi * q * a / (m + 1)) / w[a] ** n
                              for a in range(1, m + 1)])
 
@@ -552,7 +558,7 @@ def bare_weights(m: int, k: int, n: int) -> np.ndarray:
     Discrete sine transform of sin(lambda a)^n; with the 2/(m+1)
     normalization the round trip sum_q x_q w_q(a) = 1 is exact.
     """
-    w = _weights(m, k).tolist()
+    w = _weights(m, k)
     out = np.zeros(m + 1)
     for q in range(1, m + 1):
         acc = 0.0
@@ -573,7 +579,7 @@ def renyi_twisted(rd: ReducedDensity, N: int, m: int, k: int,
     """
     if N < 2:
         raise ValueError("N >= 2 required")
-    ai, aj = np.array([blk.label for blk in rd.blocks]).T
+    ai, aj = rd.heights.T
     if insertion == "bare":
         # the bare branch point carries unit weight: sum_q x_q w_q(a) = 1
         d = np.ones(len(ai))

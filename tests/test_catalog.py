@@ -485,24 +485,47 @@ class TestScalarPlan:
         assert G(0.5) == G0(0.5) and G(past) == G1(past)
 
     @pytest.mark.parametrize("mid,g", END_MODELS)
+    def test_float_edges_are_the_channel_gs(self, mid, g):
+        # correlator sums a float in its own frame: at the ends of each disk, at the
+        # split and at non-finite points it gives assemble's G0 (x <= 1/2) or G1
+        # (otherwise, NaN included) to the bit, or raises the same exception type
+        model = cy.get_model(mid, g)
+        G0, G1 = (cy.assemble(*args) for args in _channel_args(model))
+        G = cy.correlator(model)
+        for x in (0.0, -0.0, 5e-324, 0.5, math.nextafter(0.5, 1.0), 1.0 - 2.0 ** -53, 1.0,
+                  math.nan, math.inf, -math.inf):
+            want = G0 if x <= 0.5 else G1
+            for kind in (float, np.float64):
+                try:
+                    expected = want(x)
+                except Exception as err:
+                    with pytest.raises(type(err)):
+                        G(kind(x))
+                    continue
+                got = G(kind(x))
+                assert type(got) is float
+                assert got == expected or (math.isnan(got) and math.isnan(expected)), x
+
+    @pytest.mark.parametrize("mid,g", END_MODELS)
     def test_assemble_builds_no_plan(self, mid, g, monkeypatch):
-        # assemble's G is the row-cut sum itself: correlator builds one G per
-        # channel and no separate plan, and no G calls the whole-basis evaluator
+        # assemble's G is the row-cut sum itself: correlator builds one row-cut
+        # channel per side and no separate plan, and no G calls the whole-basis
+        # evaluator
         model = cy.get_model(mid, g)
         args0, args1 = _channel_args(model)
         assert not hasattr(mn, "channel_plan")
         built = []
-        real = mn.assemble
+        real = mn._channel
 
         def counted(*args):
             built.append(args)
             return real(*args)
 
-        monkeypatch.setattr(mn, "assemble", counted)
+        monkeypatch.setattr(mn, "_channel", counted)
         G = cy.correlator(model)
         assert len(built) == 2
         monkeypatch.setattr(fb, "evaluate", _kernel_entered)
-        G0, G1 = real(*args0), real(*args1)
+        G0, G1 = cy.assemble(*args0), cy.assemble(*args1)
         xs = np.linspace(0.05, 0.95, 19)
         assert np.array_equal(G(xs)[xs <= 0.5], G0(xs[xs <= 0.5]))
         assert np.array_equal(G(xs)[xs > 0.5], G1(xs[xs > 0.5]))

@@ -1,5 +1,6 @@
 """Connection fits, invariance solves, assembly, continuation."""
 
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -296,6 +297,20 @@ class TestContinuation:
         assert np.allclose(mn.block_sum(V, X, cross), want, rtol=0, atol=tol)
         assert abs(mn.block_sum(V[2], X, cross) - want[2]) <= tol
 
+    @pytest.mark.parametrize("mid,g", [("yl2int_vac", None), ("yl1int_gs", None),
+                                       ("mm_n3_phi21", F(11, 8))])
+    def test_transitions_are_bitwise_the_per_row_loop(self, mid, g):
+        # orders r = 2, 3, 4 along predict_on_circle's route: each recurrence row
+        # written in place is the same batched matmul as a fresh row copied in
+        model = cy.get_model(mid, g)
+        s = np.arange(1, 16) / 16
+        targets = [complex(np.exp(2j * np.pi * t)) for t in np.unique(np.minimum(s, 1 - s))]
+        x0, h, _ = mn._route(complex(mn.CHANNEL_SPLIT), targets)
+        got = mn._transitions(model.standard_coeffs(), x0, h)
+        want = _transitions_per_row(model.standard_coeffs(), x0, h)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
 
 class TestArgumentChecks:
     @pytest.mark.parametrize("call,match", [
@@ -442,3 +457,35 @@ def _mp_step(coeffs, x0, h, Y, eps):
         assert m < 2000, "mpmath Taylor step does not converge"
     return [[h ** -k * mp.fsum(_falling(n, k) * b[n] for n in range(k, len(b))) for b in cols]
             for k in range(r)]
+
+
+def _transitions_per_row(standard_coeffs, x0, h):
+    """``monodromy._transitions`` with its recurrence one fresh row at a time,
+    copied into b (the tail check left out): the in-place loop's reference."""
+    r, N = len(standard_coeffs) - 1, mn._TAYLOR_TERMS
+    D = max(len(c) for c in standard_coeffs) - 1
+    P = np.zeros((r + 1, D + 1), dtype=complex)
+    for k, c in enumerate(standard_coeffs):
+        P[k, : len(c)] = [complex(v) for v in c]
+    i = np.arange(D + 1)
+    binom = np.array([[math.comb(a, b) for b in i] for a in i], dtype=float)
+    shift = (binom * x0[:, None, None] ** np.maximum(i[:, None] - i, 0)
+             * h[:, None, None] ** i)
+    q = (P @ shift) * h[:, None, None] ** (r - np.arange(r + 1))[:, None]
+    lo = min(k + 1 - len(c) for k, c in enumerate(standard_coeffs))
+    s = np.arange(lo, r)
+    k = np.arange(r + 1)
+    j = k[:, None] - s
+    ok = (j >= 0) & (j <= D)
+    qs = np.where(ok, q[:, k[:, None], np.clip(j, 0, D)], 0.0)
+    m = np.arange(N - r)
+    W = np.einsum("aks,msk->ams", qs, mn._falling(m[:, None] + s, r))
+    W /= -(q[:, r, 0, None] * mn._falling(m + r, r)[:, r])[..., None]
+    d, w = -lo, len(s)
+    b = np.zeros((len(x0), d + N, r), dtype=complex)
+    fact = np.cumprod(np.r_[1.0, np.arange(1, r)])
+    b[:, d + k[:r], k[:r]] = h[:, None] ** k[:r] / fact
+    for mm in m:
+        b[:, d + mm + r] = (W[:, mm, None, :] @ b[:, mm: mm + w])[:, 0]
+    ff = mn._falling(np.arange(N), r - 1)
+    return np.einsum("nk,anc->akc", ff, b[:, d:]) * h[:, None, None] ** -k[:r, None]
