@@ -12,6 +12,11 @@ Conventions.  A correlator on the physical slice (xbar = conj x) is
 with I_i the Frobenius basis of ``ode`` about 0 (and Y_j, J_j about 1), and
 X diagonal except for cross terms on integer-spaced exponent pairs.
 When prefactor_exponents == (0, 0) the ODE annihilates G itself.
+
+Exact data runs on integers, with one division per term: the models' polynomials
+(``_mul`` chains, then one ``Fraction`` scale; ``_mm_n3_polys`` homogenised in g = p/q,
+each product's last factor over q^4) and ``torus_block_expansions`` (every series
+over one denominator, each returned coefficient divided once).
 """
 
 from __future__ import annotations
@@ -30,17 +35,14 @@ import numpy as np
 from . import frobenius as fb
 from . import monodromy as mn
 from . import specfun as sf
-from .polyring import padd, pcompose_trunc, peval, pmul, pmul_trunc, ppow_trunc, pscale
+from .polyring import (padd, pcompose_trunc, peval, pmul, pmul_trunc, ppow_trunc, ppow_trunc_int,
+                       pscale)
 
 F = Fraction
 
 
-def _poly(*c):
-    return [F(x) for x in c]
-
-
 def _mul(*ps):
-    out = [F(1)]
+    out = [1]
     for p in ps:
         out = pmul(out, p)
     return out
@@ -158,10 +160,10 @@ def _gauss_closed_at_0(abc, prefactor, X1, X2):
 
 def _yl2int_vac() -> CorrelatorModel:
     # 400 x^2 (x-1)^2 G'' + 40 x (x-1)(6x-3) G' + 33 G = 0
-    xm1 = _poly(-1, 1)
-    c2 = pscale(_mul(_poly(0, 0, 1), xm1, xm1), F(400))
-    c1 = pscale(_mul(_poly(0, 1), xm1, _poly(-3, 6)), F(40))
-    c0 = _poly(33)
+    xm1 = [-1, 1]
+    c2 = pscale(_mul([0, 0, 1], xm1, xm1), 400)
+    c1 = pscale(_mul([0, 1], xm1, [-3, 6]), 40)
+    c0 = [33]
     abc, p = (F(7, 10), F(11, 10), F(7, 5)), (F(11, 20), F(11, 20))
     X2 = 2 ** (16 / 5)
     return _gauss_model(
@@ -178,10 +180,10 @@ def _yl2int_vac() -> CorrelatorModel:
 
 def _yl1int_vac() -> CorrelatorModel:
     # 10 x^2 (1-x)^2 F'' + x (1-x)(3-x) F' + (2/5)(5x^2+3) F = 0
-    omx = _poly(1, -1)
-    c2 = pscale(_mul(_poly(0, 0, 1), omx, omx), F(10))
-    c1 = _mul(_poly(0, 1), omx, _poly(3, -1))
-    c0 = pscale(_poly(3, 0, 5), F(2, 5))
+    omx = [1, -1]
+    c2 = pscale(_mul([0, 0, 1], omx, omx), 10)
+    c1 = _mul([0, 1], omx, [3, -1])
+    c0 = pscale([3, 0, 5], F(2, 5))
     abc, p = (F(4, 5), F(7, 10), F(11, 10)), (F(2, 5), F(4, 5))
     X1, X2 = _gamma_X_pair(*abc)
     return _gauss_model(
@@ -199,11 +201,11 @@ def _yl1int_vac() -> CorrelatorModel:
 def _yl1int_gs() -> CorrelatorModel:
     # (5/3) x^3 (1-x)^3 F''' + 2 x^2 (1-x)^2 (1-2x) F''
     #   + (1/20) x (1-x)(15x^2-14x+7) F' - (1/50)(x^3-3x^2-29x+15) F = 0
-    omx = _poly(1, -1)
-    c3 = pscale(_mul(_poly(0, 0, 0, 1), omx, omx, omx), F(5, 3))
-    c2 = pscale(_mul(_poly(0, 0, 1), omx, omx, _poly(1, -2)), F(2))
-    c1 = pscale(_mul(_poly(0, 1), omx, _poly(7, -14, 15)), F(1, 20))
-    c0 = pscale(_poly(15, -29, -3, 1), F(-1, 50))
+    omx = [1, -1]
+    c3 = pscale(_mul([0, 0, 0, 1], omx, omx, omx), F(5, 3))
+    c2 = pscale(_mul([0, 0, 1], omx, omx, [1, -2]), 2)
+    c1 = pscale(_mul([0, 1], omx, [7, -14, 15]), F(1, 20))
+    c0 = pscale([15, -29, -3, 1], F(-1, 50))
     ode = fb.theta_form([c0, c1, c2, c3])
     scheme = fb.RiemannScheme((F(1, 2), F(2, 5), F(9, 10)),
                               (F(4, 5), F(2, 5), F(3, 5)),
@@ -233,11 +235,11 @@ def _yl1int_gs() -> CorrelatorModel:
 def _ising2int_vac() -> CorrelatorModel:
     # 4096 x^3 (x-1)^3 G''' + 8448 x^2 (x-1)^2 (2x-1) G''
     #   + 48 x (x-1)(192x^2-192x+5) G' + 15 (2x-1) G = 0
-    xm1 = _poly(-1, 1)
-    c3 = pscale(_mul(_poly(0, 0, 0, 1), xm1, xm1, xm1), F(4096))
-    c2 = pscale(_mul(_poly(0, 0, 1), xm1, xm1, _poly(-1, 2)), F(8448))
-    c1 = pscale(_mul(_poly(0, 1), xm1, _poly(5, -192, 192)), F(48))
-    c0 = pscale(_poly(-1, 2), F(15))
+    xm1 = [-1, 1]
+    c3 = pscale(_mul([0, 0, 0, 1], xm1, xm1, xm1), 4096)
+    c2 = pscale(_mul([0, 0, 1], xm1, xm1, [-1, 2]), 8448)
+    c1 = pscale(_mul([0, 1], xm1, [5, -192, 192]), 48)
+    c0 = pscale([-1, 2], 15)
     ode = fb.theta_form([c0, c1, c2, c3])
     # scheme of this operator; the blocks are torus characters in disguise:
     #   x^(-1/48) (1-x)^(-1/48) chi(q(x)) spans the solution space.
@@ -245,14 +247,13 @@ def _ising2int_vac() -> CorrelatorModel:
                               (F(-1, 16), F(1, 16), F(15, 16)),
                               (F(0), F(1, 8), F(1)))
 
+    specs = [sf.CharacterSpec(4, 3, r, s) for r, s in ((1, 1), (1, 2), (2, 1))]   # a table each
+
     def closed(x):
         # identity-normalized partition-sum form: the three blocks are the
         # dressed characters with weights (1, 1/2, 1/256).
         q = sf.nome_from_x(x)
-        chars = [sf.kac_character(sf.CharacterSpec(4, 3, 1, 1), q).real,
-                 sf.kac_character(sf.CharacterSpec(4, 3, 1, 2), q).real,
-                 sf.kac_character(sf.CharacterSpec(4, 3, 2, 1), q).real]
-        z = chars[0] ** 2 + chars[1] ** 2 + chars[2] ** 2
+        z = sum(sf.kac_character(spec, q).real ** 2 for spec in specs)
         return float(2 ** (-1 / 3) * (x * (1 - x)) ** (-1 / 24) * z)
 
     return CorrelatorModel(
@@ -338,44 +339,33 @@ def _mm_n2(g) -> CorrelatorModel:
 
 
 def _mm_n3_polys(g):
-    """The five theta polynomials of the replica-3 excited-state ODE.
-
-    Generic arithmetic: works for Fraction g (exact catalog mode) and for
-    symbolic g in the verification tests.
-    """
+    """The five theta polynomials of the replica-3 excited-state ODE, each
+    coefficient of degree 4 in g.  A rational g = p/q runs on integers, each
+    factor of degree d in g times q^d; the last factor of each product (and P2)
+    carries the division by q^4, so entries no product reaches stay the int 0
+    of ``pmul_trunc``.  A symbolic g (the verification tests) takes q = 1."""
     try:
-        g = F(g)
+        p, q = F(g).as_integer_ratio()
     except TypeError:
-        pass
+        p, q = g, 1
 
-    def lin(c0, c1):
-        return [c0, c1]
+    def h(*cs):   # q^d (c_0 + c_1 g + ... + c_d g^d)
+        return sum(c * p**i * q**(len(cs) - 1 - i) for i, c in enumerate(cs))
 
-    P0 = _mul(lin(1 - 2 * g, g), lin(1 - g, g), lin(6 - 5 * g, 3 * g), lin(6 - 4 * g, 3 * g))
-    P0 = pscale(P0, 16)
-    P1 = _mul(
-        lin(1 - g, g),
-        [486 - 963 * g + 666 * g**2 - 160 * g**3,
-         567 * g - 810 * g**2 + 296 * g**3,
-         234 * g**2 - 180 * g**3,
-         36 * g**3],
-    )
-    P1 = pscale(P1, -16)
-    P2 = [28980 - 68076 * g + 60344 * g**2 - 24320 * g**3 + 3840 * g**4,
-          46008 * g - 84456 * g**2 + 52272 * g**3 - 10944 * g**4,
-          27720 * g**2 - 35280 * g**3 + 11424 * g**4,
-          7776 * g**3 - 5184 * g**4,
-          864 * g**4]
-    P3 = _mul(
-        lin(7 - 4 * g, 2 * g),
-        [1215 - 1962 * g + 1008 * g**2 - 160 * g**3,
-         1296 * g - 1404 * g**2 + 376 * g**3,
-         504 * g**2 - 288 * g**3,
-         72 * g**3],
-    )
-    P3 = pscale(P3, -4)
-    P4 = _mul(lin(7 - 4 * g, 2 * g), lin(7 - 2 * g, 2 * g),
-              lin(15 - 10 * g, 6 * g), lin(15 - 8 * g, 6 * g))
+    def lin(a, b, c):   # [a + b g, c g]
+        return [h(a, b), h(0, c)]
+
+    def last(cs, k=1):   # k / q^4 times cs
+        return [F(k * c, q**4) for c in cs] if isinstance(p, int) else pscale(cs, k)
+
+    P0 = _mul(lin(1, -2, 1), lin(1, -1, 1), lin(6, -5, 3), last(lin(6, -4, 3), 16))
+    P1 = _mul(lin(1, -1, 1), last([h(486, -963, 666, -160), h(0, 567, -810, 296),
+                                   h(0, 0, 234, -180), h(0, 0, 0, 36)], -16))
+    P2 = last([h(28980, -68076, 60344, -24320, 3840), h(0, 46008, -84456, 52272, -10944),
+               h(0, 0, 27720, -35280, 11424), h(0, 0, 0, 7776, -5184), h(0, 0, 0, 0, 864)])
+    P3 = _mul(lin(7, -4, 2), last([h(1215, -1962, 1008, -160), h(0, 1296, -1404, 376),
+                                   h(0, 0, 504, -288), h(0, 0, 0, 72)], -4))
+    P4 = _mul(lin(7, -4, 2), lin(7, -2, 2), lin(15, -10, 6), last(lin(15, -8, 6)))
     return [P0, P1, P2, P3, P4]
 
 
@@ -501,8 +491,8 @@ def correlator(model: CorrelatorModel, M: int = 200):
     ``monodromy.assemble``'s sum of the x = 0 decomposition (X, basis about 0)
     takes x <= ``monodromy.CHANNEL_SPLIT`` = 1/2, that of the x = 1 one (Y, basis
     about 1) the rest, in one G.  A scalar gives a float, a real array a float64
-    array of its shape.  Complex input or a NaN raises ``ValueError``, a point
-    outside (0, 1) ``OutOfDiskError``."""
+    array of its shape (inf where a power overflows, see ``monodromy.assemble``).
+    Complex input or a NaN raises ``ValueError``, a point outside (0, 1) ``OutOfDiskError``."""
     fit, coeffs, b0, b1 = bootstrap(model, M)
     return mn._summed(mn._channel(model.prefactor_exponents, coeffs.X, b0, coeffs.X_cross),
                       mn._channel(model.prefactor_exponents, coeffs.Y, b1, coeffs.Y_cross))
@@ -667,7 +657,8 @@ def torus_block_expansions(order: int = 4):
     q^(+11/60) * (...) and q^(-1/60) * (...) for the two dressed blocks,
     computed by exact series composition through x = 16 sqrt(q) prod(...),
     up to q^order.  Both must match the character expansions integer by
-    integer.
+    integer.  Every series is an integer list over one denominator (the
+    powers by ``ppow_trunc_int``), divided once per returned coefficient.
     """
     n = 2 * order + 2  # series order in u = sqrt(q)
     x_over = [1]  # x / (16 u) = prod_k (1 + u^k)^(8 (-1)^k), in integers
@@ -678,20 +669,26 @@ def torus_block_expansions(order: int = 4):
             factor[k * m] = math.comb(8, m) if k % 2 == 0 else (-1) ** m * math.comb(m + 7, 7)
         x_over = pmul_trunc(x_over, factor, n)
     x_series = pmul_trunc([0, 16], x_over, n)
-    dressing = ppow_trunc(padd([1], pscale(x_series, -1)), F(11, 30), n)  # (1-x)^(11/30)
+    dressing, d_dressing = ppow_trunc_int(padd([1], pscale(x_series, -1)), F(11, 30), n)
 
     def dressed(a, b, c, power_x_over):
-        hyp = [F(1)]  # 2F1(a, b; c; x) coefficients
+        # 2F1(a, b; c; x): h_k = h_(k-1) (A + d(k-1)) (B + d(k-1)) / (d k (C + d(k-1))),
+        # with A = a d, B = b d, C = c d, times the product of all n denominators
+        d = math.lcm(a.denominator, b.denominator, c.denominator)
+        A, B, C = (int(v * d) for v in (a, b, c))
+        hyp = [math.prod(d * k * (C + d * k - d) for k in range(1, n + 1))]
         for k in range(1, n + 1):
-            hyp.append(hyp[-1] * (a + k - 1) * (b + k - 1) / (k * (c + k - 1)))
-        ser = pmul_trunc(ppow_trunc(x_over, power_x_over, n), dressing, n)
-        return pmul_trunc(ser, pcompose_trunc(hyp, x_series, n), n)
+            hyp.append(hyp[-1] * (A + d * k - d) * (B + d * k - d) // (d * k * (C + d * k - d)))
+        ser, d_power = ppow_trunc_int(x_over, power_x_over, n)
+        ser = pmul_trunc(pmul_trunc(ser, dressing, n), pcompose_trunc(hyp, x_series, n), n)
+        return ser, d_power * d_dressing * hyp[0]
 
-    s_id = dressed(F(7, 10), F(11, 10), F(7, 5), F(11, 30))
-    s_phi = dressed(F(7, 10), F(3, 10), F(3, 5), F(-1, 30))
-    if any(v != 0 for v in s_id[1:2 * order:2] + s_phi[1:2 * order:2]):
+    (s_id, d_id), (s_phi, d_phi) = (dressed(F(7, 10), F(11, 10), F(7, 5), F(11, 30)),
+                                    dressed(F(7, 10), F(3, 10), F(3, 5), F(-1, 30)))
+    if any(s_id[1:2 * order:2] + s_phi[1:2 * order:2]):
         raise AssertionError("odd half-integer powers should cancel")
-    return s_id[:2 * order + 1:2], s_phi[:2 * order + 1:2]
+    return ([F(v, d_id) for v in s_id[:2 * order + 1:2]],
+            [F(v, d_phi) for v in s_phi[:2 * order + 1:2]])
 
 
 # ---------------------------------------------------------------------------
@@ -738,7 +735,7 @@ def ward_taylor(m2, m3, m4, x, family: str, P: int):
     if family == "d":
         p2, p3 = m2 + 1, m3 + 1
         if _int_like(p2) and _int_like(p3) and p2 >= 0 and p3 >= 0:
-            return pmul_trunc(_mul(*[[-1, 1]] * int(p2)), _mul(*[[-x, 1]] * int(p3)), P)
+            return pmul_trunc(_mul([F(1)], *[[-1, 1]] * int(p2)), _mul(*[[-x, 1]] * int(p3)), P)
         if p2 == p3:
             # ((z-1)(z-x))^s = x^s (1 - (1+x)/x z + z^2/x)^s
             return [x**p2 * c for c in ppow_trunc([1, -(1 + x) / x, 1 / x], p2, P)]
@@ -763,13 +760,13 @@ def _pow_real_or_principal(base, expo):
 
 
 # reference data for the replica-3 contour identity
-N3_WARD_POLYNOMIALS = {
-    -2: _poly(0, 0, 0, 0, 243),
-    -1: _poly(0, 0, 0, 324, 162),
-    0: _poly(0, 0, -54, -216, 27),
-    1: _poly(0, -12, 36, -36, 12),
-    2: _poly(-5, 8, 6, -16, 7),
-}
+N3_WARD_POLYNOMIALS = {m: [F(c) for c in p] for m, p in {
+    -2: (0, 0, 0, 0, 243),
+    -1: (0, 0, 0, 324, 162),
+    0: (0, 0, -54, -216, 27),
+    1: (0, -12, 36, -36, 12),
+    2: (-5, 8, 6, -16, 7),
+}.items()}
 
 
 def n3_ward_consistency(x: Fraction) -> bool:

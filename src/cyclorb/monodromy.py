@@ -196,7 +196,9 @@ def assemble(prefactor_exponents: tuple, X: Sequence[float],
     ``frobenius._power_sums``), then c s_i s_j u^e left to right, uncompensated, e
     holding the centre's prefactor exponent, times (1 - u)^(2 p_other).  A float
     gives a float, other real input a float64 array of its shape.  Complex input
-    or a NaN raises ``ValueError``, any other u ``OutOfDiskError``: no sum is truncated."""
+    or a NaN raises ``ValueError``, any other u ``OutOfDiskError``: no sum is truncated.
+    Where u^e passes the float range (a subnormal u, e < 0) the value is numpy's
+    inf (nan if two such terms cancel) with its overflow warning, a float's too."""
     return _summed(_channel(prefactor_exponents, X, basis, cross))
 
 
@@ -237,8 +239,11 @@ def _summed(near: tuple, far: Optional[tuple] = None) -> Callable:
                 _outside(u)
             s = _power_sums(u.ravel(), C).T.reshape((C.shape[1],) + u.shape)
         tot = 0.0
-        for i, j, c, e in terms:
-            tot += c * s[i] * s[j] * u ** e
+        try:
+            for i, j, c, e in terms:
+                tot += c * s[i] * s[j] * u ** e
+        except OverflowError:   # a float's u ** e past the float range: the array's inf
+            return float(G(np.array([x]))[0])
         return v ** po * tot
 
     return G

@@ -7,7 +7,8 @@ operations are duck-typed: they work equally well with ``fractions.Fraction``
 (exact mode: exact inputs give exact outputs), ``int``, ``float``/``complex``
 (numeric mode) or sympy expressions (symbolic checks in the tests).
 ``clear_denominators`` and ``rational_roots`` take rationals only (``int`` or
-``Fraction``) and run on integers; ``deflate`` takes an integer polynomial.
+``Fraction``) and run on integers; ``deflate`` takes an integer polynomial, and
+``ppow_trunc_int`` an integer series, over the one denominator n! b^n.
 """
 
 from __future__ import annotations
@@ -91,6 +92,8 @@ def ppow_trunc(p, s, n):
 
     J. C. P. Miller's recurrence k g_k = sum_j ((s+1) j - k) p_j g_(k-j)
     (Knuth, TAOCP vol. 2, sec. 4.7); s = -1 gives the reciprocal series.
+    g_k is ``Fraction(1, k)`` times the sum in s's ring, so ``catalog.ward_taylor``
+    and ``_binomial_pair`` keep their results bit for bit; ``ppow_trunc_int`` runs on ints.
     """
     if p[0] != 1:
         raise ValueError("ppow_trunc needs p[0] == 1")
@@ -102,6 +105,18 @@ def ppow_trunc(p, s, n):
                 acc = acc + ((s + 1) * j - k) * p[j] * g[k - j]
         g.append(Fraction(1, k) * acc)
     return g
+
+
+def ppow_trunc_int(p, s, n):
+    """(N, D): ``ppow_trunc(p, s, n)`` = N / D for an integer series p and s = a/b,
+    with D = n! b^n.  The recurrence times b D, b k N_k = sum_j ((a + b) j - b k)
+    p_j N_(k-j), divides exactly: k! b^k g_k is an integer."""
+    a, b = Fraction(s).as_integer_ratio()
+    N = [math.factorial(n) * b**n]
+    for k in range(1, n + 1):
+        N.append(sum(((a + b) * j - b * k) * p[j] * N[k - j]
+                     for j in range(1, min(k, len(p) - 1) + 1) if p[j]) // (b * k))
+    return N, N[0]
 
 
 def pcompose_trunc(p, inner, n):

@@ -3,6 +3,7 @@ one connection-row formula, minimal-model characters, Dedekind eta, and the
 nome <-> cross-ratio map.
 
 Double precision throughout; Gamma arguments and 2F1 parameters are real.
+A ``CharacterSpec`` builds its integer 50-term q-expansion once; ``kac_character`` sums its head.
 Fractional powers use the principal branch, cut on the negative real axis.
 """
 
@@ -11,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd
 
@@ -224,6 +226,11 @@ class CharacterSpec:
         """chi ~ q^(h - c/24) * (1 + ...)."""
         return self.weight - self.central_charge / 24
 
+    @cached_property
+    def _table(self) -> tuple:
+        """``character_coeffs(self, 50)``, built once per spec; ``kac_character`` slices it."""
+        return tuple(character_coeffs(self, 50))
+
 
 def character_coeffs(spec: CharacterSpec, M: int) -> list[int]:
     """Integer coefficients c_0..c_M of chi = q^(h - c/24) sum_k c_k q^k.
@@ -266,12 +273,13 @@ def character_coeffs(spec: CharacterSpec, M: int) -> list[int]:
 
 
 def kac_character(spec: CharacterSpec, q, M: int = 50) -> complex:
-    """chi_{r,s}(q) evaluated numerically from its q-expansion."""
+    """chi_{r,s}(q) evaluated numerically from its q-expansion to q^M, 0 <= M <= 50."""
     q = complex(q)
     if abs(q) >= 1:
         raise DomainError("|q| >= 1")
-    coeffs = character_coeffs(spec, M)
-    tail = sum(c * q**k for k, c in enumerate(coeffs))
+    if not 0 <= M <= 50:
+        raise ValueError("0 <= M <= 50")
+    tail = sum(c * q**k for k, c in enumerate(spec._table[:M + 1]))
     return _principal_pow(q, float(spec.leading_exponent)) * tail
 
 

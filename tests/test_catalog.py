@@ -4,6 +4,7 @@ contour-identity coefficients."""
 import csv
 import io
 import math
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -507,6 +508,23 @@ class TestScalarPlan:
                 assert got == expected or (math.isnan(got) and math.isnan(expected)), x
 
     @pytest.mark.parametrize("mid,g", END_MODELS)
+    def test_subnormal_points_agree(self, mid, g):
+        # where u^e passes the float range a float gives the array's value (inf for
+        # mm_n2_phi21, with numpy's overflow warning), never OverflowError
+        G = cy.correlator(cy.get_model(mid, g))
+        for x in (5e-324, 1e-320, 1e-310):
+            with warnings.catch_warnings(record=True) as at_float:
+                warnings.simplefilter("always")
+                got = G(x)
+            with warnings.catch_warnings(record=True) as at_array:
+                warnings.simplefilter("always")
+                want = G(np.array([x, 0.3]))[0]
+            assert type(got) is float and got == want, x
+            assert [w.category for w in at_float] == [w.category for w in at_array]
+            if mid == "mm_n2_phi21":
+                assert got == math.inf and at_float
+
+    @pytest.mark.parametrize("mid,g", END_MODELS)
     def test_assemble_builds_no_plan(self, mid, g, monkeypatch):
         # assemble's G is the row-cut sum itself: correlator builds one row-cut
         # channel per side and no separate plan, and no G calls the whole-basis
@@ -721,6 +739,31 @@ class TestTorus:
         got = [cy.torus_block_expansions(order) for order in (4, 6, 8)]
         monkeypatch.setattr(cat, "pcompose_trunc", horner)
         assert got == [cy.torus_block_expansions(order) for order in (4, 6, 8)]
+
+    def test_character_tables_once_per_spec(self, monkeypatch):
+        # a CharacterSpec builds its 50-term table once: 2 per torus_check (one per
+        # spec, not one per spec and q point) and 3 per Ising model, at any number of points
+        built = []
+        real = sf.character_coeffs
+        monkeypatch.setattr(sf, "character_coeffs",
+                            lambda spec, M: built.append(M) or real(spec, M))
+        cy.torus_check([0.005, 0.01, 0.02])
+        assert built == [50, 50]
+        for _ in range(2):
+            built.clear()
+            model = cy.get_model("ising2int_vac")
+            for x in (0.1, 0.3, 0.5, 0.7, 0.9):
+                model.closed_form(x)
+            assert built == [50, 50, 50]
+
+    def test_character_sum_slices_the_table(self):
+        spec = cy.CharacterSpec(5, 2, 1, 2)
+        for M in (0, 4, 50):
+            want = sum(c * 0.01**k for k, c in enumerate(cy.character_coeffs(spec, M)))
+            assert cy.kac_character(spec, 0.01, M) == 0.01 ** float(spec.leading_exponent) * want
+        for M in (-1, 51):
+            with pytest.raises(ValueError):
+                cy.kac_character(spec, 0.01, M)
 
 
 class TestWardTaylor:

@@ -4,8 +4,11 @@
 ``rational_roots`` clear denominators and run on integers; every result must
 equal (``==``) the one the direct Fraction algebra of ``_fraction_oracle``
 gives, and every basis must be byte-equal to the parent's float recursion.
+The catalog's models and torus tables, built on integers with one division,
+must equal the ``Fraction`` builders' type for type.
 """
 
+import dataclasses
 import random
 from fractions import Fraction as F
 
@@ -150,3 +153,56 @@ class TestChecksKept:
         ode = cy.ThetaOde(order=2, polys=((0, -1, 1), (1,)))
         with pytest.raises(cy.LogarithmicCaseError):
             cy.frobenius_series(ode, F(0), 10, exact=False)
+
+
+# couplings where a factor of a replica-3 product or of a Gauss parameter
+# vanishes or turns integer; mm_n3_phi21 rejects g = 2 (an exponent collision)
+EXTRA_G = ("3/4", "1", "5/4", "4/3", "11/8", "7/5", "2")
+BUILD_CASES = (MODEL_CASES[:4] + [(f, F(g)) for f in ("mm_n2_phi21", "mm_n3_phi21")
+                                  for g in G_POOL + EXTRA_G])
+
+
+def _same(a, b):
+    """a == b with the same type at every leaf of nested lists and tuples."""
+    if isinstance(a, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same, a, b))
+    return type(a) is type(b) and a == b
+
+
+class TestIntegerBuilders:
+    @pytest.mark.parametrize("mid,g", BUILD_CASES, ids=lambda c: str(c))
+    def test_model_equals_fraction_builders(self, mid, g):
+        ode, full_ode, scheme = fo.catalog_model(mid, g)
+        if (mid, g) == ("mm_n3_phi21", 2):
+            with pytest.raises(ValueError, match="exponent collision"):
+                cat.get_model(mid, g)
+            return
+        model = cat.get_model(mid, g)
+        assert model.ode.order == ode.order and _same(model.ode.polys, ode.polys)
+        std = tuple(tuple(c) for c in fb.to_standard_coeffs(ode))
+        assert _same(model.standard_coeffs(), std)
+        assert _same(model.ode_at_1.polys, fb.theta_form_at_one(std).polys)
+        assert (model.full_ode is None) == (full_ode is None)
+        assert full_ode is None or _same(model.full_ode.polys, full_ode.polys)
+        assert _same(dataclasses.astuple(model.scheme), dataclasses.astuple(scheme))
+
+    @pytest.mark.parametrize("g", G_POOL + EXTRA_G + ("3/2", "7/4", "15/8", "1/2", "-3/7"))
+    def test_replica3_polys(self, g):
+        # the parent's pmul_trunc leaves the int 0 where a vanishing factor stops every
+        # product (P0[0] at g = 6/5 and 1): the same types, not only the same values
+        assert _same(cat._mm_n3_polys(F(g)), fo.mm_n3_polys(F(g)))
+        assert _same(cat._mm_n3_polys(g), fo.mm_n3_polys(g))
+
+    @pytest.mark.parametrize("order", (4, 6, 8, 10))
+    def test_torus_tables(self, order):
+        assert _same(cat.torus_block_expansions(order), fo.torus_block_expansions(order))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_integer_power_series(self, seed):
+        rng = random.Random(seed)
+        for _ in range(50):
+            p = [1] + [rng.randint(-6, 6) for _ in range(rng.randint(0, 6))]
+            s, n = _rat(rng), rng.randint(0, 14)
+            N, D = pr.ppow_trunc_int(p, s, n)
+            assert all(type(v) is int for v in N) and D == N[0]
+            assert [F(v, D) for v in N] == pr.ppow_trunc(p, s, n)
